@@ -6,6 +6,8 @@ hull, optimization slice by slice, circuit and minor inequalities, and a
 brute-force oracle for cross-checking on small instances.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadParameters,
     BoundViolation,
@@ -15,7 +17,6 @@ from .errors import (
     EmptyColumnSet,
     InfeasiblePoint,
     IterationLimit,
-    LimitExceeded,
     NegativeCoefficient,
     NegativeWeight,
     NoEssentialBullets,
@@ -43,7 +44,6 @@ from .matrices import (
     circular_matrix,
     contract,
     cover_number,
-    homogeneous_demands,
     interval_row,
     neighborhood_matrix,
     norm_col,
@@ -62,7 +62,6 @@ from .digraph import (
     build_digraph,
     closed_path,
     enumerate_circuits,
-    incidence_matrix,
 )
 from .lp import LPResult, lp_feasible, solve_lp
 from .oracle import (
@@ -119,115 +118,14 @@ from .optimize import (
 from .jsonio import (
     inequality_json,
     load_instance,
-    load_point,
     optimization_json,
-    point_json,
     separation_json,
 )
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ARC_KINDS",
-    "Arc",
-    "AuxDigraph",
-    "BadParameters",
-    "Block",
-    "BlockStructure",
-    "BoundViolation",
-    "BudgetExceeded",
-    "CandidateEnumeration",
-    "Circulant",
-    "CirculantMatch",
-    "CircuitEnumeration",
-    "CircoverError",
-    "CircularMatrix",
-    "ClosedPath",
-    "CostAssignment",
-    "CutLoopResult",
-    "CutLoopStep",
-    "DEFAULT_BUDGET",
-    "DuplicateRow",
-    "EmptyColumnSet",
-    "FORWARD_ROW",
-    "FORWARD_SHORT",
-    "HullDescription",
-    "InfeasiblePoint",
-    "Instance",
-    "IterationLimit",
-    "LPResult",
-    "LimitExceeded",
-    "LinearInequality",
-    "MinorEnumeration",
-    "MinorWitness",
-    "NegativeCoefficient",
-    "NegativeWeight",
-    "NoEssentialBullets",
-    "NodeClasses",
-    "NonpositiveWinding",
-    "NotCirculantMinor",
-    "NotClosedPath",
-    "NotInterval",
-    "OptimizationResult",
-    "REVERSE_ROW",
-    "REVERSE_SHORT",
-    "RedundantInequality",
-    "ReverseRowArcPresent",
-    "RowFamilyResult",
-    "SeparationResult",
-    "SliceSolution",
-    "SupportMatrix",
-    "assign_costs",
-    "bad_arcs",
-    "block_decomposition",
-    "build_digraph",
-    "check_facet",
-    "check_validity",
-    "circuit_inequality",
-    "circulant_isomorphic",
-    "circulant_matrix",
-    "circular_matrix",
-    "classify_nodes",
-    "closed_path",
-    "contract",
-    "cover_number",
-    "cut_loop",
-    "default_family_winding",
-    "domination_solve",
-    "enumerate_candidates_general",
-    "enumerate_circuits",
-    "enumerate_circulant_minors",
-    "enumerate_facet_candidates",
-    "enumerate_minimal_covers",
-    "extract_minor",
-    "format_rational",
-    "format_rational_vector",
-    "homogeneous_circuit_inequality",
-    "homogeneous_demands",
-    "hull_facets",
-    "incidence_matrix",
-    "inequality_json",
-    "interval_row",
-    "load_instance",
-    "load_point",
-    "lp_feasible",
-    "make_inequality",
-    "membership",
-    "minor_inequalities",
-    "negative_circuit",
-    "neighborhood_matrix",
-    "nonnegativity",
-    "norm_col",
-    "optimization_json",
-    "optimize",
-    "parse_rational",
-    "parse_rational_vector",
-    "point_json",
-    "row_family_inequality",
-    "row_inequalities",
-    "separate",
-    "separation_json",
-    "solve_lp",
-    "solve_slice",
-    "web_neighborhoods",
-]
+# Every public name imported above; submodules bound as attributes are not.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -41,14 +41,12 @@ from .inequalities import (
 from .jsonio import (
     inequality_json,
     load_instance,
-    load_point,
     optimization_json,
-    point_json,
     separation_json,
 )
 from .oracle import check_facet, enumerate_minimal_covers, hull_facets
 from .optimize import optimize
-from .rationals import format_rational
+from .rationals import format_rational, format_rational_vector
 from .separation import cut_loop, separate
 
 
@@ -65,7 +63,7 @@ def _instance_json(inst) -> dict:
         "n": inst.matrix.n,
         "rows": [list(row) for row in inst.matrix.rows],
         "b": list(inst.demands),
-        "w": [format_rational(v) for v in inst.weights],
+        "w": format_rational_vector(inst.weights),
     }
 
 
@@ -94,10 +92,9 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_separate(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     try:
-        raw = json.loads(args.point)
+        point = json.loads(args.point)
     except json.JSONDecodeError as exc:
         raise BadParameters(f"--point is not valid JSON: {exc}") from None
-    point = load_point(raw, inst.matrix.n)
     return separation_json(separate(inst.matrix, inst.demands, point)), 0
 
 
@@ -211,7 +208,7 @@ def _cmd_cut_loop(args) -> tuple[dict, int]:
     steps = []
     for step in res.steps:
         entry = {
-            "point": point_json(step.point),
+            "point": format_rational_vector(step.point),
             "value": format_rational(step.value),
         }
         if step.inequality is not None:
@@ -220,7 +217,7 @@ def _cmd_cut_loop(args) -> tuple[dict, int]:
         steps.append(entry)
     payload = {
         "value": format_rational(res.value),
-        "point": point_json(res.point),
+        "point": format_rational_vector(res.point),
         "rounds": len(res.steps),
         "steps": steps,
     }

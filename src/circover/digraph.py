@@ -25,7 +25,6 @@ index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd  # noqa: F401  (re-exported convenience for callers)
 
 from .errors import BadParameters, NotClosedPath
 from .matrices import CircularMatrix, norm_col
@@ -51,10 +50,6 @@ class Arc:
     @property
     def is_forward(self) -> bool:
         return self.length > 0
-
-    @property
-    def is_row(self) -> bool:
-        return self.kind in (FORWARD_ROW, REVERSE_ROW)
 
     def jumps(self, j: int) -> bool:
         return bool(self.jump_mask >> (j - 1) & 1)
@@ -112,19 +107,6 @@ class AuxDigraph:
 
 def build_digraph(matrix: CircularMatrix, *, restricted: bool = False) -> AuxDigraph:
     return AuxDigraph(matrix, restricted)
-
-
-def incidence_matrix(digraph: AuxDigraph) -> list[list[int]]:
-    """Signed node-arc incidence: -1 at the tail, +1 at the head.
-
-    Columns follow digraph.arcs; for the full digraph that is the block
-    order (forward rows, forward shorts, reverse rows, reverse shorts).
-    """
-    rows = [[0] * len(digraph.arcs) for _ in range(digraph.n)]
-    for c, a in enumerate(digraph.arcs):
-        rows[a.tail - 1][c] -= 1
-        rows[a.head - 1][c] += 1
-    return rows
 
 
 class ClosedPath:
@@ -248,11 +230,7 @@ def enumerate_circuits(
             if not allowed(a):
                 continue
             h = a.head
-            if h == start and path:
-                pass
-            elif h == start:
-                continue  # a one-arc loop cannot occur, but stay safe
-            elif h < start or h in on_path:
+            if h != start and (h < start or h in on_path):
                 continue
             path.append(a)
             if h == start:

@@ -30,10 +30,6 @@ class NotClosedPath(CircoverError):
     """An arc sequence does not chain into a closed path."""
 
 
-class LimitExceeded(CircoverError):
-    """An enumeration cap was hit where completeness is required."""
-
-
 class InfeasiblePoint(CircoverError):
     """The queried point violates the fractional covering constraints."""
 

@@ -54,6 +54,7 @@ from .matrices import (
     cover_number,
     norm_col,
 )
+from .rationals import parse_rational_vector
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,8 @@ class LinearInequality:
 
     def evaluate(self, x) -> Fraction:
         """Slack of the inequality at x (negative means violated)."""
-        return sum(Fraction(c) * Fraction(v) for c, v in zip(self.coeffs, x)) - self.rhs
+        x = parse_rational_vector(x)
+        return sum((c * v for c, v in zip(self.coeffs, x)), Fraction(0)) - self.rhs
 
     def key(self) -> tuple:
         return (self.coeffs, self.rhs)

@@ -1,4 +1,4 @@
-"""JSON encodings for instances, points, and results.
+"""JSON encodings for instances and results.
 
 Rationals travel as strings ("3/4", "2"); integers may also appear as bare
 JSON numbers on input. Floats are rejected everywhere, since the whole
@@ -11,10 +11,11 @@ from fractions import Fraction
 
 from .errors import BadParameters
 from .matrices import Instance, circular_matrix
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 
 def load_instance(data) -> Instance:
+    """Decode an instance object; Instance itself validates b and w."""
     if not isinstance(data, dict):
         raise BadParameters("instance must be a JSON object")
     try:
@@ -22,6 +23,8 @@ def load_instance(data) -> Instance:
         raw_rows = data["rows"]
     except KeyError as exc:
         raise BadParameters(f"instance is missing {exc.args[0]!r}") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise BadParameters(f"n must be an integer, got {n!r}")
     if not isinstance(raw_rows, list) or not raw_rows:
         raise BadParameters("rows must be a non-empty array")
     rows = []
@@ -34,28 +37,14 @@ def load_instance(data) -> Instance:
     demands = data.get("b")
     if demands is None:
         demands = [1] * matrix.m
-    if not isinstance(demands, list) or len(demands) != matrix.m:
-        raise BadParameters(f"b must list one demand per row ({matrix.m})")
-    for b in demands:
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-            raise BadParameters(f"demands must be non-negative ints, got {b!r}")
+    if not isinstance(demands, list):
+        raise BadParameters("b must be an array of demands")
     weights = data.get("w")
     if weights is None:
         weights = [1] * matrix.n
-    if not isinstance(weights, list) or len(weights) != matrix.n:
-        raise BadParameters(f"w must list one weight per column ({matrix.n})")
-    weights = [parse_rational(v) for v in weights]
-    return Instance(matrix, tuple(demands), tuple(weights))
-
-
-def load_point(data, n: int):
-    if not isinstance(data, list) or len(data) != n:
-        raise BadParameters(f"point must be an array of {n} rationals")
-    return tuple(parse_rational(v) for v in data)
-
-
-def point_json(point):
-    return [format_rational(v) for v in point]
+    if not isinstance(weights, list):
+        raise BadParameters("w must be an array of weights")
+    return Instance(matrix, demands, weights)
 
 
 def inequality_json(ineq, facet=None) -> dict:

@@ -55,28 +55,3 @@ def invert(matrix):
                 f = work[r][col]
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
     return [row[size:] for row in work]
-
-
-def determinant(matrix) -> Fraction:
-    """Determinant via fraction-free-ish elimination (fine at our sizes)."""
-    size = len(matrix)
-    work = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, size):
-            if work[r][col] != 0:
-                ratio = work[r][col] / pv
-                work[r] = [a - ratio * b for a, b in zip(work[r], work[col])]
-    return det

@@ -24,6 +24,7 @@ erase both copies of a duplicated support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,8 +32,10 @@ from .errors import (
     BoundViolation,
     DuplicateRow,
     EmptyColumnSet,
+    NegativeWeight,
     NotInterval,
 )
+from .rationals import parse_rational_vector
 
 
 def norm_col(j: int, n: int) -> int:
@@ -342,29 +345,38 @@ def web_neighborhoods(n: int, radius: int) -> list[list[int]]:
     ]
 
 
+def check_demands(matrix: CircularMatrix, demands) -> tuple[int, ...]:
+    """One non-negative int demand per row (bools and Fractions are rejected)."""
+    if len(demands) != matrix.m:
+        raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
+    for b in demands:
+        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
+            raise BadParameters(f"demands must be non-negative ints, got {b!r}")
+    return tuple(demands)
+
+
+def check_weights(matrix: CircularMatrix, weights) -> tuple[Fraction, ...]:
+    """One non-negative rational weight per column; floats and bools are rejected."""
+    w = parse_rational_vector(weights)
+    if len(w) != matrix.n:
+        raise BadParameters(f"{len(w)} weights for {matrix.n} columns")
+    for v in w:
+        if v < 0:
+            raise NegativeWeight(f"negative weight {v}")
+    return w
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A covering instance: circular matrix, integer demands, rational weights."""
+    """A covering instance: circular matrix, integer demands, rational weights.
+
+    Construction validates and normalizes both vectors, so every Instance is valid.
+    """
 
     matrix: CircularMatrix
     demands: tuple[int, ...]
-    weights: tuple
+    weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.demands) != self.matrix.m:
-            raise BadParameters(
-                f"{len(self.demands)} demands for {self.matrix.m} rows"
-            )
-        if len(self.weights) != self.matrix.n:
-            raise BadParameters(
-                f"{len(self.weights)} weights for {self.matrix.n} columns"
-            )
-        for b in self.demands:
-            if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-                raise BadParameters(f"demands must be non-negative ints, got {b!r}")
-
-
-def homogeneous_demands(matrix: CircularMatrix, alpha: int = 1) -> tuple[int, ...]:
-    if not isinstance(alpha, int) or alpha < 1:
-        raise BadParameters(f"demand level must be a positive int, got {alpha!r}")
-    return (alpha,) * matrix.m
+        object.__setattr__(self, "demands", check_demands(self.matrix, self.demands))
+        object.__setattr__(self, "weights", check_weights(self.matrix, self.weights))

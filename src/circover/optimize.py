@@ -18,28 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameters, NegativeWeight
+from .errors import BadParameters
 from .lp import solve_lp
-from .matrices import CircularMatrix, circular_matrix, interval_row
-
-
-def _check_weights(matrix, weights):
-    if len(weights) != matrix.n:
-        raise BadParameters(f"{len(weights)} weights for {matrix.n} columns")
-    w = [Fraction(v) for v in weights]
-    for v in w:
-        if v < 0:
-            raise NegativeWeight(f"negative weight {v}")
-    return w
-
-
-def _check_demands(matrix, demands):
-    if len(demands) != matrix.m:
-        raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
-    for b in demands:
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-            raise BadParameters(f"demands must be non-negative ints, got {b!r}")
-    return tuple(demands)
+from .matrices import (
+    CircularMatrix,
+    check_demands,
+    check_weights,
+    circular_matrix,
+    interval_row,
+)
 
 
 def _slice_system(matrix: CircularMatrix, demands, beta: int):
@@ -71,8 +58,8 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSol
     Returns None when the slice is empty. The witness point is an integral
     vertex (asserted, not rounded).
     """
-    demands = _check_demands(matrix, demands)
-    w = _check_weights(matrix, weights)
+    demands = check_demands(matrix, demands)
+    w = check_weights(matrix, weights)
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise BadParameters(f"the coordinate sum must be an int, got {beta!r}")
     n = matrix.n
@@ -94,10 +81,9 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSol
     return SliceSolution(beta, value, xi)
 
 
-def _lexmin_point(matrix, demands, weights, beta, value):
+def _lexmin_point(matrix, demands, w, beta, value):
     """Lexicographically smallest optimal integer point of the chosen slice."""
     n = matrix.n
-    w = [Fraction(v) for v in weights]
     rows, rhs = _slice_system(matrix, demands, beta)
     senses = [">="] * len(rows)
     objective = [w[j] - w[j + 1] for j in range(n - 1)]
@@ -137,8 +123,8 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     minimal cover and minimal covers are capped by max(demands) per
     coordinate, so the scan is exhaustive.
     """
-    demands = _check_demands(matrix, demands)
-    w = _check_weights(matrix, weights)
+    demands = check_demands(matrix, demands)
+    w = check_weights(matrix, weights)
     top = matrix.n * max(demands, default=0)
     best: SliceSolution | None = None
     table = []

@@ -18,10 +18,11 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .errors import BadParameters, BudgetExceeded, NegativeCoefficient
+from .errors import BudgetExceeded, NegativeCoefficient
 from .linalg import exact_rank, invert
 from .lp import solve_lp
-from .matrices import CircularMatrix
+from .matrices import CircularMatrix, check_demands
+from .rationals import parse_rational_vector
 
 DEFAULT_BUDGET = 4 ** 9
 
@@ -30,10 +31,7 @@ def enumerate_minimal_covers(
     matrix: CircularMatrix, demands, budget: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """All minimal integer covers, in lexicographic order."""
-    if len(demands) != matrix.m:
-        raise BadParameters("one demand per row required")
-    if any(b < 0 for b in demands):
-        raise BadParameters("demands must be non-negative")
+    demands = check_demands(matrix, demands)
     budget = DEFAULT_BUDGET if budget is None else budget
     n = matrix.n
     maxb = max(demands, default=0)
@@ -105,7 +103,8 @@ def membership(point, covers) -> bool:
     """Is the point in conv(covers) + R^n_+? Phase-1 LP, exact."""
     if not covers:
         return False
-    n = len(point)
+    x = parse_rational_vector(point)
+    n = len(x)
     k = len(covers)
     rows = []
     senses = []
@@ -116,7 +115,7 @@ def membership(point, covers) -> bool:
     for j in range(n):
         rows.append([Fraction(cover[j]) for cover in covers])
         senses.append("<=")
-        rhs.append(Fraction(point[j]))
+        rhs.append(x[j])
     res = solve_lp([Fraction(0)] * k, rows, senses, rhs)
     return res.status == "optimal"
 

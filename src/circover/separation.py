@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digraph import Arc, AuxDigraph, ClosedPath, build_digraph
-from .errors import BadParameters, InfeasiblePoint, IterationLimit, NegativeWeight
+from .errors import BadParameters, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
-from .matrices import CircularMatrix
+from .matrices import CircularMatrix, check_demands, check_weights
+from .rationals import parse_rational_vector
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,10 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     is outside the fractional relaxation.
     """
     n, m = matrix.n, matrix.m
-    if len(point) != n:
-        raise BadParameters(f"{len(point)} coordinates for {n} columns")
-    if len(demands) != m:
-        raise BadParameters(f"{len(demands)} demands for {m} rows")
-    x = tuple(Fraction(v) for v in point)
+    demands = check_demands(matrix, demands)
+    x = parse_rational_vector(point)
+    if len(x) != n:
+        raise BadParameters(f"{len(x)} coordinates for {n} columns")
     slack = []
     for i in range(1, m + 1):
         s = sum((x[j - 1] for j in matrix.support(i)), Fraction(0)) - demands[i - 1]
@@ -79,7 +79,7 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     last[m + n - 1] = Fraction(1)
     forward = tuple(mu * (s - (1 - mu) * v) for s, v in zip(slack, last))
     reverse = tuple((1 - mu) * (s + mu * v) for s, v in zip(slack, last))
-    return CostAssignment(matrix, tuple(demands), x, tuple(slack), mu, forward, reverse)
+    return CostAssignment(matrix, demands, x, tuple(slack), mu, forward, reverse)
 
 
 def negative_circuit(digraph: AuxDigraph, costs: CostAssignment) -> ClosedPath | None:
@@ -180,11 +180,8 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
     cover, no LP needed.
     """
     n, m = matrix.n, matrix.m
-    if len(weights) != n:
-        raise BadParameters(f"{len(weights)} weights for {n} columns")
-    w = [Fraction(v) for v in weights]
-    if any(v < 0 for v in w):
-        raise NegativeWeight("weights must be non-negative")
+    demands = check_demands(matrix, demands)
+    w = check_weights(matrix, weights)
     if all(v == 0 for v in w):
         top = max(demands, default=0)
         point = tuple(Fraction(top) for _ in range(n))

@@ -1,0 +1,70 @@
+"""Package surface: one validation rule behind every entry point, clean exports."""
+
+from fractions import Fraction as F
+from types import ModuleType
+
+import pytest
+
+import circover
+from circover import (
+    CircoverError,
+    Instance,
+    assign_costs,
+    circulant_matrix,
+    cut_loop,
+    enumerate_minimal_covers,
+    optimize,
+    separate,
+    solve_slice,
+)
+
+PENTAGON = circulant_matrix(5, 2)
+GOOD = {"b": [1] * 5, "w": [1] * 5, "x": [F(1, 2)] * 5}
+
+# entry point -> (the inputs it reads, the call)
+ENTRY_POINTS = {
+    "Instance": ("bw", lambda b, w, x: Instance(PENTAGON, b, w)),
+    "optimize": ("bw", lambda b, w, x: optimize(PENTAGON, b, w)),
+    "solve_slice": ("bw", lambda b, w, x: solve_slice(PENTAGON, b, w, 3)),
+    "cut_loop": ("bw", lambda b, w, x: cut_loop(PENTAGON, b, w)),
+    "separate": ("bx", lambda b, w, x: separate(PENTAGON, b, x)),
+    "assign_costs": ("bx", lambda b, w, x: assign_costs(PENTAGON, b, x)),
+    "enumerate_minimal_covers": ("b", lambda b, w, x: enumerate_minimal_covers(PENTAGON, b)),
+}
+
+BAD_INPUTS = {
+    "float weight": ("w", [1, 1, 0.5, 1, 1]),
+    "bool demand": ("b", [1, True, 1, 1, 1]),
+    "negative demand": ("b", [1, 1, -1, 1, 1]),
+    "Fraction demand": ("b", [1, 1, F(3, 2), 1, 1]),
+    "short demands": ("b", [1] * 4),
+    "short weights": ("w", [1] * 4),
+    "short point": ("x", [F(1, 2)] * 4),
+    "float point coordinate": ("x", [0.5] * 5),
+}
+
+CASES = [
+    pytest.param(entry, case, id=f"{entry}-{case}")
+    for entry, (reads, _) in ENTRY_POINTS.items()
+    for case, (field, _) in BAD_INPUTS.items()
+    if field in reads
+]
+
+
+@pytest.mark.parametrize("entry,case", CASES)
+def test_every_entry_point_rejects_bad_input(entry, case):
+    _, call = ENTRY_POINTS[entry]
+    field, value = BAD_INPUTS[case]
+    args = dict(GOOD, **{field: value})
+    with pytest.raises(CircoverError):
+        call(**args)
+
+
+def test_star_import_binds_no_module_and_all_resolves():
+    namespace = {}
+    exec("from circover import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(circover.__all__)
+    assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
+    for name in circover.__all__:
+        assert getattr(circover, name) is namespace[name]

@@ -211,3 +211,24 @@ def test_point_bad_json(pentagon_file, capsys):
     code, _, err = run(capsys, ["separate", pentagon_file, "--point", "not json"])
     assert code == 1
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("n", ["5", 5.0, True])
+def test_non_integer_n_rejected(n, capsys, monkeypatch):
+    bad = json.dumps(dict(PENTAGON, n=n))
+    monkeypatch.setattr("sys.stdin", io.StringIO(bad))
+    code, out, err = run(capsys, ["solve", "-"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_negative_weight_rejected_by_every_verb(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(dict(PENTAGON, w=["1", "1", "-1", "1", "1"])))
+    for verb in (["solve"], ["separate", "--point", '["1","1","1","1","1"]'],
+                 ["facets"], ["verify"], ["minors"], ["cut-loop"]):
+        code, out, err = run(capsys, [verb[0], str(path)] + verb[1:])
+        assert code == 1, verb
+        assert err.startswith("error:"), verb

@@ -13,9 +13,8 @@ from circover import (
     circulant_matrix,
     closed_path,
     enumerate_circuits,
-    incidence_matrix,
 )
-from circover.linalg import determinant
+from _helpers import determinant, incidence_matrix
 
 
 def three_row_matrix():
