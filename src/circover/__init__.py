@@ -12,6 +12,7 @@ from .errors import (
     BadParameters,
     BoundViolation,
     BudgetExceeded,
+    CertificateError,
     CircoverError,
     DuplicateRow,
     EmptyColumnSet,

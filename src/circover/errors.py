@@ -10,6 +10,10 @@ class CircoverError(Exception):
     """Base class for all library errors."""
 
 
+class CertificateError(CircoverError):
+    """An exact answer failed its certificate check (raised, so -O keeps it)."""
+
+
 class BoundViolation(CircoverError):
     """A structural parameter is outside its allowed range."""
 

@@ -4,8 +4,10 @@ Small, deterministic, and boring on purpose: Bland's rule everywhere (lowest
 eligible column enters; ratio ties leave by lowest basic variable index), so
 the solver cannot cycle and always returns the same vertex for the same
 input. All variables are implicitly >= 0; senses are per-row strings
-"<=", ">=", "==". Sizes in this package stay tiny (tens of rows/columns),
-dense Fraction tableaus are more than fast enough.
+"<=", ">=", "==". Entries stay Python ints while every pivot is +-1 (a
+totally unimodular system, such as an optimizer slice, never leaves ints);
+another pivot divides its row into Fractions, and ratios are compared by
+cross-multiplication, so no int is ever divided by an int.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadParameters
+from .errors import BadParameters, CertificateError
 
 SENSES = ("<=", ">=", "==")
 
@@ -25,31 +27,37 @@ class LPResult:
     point: tuple[Fraction, ...] | None
 
 
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    v = v if type(v) is int else Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def _pivot(tab, cost, basis, prow, pcol):
     pr = tab[prow]
     pv = pr[pcol]
-    tab[prow] = [v / pv for v in pr]
-    pr = tab[prow]
+    if pv == -1:
+        pr = tab[prow] = [-v for v in pr]
+    elif pv != 1:
+        pv = Fraction(pv)
+        pr = tab[prow] = [v / pv for v in pr]
     for r, row in enumerate(tab):
         if r != prow and row[pcol] != 0:
             f = row[pcol]
             tab[r] = [a - f * b for a, b in zip(row, pr)]
-    if cost[pcol] != 0:
-        f = cost[pcol]
-        for j, v in enumerate(pr):
-            cost[j] -= f * v
+    f = cost[pcol]
+    if f != 0:
+        cost[:] = [a - f * b for a, b in zip(cost, pr)]
     basis[prow] = pcol
 
 
 def _reduced_costs(tab, basis, c):
     # c - c_B B^{-1} A, with the running objective value in the last slot
-    ncols = len(tab[0]) - 1 if tab else len(c)
-    cost = list(c) + [Fraction(0)]
+    cost = list(c) + [0]
     for row, b in zip(tab, basis):
         cb = c[b]
         if cb != 0:
-            for j in range(ncols + 1):
-                cost[j] -= cb * row[j]
+            cost = [a - cb * v for a, v in zip(cost, row)]
     return cost
 
 
@@ -64,16 +72,15 @@ def _run_simplex(tab, cost, basis):
         if enter is None:
             return "optimal"
         leave = None
-        best = None
         for r, row in enumerate(tab):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
+                # row[-1] / a against the best ratio num / den, cross-multiplied
+                if leave is not None:
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                        continue
+                leave, num, den = r, row[-1], a
         if leave is None:
             return "unbounded"
         _pivot(tab, cost, basis, leave, enter)
@@ -87,7 +94,7 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
     for s in senses:
         if s not in SENSES:
             raise BadParameters(f"unknown sense {s!r}")
-    obj = [Fraction(v) for v in objective]
+    obj = [_exact(v) for v in objective]
     if not minimize:
         obj = [-v for v in obj]
 
@@ -95,8 +102,8 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
     for row, s, b in zip(rows, senses, rhs):
         if len(row) != nvars:
             raise BadParameters("constraint row of wrong length")
-        coeffs = [Fraction(v) for v in row]
-        b = Fraction(b)
+        coeffs = [_exact(v) for v in row]
+        b = _exact(b)
         if b < 0:
             coeffs = [-v for v in coeffs]
             b = -b
@@ -104,38 +111,30 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
         work.append((coeffs, s, b))
 
     nslack = sum(1 for _, s, _ in work if s != "==")
-    slack_base = nvars
     art_base = nvars + nslack
     nart = sum(1 for _, s, _ in work if s != "<=")
     total = art_base + nart
 
-    tab = []
-    basis = []
-    si = 0
-    ai = 0
+    tab, basis = [], []
+    si, ai = nvars, art_base  # next slack and artificial columns
     for coeffs, s, b in work:
-        row = coeffs + [Fraction(0)] * (total - nvars) + [b]
+        row = coeffs + [0] * (total - nvars) + [b]
+        if s != "==":
+            row[si] = 1 if s == "<=" else -1
+            si += 1
         if s == "<=":
-            row[slack_base + si] = Fraction(1)
-            basis.append(slack_base + si)
-            si += 1
-        elif s == ">=":
-            row[slack_base + si] = Fraction(-1)
-            si += 1
-            row[art_base + ai] = Fraction(1)
-            basis.append(art_base + ai)
-            ai += 1
+            basis.append(si - 1)
         else:
-            row[art_base + ai] = Fraction(1)
-            basis.append(art_base + ai)
+            row[ai] = 1
+            basis.append(ai)
             ai += 1
         tab.append(row)
 
     if nart:
-        c1 = [Fraction(0)] * art_base + [Fraction(1)] * nart
+        c1 = [0] * art_base + [1] * nart
         cost = _reduced_costs(tab, basis, c1)
-        status = _run_simplex(tab, cost, basis)
-        assert status == "optimal", "phase 1 is always bounded"
+        if _run_simplex(tab, cost, basis) != "optimal":
+            raise CertificateError("phase 1 came back unbounded")
         if -cost[-1] != 0:  # cost[-1] holds -(current value)
             return LPResult("infeasible", None, None)
         # pivot artificials out of the basis, dropping redundant rows
@@ -156,16 +155,14 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
     else:
         tab = [row[:art_base] + [row[-1]] for row in tab]
 
-    c2 = obj + [Fraction(0)] * nslack
-    cost = _reduced_costs(tab, basis, c2)
-    status = _run_simplex(tab, cost, basis)
-    if status == "unbounded":
+    cost = _reduced_costs(tab, basis, obj + [0] * nslack)
+    if _run_simplex(tab, cost, basis) == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
-            x[b] = tab[r][-1]
-    value = sum(o * v for o, v in zip(obj, x))
+            x[b] = Fraction(tab[r][-1])
+    value = sum((o * v for o, v in zip(obj, x)), Fraction(0))
     if not minimize:
         value = -value
     return LPResult("optimal", value, tuple(x))
@@ -173,5 +170,5 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
 
 def lp_feasible(rows, senses, rhs, nvars) -> tuple[Fraction, ...] | None:
     """Phase-1 only convenience: a feasible point with x >= 0, or None."""
-    res = solve_lp([Fraction(0)] * nvars, rows, senses, rhs)
+    res = solve_lp([0] * nvars, rows, senses, rhs)
     return res.point if res.status == "optimal" else None

@@ -4,21 +4,21 @@ The hull is the convex closure of its slices at fixed coordinate sums, and
 each slice is an integral polytope: substituting prefix sums
 y_j = x_1 + ... + x_j (so x_j = y_j - y_{j-1}, y_n pinned to the sum) turns
 every circular row into a consecutive difference pattern, and the resulting
-constraint matrix together with y >= 0 is totally unimodular. So one exact
-LP per candidate sum, and the best slice wins; the LP vertex is asserted to
-be integral every time.
+constraint matrix together with y >= 0 is totally unimodular. So the slice
+LPs pivot in integers, and every LP vertex is checked to be integral.
 
-Ties: the smallest feasible sum wins, then the lexicographically smallest
-optimal integer point (pinned coordinate by coordinate with further LPs over
-the optimal face, which is again integral).
+Ties: the smallest optimal sum wins, then the lexicographically smallest
+optimal integer point (one more LP, with digit-perturbed costs).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import BadParameters
+from .errors import BadParameters, CertificateError
 from .lp import solve_lp
 from .matrices import (
     CircularMatrix,
@@ -32,17 +32,40 @@ from .matrices import (
 def _slice_system(matrix: CircularMatrix, demands, beta: int):
     """Constraint rows over the n-1 prefix variables, one per stacked row."""
     n = matrix.n
-    rows = []
-    rhs = []
     stacked = [(matrix.support(i), demands[i - 1]) for i in range(1, matrix.m + 1)]
     stacked += [(frozenset([j]), 0) for j in range(1, n + 1)]
-    for sup, d in stacked:
-        vec = [
-            Fraction(int(j in sup) - int(j + 1 in sup)) for j in range(1, n)
-        ]
-        rows.append(vec)
-        rhs.append(Fraction(d - beta * int(n in sup)))
+    rows = [[int(j in sup) - int(j + 1 in sup) for j in range(1, n)] for sup, _ in stacked]
+    rhs = [d - beta * int(n in sup) for sup, d in stacked]
     return rows, rhs
+
+
+def _integer_costs(w) -> list[int]:
+    """The weights times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in w))
+    return [v.numerator * (scale // v.denominator) for v in w]
+
+
+def _slice_vertex(matrix, demands, costs, beta) -> tuple[int, ...] | None:
+    """The certified integral LP vertex minimizing costs . x over a slice."""
+    n = matrix.n
+    rows, rhs = _slice_system(matrix, demands, beta)
+    objective = [costs[j] - costs[j + 1] for j in range(n - 1)]
+    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
+    if res.status == "infeasible":
+        return None
+    if res.status != "optimal":
+        raise CertificateError(f"the slice at sum {beta} is unbounded")
+    y = list(res.point) + [Fraction(beta)]
+    x = [y[0]] + [y[j] - y[j - 1] for j in range(1, n)]
+    if any(v.denominator != 1 or v < 0 for v in x):
+        raise CertificateError(f"non-integral slice vertex {x}")
+    xi = tuple(int(v) for v in x)
+    for i in range(1, matrix.m + 1):
+        if sum(xi[j - 1] for j in matrix.support(i)) < demands[i - 1]:
+            raise CertificateError(f"slice vertex {xi} leaves row {i} uncovered")
+    if sum(xi) != beta:
+        raise CertificateError(f"slice vertex {xi} does not sum to {beta}")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -56,56 +79,17 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSol
     """Exact minimum of weights . x over the slice at coordinate sum beta.
 
     Returns None when the slice is empty. The witness point is an integral
-    vertex (asserted, not rounded).
+    vertex (checked, not rounded).
     """
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise BadParameters(f"the coordinate sum must be an int, got {beta!r}")
-    n = matrix.n
-    rows, rhs = _slice_system(matrix, demands, beta)
-    objective = [w[j] - w[j + 1] for j in range(n - 1)]
-    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
-    if res.status == "infeasible":
+    # a positive scale keeps every pivot choice, hence the vertex
+    xi = _slice_vertex(matrix, demands, _integer_costs(w), beta)
+    if xi is None:
         return None
-    assert res.status == "optimal", "slices are bounded"
-    y = list(res.point) + [Fraction(beta)]
-    x = [y[0]] + [y[j] - y[j - 1] for j in range(1, n)]
-    for v in x:
-        assert v.denominator == 1 and v >= 0, f"non-integral slice vertex {x}"
-    xi = tuple(int(v) for v in x)
-    for i in range(1, matrix.m + 1):
-        assert sum(xi[j - 1] for j in matrix.support(i)) >= demands[i - 1]
-    assert sum(xi) == beta
-    value = sum((wv * v for wv, v in zip(w, xi)), Fraction(0))
-    return SliceSolution(beta, value, xi)
-
-
-def _lexmin_point(matrix, demands, w, beta, value):
-    """Lexicographically smallest optimal integer point of the chosen slice."""
-    n = matrix.n
-    rows, rhs = _slice_system(matrix, demands, beta)
-    senses = [">="] * len(rows)
-    objective = [w[j] - w[j + 1] for j in range(n - 1)]
-    rows.append(objective)
-    senses.append("==")
-    rhs.append(value - w[n - 1] * beta)
-    fixed = []
-    for j in range(n - 1):
-        target = [Fraction(0)] * (n - 1)
-        target[j] = Fraction(1)
-        if j > 0:
-            target[j - 1] = Fraction(-1)
-        res = solve_lp(target, rows, senses, rhs)
-        assert res.status == "optimal"
-        assert res.value.denominator == 1, "optimal faces of slices are integral"
-        fixed.append(int(res.value))
-        rows.append(target)
-        senses.append("==")
-        rhs.append(res.value)
-    x = fixed + [beta - sum(fixed)]
-    assert all(v >= 0 for v in x)
-    return tuple(x)
+    return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)
 
 
 @dataclass(frozen=True)
@@ -113,31 +97,45 @@ class OptimizationResult:
     value: Fraction
     point: tuple[int, ...]
     beta: int
-    slices: tuple  # (beta, slice value or None) per scanned sum
+    slices: tuple  # (beta, slice value or None) per probed sum, ascending
 
 
 def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     """Exact minimum of weights . x over the integer covering hull.
 
-    Scans coordinate sums 0..n*max(demands); some optimal vertex is a
-    minimal cover and minimal covers are capped by max(demands) per
-    coordinate, so the scan is exhaustive.
+    Some optimal vertex is a minimal cover, capped by max(demands) per
+    coordinate, so the optimal sum lies in 0..top = n*max(demands). Raising a
+    coordinate keeps a cover, so the feasible sums are [tau, top], and the
+    slice value g(beta), an LP value as a function of its right-hand side, is
+    convex. So bisection finds tau, then the least beta with
+    g(beta + 1) >= g(beta), which is the least optimal sum.
     """
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)
     top = matrix.n * max(demands, default=0)
-    best: SliceSolution | None = None
-    table = []
-    for beta in range(top + 1):
-        sol = solve_slice(matrix, demands, w, beta)
-        table.append((beta, sol.value if sol else None))
-        if sol is not None and (best is None or sol.value < best.value):
-            best = sol
-    assert best is not None, "the all-max vector always covers"
-    point = _lexmin_point(matrix, demands, w, best.beta, best.value)
-    check = sum((wv * v for wv, v in zip(w, point)), Fraction(0))
-    assert check == best.value
-    return OptimizationResult(best.value, point, best.beta, tuple(table))
+    probed: dict[int, SliceSolution | None] = {}
+
+    def g(beta: int) -> SliceSolution | None:
+        if beta not in probed:
+            probed[beta] = solve_slice(matrix, demands, w, beta)
+        return probed[beta]
+
+    # each search returns top when no sum below it qualifies, without probing top
+    tau = bisect_left(range(top), True, key=lambda b: g(b) is not None)
+    beta = bisect_left(range(top), True, tau, key=lambda b: g(b + 1).value >= g(b).value)
+    best = g(beta)  # never None: the all-max vector covers
+    # every coordinate is below B = beta + 1, so the costs L*w_j*B^n + B^(n-1-j)
+    # rank the slice's integer points by w . x, then lexicographically, with no
+    # ties; the slice is integral, so this LP's optimal vertex is the lexmin point
+    n, base = matrix.n, beta + 1
+    costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(_integer_costs(w))]
+    point = _slice_vertex(matrix, demands, costs, beta)
+    if best is None or point is None or best.value != sum(
+        (wv * v for wv, v in zip(w, point)), Fraction(0)
+    ):
+        raise CertificateError(f"no certified lexmin optimum at sum {beta}")
+    slices = tuple((b, s.value if s else None) for b, s in sorted(probed.items()))
+    return OptimizationResult(best.value, point, beta, slices)
 
 
 def domination_solve(neighborhoods, weights=None, variant: str = "mwdsp", *,

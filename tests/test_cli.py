@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circover
 from circover import cli
 
 
@@ -31,11 +36,11 @@ def test_solve(pentagon_file, capsys):
     assert data["value"] == "3"
     assert data["x"] == [0, 1, 0, 1, 1]
     assert data["beta"] == 3
-    assert data["slices"][:4] == [
-        {"beta": 0, "value": "infeasible"},
-        {"beta": 1, "value": "infeasible"},
+    assert data["slices"] == [
         {"beta": 2, "value": "infeasible"},
         {"beta": 3, "value": "3"},
+        {"beta": 4, "value": "4"},
+        {"beta": 5, "value": "5"},
     ]
 
 
@@ -232,3 +237,36 @@ def test_negative_weight_rejected_by_every_verb(tmp_path, capsys):
         code, out, err = run(capsys, [verb[0], str(path)] + verb[1:])
         assert code == 1, verb
         assert err.startswith("error:"), verb
+
+
+def run_python(*args):
+    """Run a fresh interpreter on this checkout's circover; (exit code, stdout)."""
+    src = str(Path(circover.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_solve_output_is_the_same_under_dash_O(pentagon_file):
+    plain = run_python("-m", "circover.cli", "solve", pentagon_file)
+    assert plain[0] == 0 and json.loads(plain[1])["value"] == "3"
+    assert run_python("-O", "-m", "circover.cli", "solve", pentagon_file) == plain
+
+
+def test_certificates_survive_dash_O():
+    script = """
+import sys
+from fractions import Fraction
+from circover import CertificateError, LPResult, circulant_matrix, solve_slice
+assert False, "asserts must be stripped here"
+half = LPResult("optimal", Fraction(1, 2), (Fraction(1, 2),) * 4)
+sys.modules["circover.optimize"].solve_lp = lambda *args, **kwargs: half
+try:
+    solve_slice(circulant_matrix(5, 2), [1] * 5, [1] * 5, 3)
+except CertificateError as exc:
+    print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    assert out.startswith("non-integral slice vertex")

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from circover import lp_feasible, solve_lp
+from circover import lp, lp_feasible, solve_lp
 
 
 def test_tiny_minimization():
@@ -97,3 +97,35 @@ def test_exactness_with_awkward_fractions():
     assert F(2, 5) * x[0] + F(3, 11) * x[1] >= F(7, 13)
     assert F(1, 9) * x[0] + F(5, 2) * x[1] >= F(3, 4)
     assert res.value == F(1, 3) * x[0] + F(1, 7) * x[1]
+
+
+def all_fractions(res):
+    return type(res.value) is F and all(type(v) is F for v in res.point)
+
+
+def test_unit_pivots_stay_in_ints(monkeypatch):
+    """Consecutive-ones rows are totally unimodular: every pivot is +-1."""
+    states = []
+    pivot = lp._pivot
+
+    def checked(tab, cost, basis, prow, pcol):
+        states.append(type(tab[prow][pcol]) is int and abs(tab[prow][pcol]) == 1)
+        pivot(tab, cost, basis, prow, pcol)
+        states.append(all(type(v) is int for row in [*tab, cost] for v in row))
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 0]]
+    res = solve_lp([2, 3, 1, 2], rows, [">="] * 4, [1, 2, 1, 2])
+    assert states and all(states)
+    assert res.status == "optimal" and res.value == 4
+    assert all_fractions(res)
+    assert all(v.denominator == 1 for v in res.point)
+
+
+def test_non_unit_pivots_fall_back_to_fractions():
+    # max x + y s.t. 2x + y <= 4, x + 3y <= 6, given as plain ints
+    res = solve_lp([1, 1], [[2, 1], [1, 3]], ["<=", "<="], [4, 6], minimize=False)
+    assert res.status == "optimal"
+    assert res.value == F(14, 5)
+    assert res.point == (F(6, 5), F(8, 5))
+    assert all_fractions(res)

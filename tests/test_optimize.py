@@ -1,5 +1,6 @@
 """Exact optimization over the covering relaxation, plus domination front ends."""
 
+import sys
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,12 +8,15 @@ import pytest
 
 from circover import (
     BadParameters,
+    CertificateError,
     CircularMatrix,
     NegativeWeight,
     NotInterval,
     circulant_matrix,
     domination_solve,
+    LPResult,
     optimize,
+    solve_lp,
     solve_slice,
     web_neighborhoods,
 )
@@ -69,14 +73,36 @@ def test_unit_pentagon_details():
     assert res.value == 3
     assert res.point == (0, 1, 0, 1, 1)
     assert res.beta == 3
-    assert res.slices == (
-        (0, None),
-        (1, None),
-        (2, None),
-        (3, F(3)),
-        (4, F(4)),
-        (5, F(5)),
-    )
+    # the sums the two bisections probed, ascending: 2 is empty, 3 is tau,
+    # and g(4) >= g(3), g(5) >= g(4) make 3 the least optimal sum
+    assert res.slices == ((2, None), (3, F(3)), (4, F(4)), (5, F(5)))
+
+
+def test_pentagon_lp_count(monkeypatch):
+    """Four slice LPs for the bisections plus one lexmin LP (the full scan
+    with one lexmin LP per coordinate made 6 + 4)."""
+    module = sys.modules["circover.optimize"]  # the package attribute is the function
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve_lp", counting)
+    res = optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
+    assert (res.value, res.point, res.beta) == (3, (0, 1, 0, 1, 1), 3)
+    assert len(calls) == 5
+
+
+def test_fractional_slice_vertex_raises(monkeypatch):
+    """A non-integral LP vertex is a CertificateError, never truncated."""
+    module = sys.modules["circover.optimize"]
+    half = LPResult("optimal", F(1, 2), (F(1, 2),) * 4)
+    monkeypatch.setattr(module, "solve_lp", lambda *args, **kwargs: half)
+    with pytest.raises(CertificateError, match="non-integral"):
+        solve_slice(circulant_matrix(5, 2), [1] * 5, [1] * 5, 3)
+    with pytest.raises(CertificateError):
+        optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
 
 
 def test_weighted_pentagon():
