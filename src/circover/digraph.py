@@ -20,13 +20,26 @@ deterministic: each circuit is reported exactly once, anchored and starting
 at its smallest node, with DFS branches explored in the fixed global arc
 order (forward rows, forward shorts, reverse rows, reverse shorts, each by
 index).
+
+Negative circuits are found by one integer Bellman-Ford kernel,
+`find_negative_circuit`. Every node starts at distance 0 (a virtual source),
+and each round relaxes the arcs in the fixed global arc order, updating
+distances in place. The kernel stops at the first round that changes
+nothing (no negative circuit), and otherwise the first arc that still
+improves in round n triggers a walk back along the predecessor arcs. That
+walk must close a circuit of the predecessor graph, whose cost is negative;
+the circuit is returned rotated to start at its smallest node. Costs are
+plain ints. Callers with rational costs multiply them by a common
+denominator first; scaling every cost by one positive integer keeps every
+comparison of path costs, so the sweep and the returned circuit are the
+same as over the rational costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameters, NotClosedPath
+from .errors import BadParameters, CertificateError, NotClosedPath
 from .matrices import CircularMatrix, norm_col
 
 FORWARD_ROW = "forward-row"
@@ -85,6 +98,13 @@ class AuxDigraph:
             arcs.append(Arc(REVERSE_SHORT, j, j, norm_col(j - 1, n), -1,
                             m + j - 1, 1 << (j - 1)))
         self.arcs: tuple[Arc, ...] = tuple(arcs)
+        # flat views of self.arcs for the Bellman-Ford kernel; an arc's cost
+        # sits at cost_index in the forward costs followed by the reverse ones
+        self.tails = tuple(a.tail for a in self.arcs)
+        self.heads = tuple(a.head for a in self.arcs)
+        self.cost_index = tuple(
+            a.slot if a.is_forward else m + n + a.slot for a in self.arcs
+        )
         out: dict[int, list[Arc]] = {v: [] for v in range(1, n + 1)}
         for a in self.arcs:
             out[a.tail].append(a)
@@ -129,7 +149,8 @@ class ClosedPath:
         self.n = n
         self.slots = slots
         total = sum(a.length for a in arcs)
-        assert total % n == 0, "chained closed path must wind integrally"
+        if total % n:
+            raise NotClosedPath(f"arc lengths sum to {total}, not a multiple of {n}")
         self.winding = total // n
 
     def __len__(self):
@@ -189,6 +210,52 @@ class ClosedPath:
 
 def closed_path(digraph: AuxDigraph, arcs) -> ClosedPath:
     return ClosedPath(arcs, digraph.n, digraph.slots)
+
+
+def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath | None:
+    """A simple circuit of negative total cost, or None if none exists.
+
+    forward[s] and reverse[s] are the integer costs of the forward and the
+    reverse arc of slot s. Deterministic: fixed sweep order, first improving
+    arc in round n wins, and the circuit starts at its smallest node.
+    """
+    n = digraph.n
+    slot_costs = tuple(forward) + tuple(reverse)
+    cost = [slot_costs[k] for k in digraph.cost_index]
+    sweep = tuple(zip(range(len(cost)), digraph.tails, digraph.heads, cost))
+    dist = [0] * (n + 1)
+    pred = [-1] * (n + 1)
+    last = n - 1
+    trigger = -1
+    for rnd in range(n):
+        changed = False
+        for k, tail, head, c in sweep:
+            nd = dist[tail] + c
+            if nd < dist[head]:
+                dist[head] = nd
+                pred[head] = k
+                changed = True
+                if rnd == last:
+                    trigger = k
+                    break
+        if not changed:
+            return None
+    # walk predecessors from the improved head; a cycle must appear
+    seen: dict[int, int] = {}
+    node = digraph.heads[trigger]
+    chain: list[int] = []
+    while node not in seen:
+        seen[node] = len(chain)
+        k = pred[node]
+        if k < 0:
+            raise CertificateError(f"node {node} improved without a predecessor arc")
+        chain.append(k)
+        node = digraph.tails[k]
+    cycle = chain[seen[node]:]
+    if sum(cost[k] for k in cycle) >= 0:
+        raise CertificateError("the predecessor circuit is not negative")
+    cycle.reverse()
+    return ClosedPath([digraph.arcs[k] for k in cycle], n, digraph.slots).canonical()
 
 
 @dataclass(frozen=True)

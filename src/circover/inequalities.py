@@ -136,7 +136,11 @@ def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> Lin
     t = t_plus - t_minus
     beta = t // p
     r = t - beta * p
-    coeffs = [path.jump_counts(j)[1] + r for j in range(1, matrix.n + 1)]
+    reverse_masks = [a.jump_mask for a in path.arcs if not a.is_forward]
+    coeffs = [
+        sum(mask >> (j - 1) & 1 for mask in reverse_masks) + r
+        for j in range(1, matrix.n + 1)
+    ]
     rhs = r * (beta + 1) + t_minus
     witness = {
         "winding": p,

@@ -11,21 +11,29 @@ column in the extended row stack,
 The point lies in the hull iff the full auxiliary digraph has no circuit of
 negative total cost; any negative circuit converts into a violated circuit
 inequality whose slack at the point equals the circuit's cost exactly (this
-identity is asserted on every violated answer). Integral coordinate sums
-(mu = 0) short-circuit to membership: the point sits in one integral slice.
+identity is checked on every violated answer, and a mismatch raises
+CertificateError). Integral coordinate sums (mu = 0) short-circuit to
+membership: the point sits in one integral slice.
 
-Detection is Bellman-Ford from a virtual source (all distances start at 0)
-with a fixed arc sweep order; the first arc still improving in round n
-yields a predecessor cycle, which is negative under exact arithmetic.
+All of this runs in integers. With D the lcm of the point's denominators,
+D * x is integral, so are D * slack and D * mu, and every cost above is an
+integer over D^2. `assign_costs` builds the row slacks from prefix sums of
+the doubled column vector D * x and keeps the costs scaled by D^2 beside
+their Fraction values. Multiplying every cost by the same positive integer
+preserves every comparison the Bellman-Ford kernel of `digraph` makes, so
+the circuit it returns is identical, arc for arc, to the one the same sweep
+finds over the Fraction costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
-from .digraph import Arc, AuxDigraph, ClosedPath, build_digraph
-from .errors import BadParameters, InfeasiblePoint, IterationLimit
+from .digraph import Arc, AuxDigraph, ClosedPath, build_digraph, find_negative_circuit
+from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands, check_weights
@@ -41,6 +49,9 @@ class CostAssignment:
     gap: Fraction                   # distance from sum(point) up to the next integer
     forward: tuple[Fraction, ...]
     reverse: tuple[Fraction, ...]
+    # forward and reverse times D^2, D the lcm of the point's denominators
+    scaled_forward: tuple[int, ...]
+    scaled_reverse: tuple[int, ...]
 
     def arc_cost(self, arc: Arc) -> Fraction:
         return self.forward[arc.slot] if arc.is_forward else self.reverse[arc.slot]
@@ -55,75 +66,49 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     Raises InfeasiblePoint naming an offending row (or column) if the point
     is outside the fractional relaxation.
     """
-    n, m = matrix.n, matrix.m
+    n = matrix.n
     demands = check_demands(matrix, demands)
     x = parse_rational_vector(point)
     if len(x) != n:
         raise BadParameters(f"{len(x)} coordinates for {n} columns")
+    d = lcm(*(v.denominator for v in x))
+    dx = [v.numerator * (d // v.denominator) for v in x]
+    prefix = tuple(accumulate(dx + dx, initial=0))
     slack = []
-    for i in range(1, m + 1):
-        s = sum((x[j - 1] for j in matrix.support(i)), Fraction(0)) - demands[i - 1]
+    last = []   # whether the extended row covers column n
+    for i, (start, length) in enumerate(matrix.rows, 1):
+        s = prefix[start - 1 + length] - prefix[start - 1] - d * demands[i - 1]
         if s < 0:
-            raise InfeasiblePoint(f"row {i} is short by {-s}")
+            raise InfeasiblePoint(f"row {i} is short by {Fraction(-s, d)}")
         slack.append(s)
-    for j in range(1, n + 1):
-        if x[j - 1] < 0:
-            raise InfeasiblePoint(f"column {j} is negative: {x[j - 1]}")
-        slack.append(x[j - 1])
-    total = sum(x)
-    mu = -(-total.numerator // total.denominator) - total  # ceil(total) - total
-    last = [Fraction(0)] * (m + n)
-    for i in range(1, m + 1):
-        if n in matrix.support(i):
-            last[i - 1] = Fraction(1)
-    last[m + n - 1] = Fraction(1)
-    forward = tuple(mu * (s - (1 - mu) * v) for s, v in zip(slack, last))
-    reverse = tuple((1 - mu) * (s + mu * v) for s, v in zip(slack, last))
-    return CostAssignment(matrix, demands, x, tuple(slack), mu, forward, reverse)
+        last.append(start + length - 1 >= n)
+    for j, v in enumerate(x, 1):
+        if v < 0:
+            raise InfeasiblePoint(f"column {j} is negative: {v}")
+    slack += dx
+    last += [False] * (n - 1) + [True]
+    g = -prefix[n] % d              # D * mu
+    h = d - g                       # D * (1 - mu)
+    forward = tuple(g * (s - h) if v else g * s for s, v in zip(slack, last))
+    reverse = tuple(h * (s + g) if v else h * s for s, v in zip(slack, last))
+    dd = d * d
+    return CostAssignment(
+        matrix, demands, x,
+        tuple(Fraction(s, d) for s in slack),
+        Fraction(g, d),
+        tuple(Fraction(c, dd) for c in forward),
+        tuple(Fraction(c, dd) for c in reverse),
+        forward, reverse,
+    )
 
 
 def negative_circuit(digraph: AuxDigraph, costs: CostAssignment) -> ClosedPath | None:
     """A simple circuit of negative total cost, or None if none exists.
 
-    Deterministic: fixed sweep order, first improving arc in the final
-    round wins, and the extracted circuit starts at its smallest node.
+    Runs `digraph.find_negative_circuit` on the costs scaled by D^2, which
+    returns the same circuit as the sweep over the Fraction costs.
     """
-    n = digraph.n
-    dist = {v: Fraction(0) for v in range(1, n + 1)}
-    pred: dict[int, Arc | None] = {v: None for v in range(1, n + 1)}
-    trigger = None
-    for rnd in range(n):
-        changed = False
-        for a in digraph.arcs:
-            nd = dist[a.tail] + costs.arc_cost(a)
-            if nd < dist[a.head]:
-                dist[a.head] = nd
-                pred[a.head] = a
-                changed = True
-                if rnd == n - 1:
-                    trigger = a
-                    break
-        if trigger is not None:
-            break
-        if not changed:
-            return None
-    if trigger is None:
-        return None
-    # walk predecessors from the improved head; a cycle must appear
-    seen: dict[int, int] = {}
-    node = trigger.head
-    chain: list[Arc] = []
-    while node not in seen:
-        seen[node] = len(chain)
-        a = pred[node]
-        assert a is not None, "improved nodes always have predecessors"
-        chain.append(a)
-        node = a.tail
-    cyc = chain[seen[node]:]
-    cyc.reverse()
-    path = ClosedPath(tuple(cyc), n, digraph.slots).canonical()
-    assert costs.path_cost(path) < 0
-    return path
+    return find_negative_circuit(digraph, costs.scaled_forward, costs.scaled_reverse)
 
 
 @dataclass(frozen=True)
@@ -139,8 +124,13 @@ def separate(matrix: CircularMatrix, demands, point, *, digraph=None) -> Separat
     """Decide hull membership; on violation return a cutting inequality.
 
     The certificate equals both the inequality's slack at the point and the
-    circuit's cost (their equality is asserted, exactly).
+    circuit's cost; CertificateError is raised unless they agree exactly and
+    are negative. A given digraph must be the full one of this matrix:
+    BadParameters otherwise, since without the reverse row arcs a violated
+    point could pass as a member.
     """
+    if digraph is not None and (digraph.restricted or digraph.matrix != matrix):
+        raise BadParameters("separate needs the full digraph of the same matrix")
     costs = assign_costs(matrix, demands, point)
     if costs.gap == 0:
         return SeparationResult("member", None, None, None, costs)
@@ -152,8 +142,11 @@ def separate(matrix: CircularMatrix, demands, point, *, digraph=None) -> Separat
     ineq = circuit_inequality(matrix, demands, cyc)
     cert = ineq.evaluate(costs.point)
     cost = costs.path_cost(cyc)
-    assert cert == cost, "inequality slack must equal the circuit cost"
-    assert cert < 0
+    if cert != cost:
+        raise CertificateError(
+            f"inequality slack {cert} differs from the circuit cost {cost}")
+    if cert >= 0:
+        raise CertificateError(f"circuit inequality is not violated: slack {cert}")
     return SeparationResult("violated", ineq, cyc, cert, costs)
 
 
@@ -193,7 +186,8 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
     steps: list[CutLoopStep] = []
     for _ in range(max_rounds):
         res = solve_lp(w, rows, senses, rhs)
-        assert res.status == "optimal", "covering relaxations are feasible and bounded"
+        if res.status != "optimal":
+            raise CertificateError(f"covering relaxation came back {res.status}")
         sep = separate(matrix, demands, res.point, digraph=digraph)
         if sep.verdict == "member":
             steps.append(CutLoopStep(res.point, res.value, None, None))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 
@@ -99,6 +101,9 @@ def test_closed_path_winding_and_errors():
         closed_path(d, [rows[0], rows[0]])
     with pytest.raises(NotClosedPath):
         closed_path(d, [])
+    # chained, yet its lengths do not wind a whole number of times
+    with pytest.raises(NotClosedPath, match="not a multiple of 5"):
+        closed_path(d, [replace(rows[0], length=3)] + rows[1:])
 
 
 def test_closed_path_counts_and_canonical():

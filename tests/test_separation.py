@@ -1,9 +1,17 @@
+import math
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from _helpers import fraction_costs, fraction_negative_circuit
+from test_cli import run_python
+
 from circover import (
+    BadParameters,
+    CertificateError,
     IterationLimit,
     InfeasiblePoint,
     NegativeWeight,
@@ -100,6 +108,11 @@ def test_infeasible_points_are_rejected():
     with pytest.raises(InfeasiblePoint, match="column 2"):
         # rows all covered, column 2 dips below zero
         separate(m, [1] * 5, (2, F(-1, 4), 2, 1, 1))
+    # a short row is reported before a negative column
+    with pytest.raises(InfeasiblePoint, match=r"^row 1 is short by 1/3$"):
+        separate(m, [1] * 5, (F(-1, 3), 1, 0, 1, 1))
+    with pytest.raises(InfeasiblePoint, match=r"^column 1 is negative: -1/3$"):
+        separate(m, [1] * 5, (F(-1, 3), F(4, 3), 0, 1, F(4, 3)))
 
 
 def _random_relaxation_point(rng, covers, n):
@@ -172,3 +185,132 @@ def test_cut_loop_guards():
     assert zero.value == 0 and zero.steps == ()
     with pytest.raises(IterationLimit):
         cut_loop(m, [1] * 5, [1] * 5, max_rounds=1)
+
+
+def _random_matrix(rng, n, rows):
+    pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+    return circular_matrix(n, rng.sample(pool, rows))
+
+
+def _random_cover(rng, m, demands):
+    """An integer point covering every row of m at its demand."""
+    x = [rng.choice((0, 0, 1, 2)) for _ in range(m.n)]
+    for i in range(1, m.m + 1):
+        cols = sorted(m.support(i))
+        while sum(x[j - 1] for j in cols) < demands[i - 1]:
+            x[rng.choice(cols) - 1] += 1
+    return x
+
+
+def _replay_cases(rng, count):
+    """(matrix, demands, point) triples: violated circulant points 1/k, k not
+    dividing n, with bumps below the rank gap, and convex combinations of
+    integer covers of random circular matrices, which are members."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(5, 40)
+        if len(cases) % 2 == 0:
+            k = rng.choice([k for k in range(2, n) if n % k])
+            x = [F(1, k)] * n
+            room = F(-(-n // k)) - F(n, k)
+            for _ in range(rng.randint(0, 3)):
+                bump = room * F(rng.randint(1, 5), 7 * rng.randint(2, 9))
+                x[rng.randrange(n)] += bump
+                room -= bump
+            cases.append((circulant_matrix(n, k), [1] * n, x))
+        else:
+            m = _random_matrix(rng, n, rng.randint(3, 2 * n))
+            demands = [rng.randint(1, 2) for _ in range(m.m)]
+            covers = [_random_cover(rng, m, demands) for _ in range(rng.randint(2, 3))]
+            lam = [rng.randint(1, 9) for _ in covers]
+            x = [F(sum(t * c[j] for t, c in zip(lam, covers)), sum(lam)) for j in range(n)]
+            cases.append((m, demands, x))
+    return cases
+
+
+def test_kernel_replays_the_fraction_sweep():
+    """The integer kernel returns the very circuit (or None) of the Fraction
+    Bellman-Ford it replaced, on a fixed stream of 240 queries."""
+    rng = random.Random(2008)
+    verdicts = {"violated": 0, "member": 0}
+    for m, demands, x in _replay_cases(rng, 240):
+        costs = assign_costs(m, demands, x)
+        _, _, forward, reverse = fraction_costs(m, demands, x)
+        d = build_digraph(m)
+        got = negative_circuit(d, costs)
+        assert got == fraction_negative_circuit(d, forward, reverse), (m, x)
+        verdicts["member" if got is None else "violated"] += 1
+    assert verdicts["violated"] >= 100 and verdicts["member"] >= 60, verdicts
+
+
+def test_assign_costs_matches_the_fraction_definition():
+    """Field by field against the Fraction definition, on random matrices
+    (rows wrapping past column n included) and points that are sometimes
+    infeasible, where the InfeasiblePoint message must be the same."""
+    rng = random.Random(1980)
+    wrapped = errors = 0
+    for _ in range(300):
+        n = rng.randint(3, 25)
+        m = _random_matrix(rng, n, rng.randint(1, min(2 * n, n * (n - 2))))
+        wrapped += any(start + length - 1 > n for start, length in m.rows)
+        demands = [rng.randint(0, 3) for _ in range(m.m)]
+        x = [F(rng.randint(-2, 30), rng.randint(1, 12)) for _ in range(n)]
+        try:
+            ref = fraction_costs(m, demands, x)
+        except InfeasiblePoint as exc:
+            errors += 1
+            with pytest.raises(InfeasiblePoint) as got:
+                assign_costs(m, demands, x)
+            assert str(got.value) == str(exc)
+            continue
+        costs = assign_costs(m, demands, x)
+        assert (costs.slack, costs.gap, costs.forward, costs.reverse) == ref
+        d = math.lcm(*(v.denominator for v in x))
+        assert costs.scaled_forward == tuple(c * d * d for c in costs.forward)
+        assert costs.scaled_reverse == tuple(c * d * d for c in costs.reverse)
+    assert wrapped > 100 and 30 < errors < 270, (wrapped, errors)
+
+
+@pytest.mark.parametrize("digraph", [
+    lambda: build_digraph(circulant_matrix(5, 2), restricted=True),
+    lambda: build_digraph(circulant_matrix(5, 3)),
+], ids=["restricted", "other matrix"])
+def test_separate_rejects_a_foreign_digraph(digraph):
+    with pytest.raises(BadParameters, match="full digraph"):
+        separate(circulant_matrix(5, 2), [1] * 5, HALF5, digraph=digraph())
+
+
+def test_separate_accepts_the_full_digraph_of_an_equal_matrix():
+    d = build_digraph(circular_matrix(5, [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]))
+    assert separate(circulant_matrix(5, 2), [1] * 5, HALF5, digraph=d).certificate == F(-1, 2)
+
+
+def test_certificate_mismatch_raises(monkeypatch):
+    """A circuit inequality whose slack differs from the circuit cost is a
+    CertificateError, never a reported cut."""
+    module = sys.modules["circover.separation"]
+    real = module.circuit_inequality
+    monkeypatch.setattr(module, "circuit_inequality",
+                        lambda *args: replace(real(*args), rhs=real(*args).rhs + 1))
+    with pytest.raises(CertificateError, match="differs from the circuit cost"):
+        separate(circulant_matrix(5, 2), [1] * 5, HALF5)
+
+
+def test_separation_certificates_survive_dash_O():
+    script = """
+import sys
+from dataclasses import replace
+from fractions import Fraction
+from circover import CertificateError, circulant_matrix, separate
+assert False, "asserts must be stripped here"
+module = sys.modules["circover.separation"]
+real = module.circuit_inequality
+module.circuit_inequality = lambda *args: replace(real(*args), rhs=real(*args).rhs + 1)
+try:
+    separate(circulant_matrix(5, 2), [1] * 5, [Fraction(1, 2)] * 5)
+except CertificateError as exc:
+    print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    assert "differs from the circuit cost" in out
