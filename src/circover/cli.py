@@ -20,6 +20,7 @@ polyhedron), 2 a cap or budget was hit and the JSON emitted is partial.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -224,7 +225,10 @@ def _cmd_cut_loop(args) -> tuple[dict, int]:
     return payload, 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use (parsing does not
+    change it, so repeated `main` calls share it)."""
     parser = argparse.ArgumentParser(
         prog="circover",
         description="exact covering polyhedra of circular 0/1 matrices",

@@ -38,6 +38,7 @@ from .digraph import (
 )
 from .errors import (
     BadParameters,
+    CertificateError,
     NoEssentialBullets,
     NonpositiveWinding,
     NotCirculantMinor,
@@ -572,7 +573,8 @@ def _uniform_circuit_cover(nodes, n, k):
             elif prof != (short, long_):
                 return None
         total = prof[0] * k + prof[1] * (k + 1)
-        assert total % n == 0
+        if total % n:
+            raise CertificateError(f"a cycle of steps sums to {total}, not a multiple of {n}")
         return cycles, total // n
 
     def search(idx):
@@ -604,12 +606,28 @@ def enumerate_circulant_minors(
     cross-validated by actually contracting; sets that pass the criterion
     but fall below the window-2 bound are skipped. Deterministic order:
     by size, then lexicographic.
+
+    A set can pass only if each of its nodes has a successor (i+k or i+k+1)
+    and a predecessor (i-k or i-k-1) inside it. A bitmask test of both
+    closures runs first, and the cover search only on the sets that pass;
+    every set the test skips is one the search would reject.
     """
     n, k = circ.order, circ.window
     parent = circulant_matrix(n, k)
+    bits = [1 << j for j in range(n)]
     witnesses = []
     for size in range(1, n - 2):
-        for nodes in combinations(range(1, n + 1), size):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            # in the doubled mask, bit j of `twice >> s` is node j + s (mod n)
+            twice = mask | mask << n
+            succ = twice >> k | twice >> (k + 1)
+            pred = twice >> (n - k) | twice >> (n - k - 1)
+            if mask & ~(succ & pred):
+                continue
+            # from a list: tuple() over an iterator over-allocates and resizes,
+            # which left the process's peak RSS growing call after call
+            nodes = tuple([j + 1 for j in range(n) if mask >> j & 1])
             got = _uniform_circuit_cover(nodes, n, k)
             if got is None:
                 continue
@@ -618,10 +636,12 @@ def enumerate_circulant_minors(
             if window < 2:
                 continue
             match = circulant_isomorphic(contract(parent, nodes))
-            assert match is not None and (match.order, match.window) == (n - size, window)
-            witnesses.append(
-                MinorWitness(tuple(nodes), n - size, window, (), True)
-            )
+            if match is None or (match.order, match.window) != (n - size, window):
+                raise CertificateError(
+                    f"deleting columns {list(nodes)} does not leave the circulant "
+                    f"({n - size}, {window}) its step cover promises"
+                )
+            witnesses.append(MinorWitness(nodes, n - size, window, (), True))
             if max_count is not None and len(witnesses) >= max_count:
                 return MinorEnumeration(tuple(witnesses), False)
     return MinorEnumeration(tuple(witnesses), True)

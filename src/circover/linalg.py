@@ -1,36 +1,58 @@
-"""Small exact linear algebra helpers (Fraction Gaussian elimination)."""
+"""Small exact linear algebra helpers.
+
+`exact_rank` runs fraction-free integer elimination (Bareiss): rows are
+scaled to integers and every step divides exactly by the previous pivot.
+`invert` runs Gauss-Jordan elimination over Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def _integer_row(row):
+    """The row itself if every entry is an int, else the row of rationals
+    times the lcm of their denominators (a non-zero scale keeps the rank)."""
+    if all(type(v) is int for v in row):
+        return row
+    fracs = [Fraction(v) for v in row]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [int(v * scale) for v in fracs]
 
 
 def exact_rank(rows) -> int:
-    """Rank of a list of equal-length rational row vectors."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
+    """Rank of a list of equal-length rational row vectors.
+
+    Bareiss elimination: with pivot pv in the current column, each row
+    left becomes (pv*row - row[col]*pivot_row) // prev, prev the pivot
+    before. By Sylvester's identity every entry is then a minor of the
+    scaled input, so the division is exact whatever the pivot order and
+    however many columns were skipped. Rows keep only the columns still to
+    eliminate, and a row that falls to zero is dropped.
+    """
+    work = [row for row in map(_integer_row, rows) if any(row)]
     rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot = r
+    prev = 1
+    while work and work[0]:
+        for idx, row in enumerate(work):
+            if row[0]:
                 break
-        if pivot is None:
-            col += 1
+        else:
+            work = [row[1:] for row in work]
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            f = work[r][col]
-            if f != 0:
-                ratio = f / pv
-                work[r] = [a - ratio * b for a, b in zip(work[r], work[rank])]
+        prow = work.pop(idx)
+        pv = prow[0]
+        tail = prow[1:]
+        left = []
+        for row in work:
+            f = row[0]
+            new = [(pv * a - f * b) // prev for a, b in zip(row[1:], tail)]
+            if any(new):
+                left.append(new)
+        work = left
+        prev = pv
         rank += 1
-        col += 1
     return rank
 
 

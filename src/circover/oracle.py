@@ -2,23 +2,27 @@
 
 Everything here is deliberately independent of the structural machinery so
 it can adjudicate it. Minimal covers come from a full scan of the box
-[0, max(b)]^n (minimality is checked by single decrements, which is the same
-as global minimality because feasibility is monotone in x). The facet test
-is an exact affine-rank computation, the full hull comes from a plain double
-description run on the dual cone, and membership is a phase-1 LP.
+[0, max(b)]^n in the lexicographic order of `itertools.product`, walked as
+an odometer that keeps every row sum and the count of short rows up to date
+as columns turn (minimality is checked by single decrements at each cover,
+which is the same as global minimality because feasibility is monotone in
+x). The facet test is an exact affine-rank computation, the full hull comes
+from a plain double description run on the dual cone, and membership is a
+phase-1 LP.
 
 The box scan is guarded by a budget in box points, default (3+1)^9: enough
 for every instance with n <= 9 and demands up to 3, the intended desk scale.
+The budget counts the whole box, which the odometer still visits point by
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
-from .errors import BudgetExceeded, NegativeCoefficient
+from .errors import BudgetExceeded, CertificateError, NegativeCoefficient
 from .linalg import exact_rank, invert
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands
@@ -39,26 +43,38 @@ def enumerate_minimal_covers(
         raise BudgetExceeded(
             f"box of {(maxb + 1) ** n} points exceeds budget {budget}"
         )
-    supports = [sorted(matrix.support(i)) for i in range(1, matrix.m + 1)]
-    cols_rows: list[list[int]] = [[] for _ in range(n + 1)]
-    for ridx, sup in enumerate(supports):
-        for j in sup:
-            cols_rows[j].append(ridx)
+    cols_rows: list[list[int]] = [[] for _ in range(n)]
+    for ridx in range(matrix.m):
+        for j in matrix.support(ridx + 1):
+            cols_rows[j - 1].append(ridx)
+    # odometer over the box in `itertools.product` order: the last column
+    # turns fastest, and a step touches only the rows of the columns it moves
+    x = [0] * n
+    sums = [0] * matrix.m
+    short = sum(1 for b in demands if b > 0)
     out = []
-    for x in product(range(maxb + 1), repeat=n):
-        sums = [sum(x[j - 1] for j in sup) for sup in supports]
-        if any(s < b for s, b in zip(sums, demands)):
-            continue
-        minimal = True
-        for j in range(1, n + 1):
-            if x[j - 1] == 0:
-                continue
-            if all(sums[r] - demands[r] >= 1 for r in cols_rows[j]):
-                minimal = False
-                break
-        if minimal:
-            out.append(x)
-    return tuple(out)
+    while True:
+        if not short and all(
+            not x[j] or any(sums[r] <= demands[r] for r in cols_rows[j])
+            for j in range(n)
+        ):
+            out.append(tuple(x))
+        j = n - 1
+        while j >= 0 and x[j] == maxb:
+            x[j] = 0
+            for r in cols_rows[j]:
+                s = sums[r]
+                sums[r] = s - maxb
+                if s >= demands[r] > s - maxb:
+                    short += 1
+            j -= 1
+        if j < 0:
+            return tuple(out)
+        x[j] += 1
+        for r in cols_rows[j]:
+            sums[r] += 1
+            if sums[r] == demands[r]:
+                short -= 1
 
 
 def check_validity(inequality, covers) -> bool:
@@ -161,7 +177,8 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
 
     base = [list(map(Fraction, cons[t])) for t in range(n + 1)]
     binv = invert(base)
-    assert binv is not None, "unit rows plus one cover row are independent"
+    if binv is None:
+        raise CertificateError("the unit rows and the first cover row are dependent")
     rays = []
     for j in range(n + 1):
         vec = _primitive([binv[i][j] for i in range(n + 1)])
@@ -225,7 +242,8 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
         a0, coeffs = vec[0], vec[1:]
         if all(c == 0 for c in coeffs):
             continue  # the trivial ray (1, 0, ..., 0)
-        assert all(c >= 0 for c in coeffs)
+        if any(c < 0 for c in coeffs):
+            raise CertificateError(f"hull ray {vec} has a negative coefficient")
         facets.append(make_inequality(coeffs, -a0, kind="hull"))
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HullDescription(tuple(facets), covers, n)

@@ -124,3 +124,100 @@ def fraction_negative_circuit(digraph, forward, reverse):
     path = ClosedPath(tuple(cyc), n, digraph.slots).canonical()
     assert sum((arc_cost(a) for a in path.arcs), Fraction(0)) < 0
     return path
+
+
+def fraction_rank(rows) -> int:
+    """Reference of `linalg.exact_rank`: Gaussian elimination over Fractions."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    col = 0
+    while rank < len(work) and col < ncols:
+        pivot = None
+        for r in range(rank, len(work)):
+            if work[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pv = work[rank][col]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col]
+            if f != 0:
+                ratio = f / pv
+                work[r] = [a - ratio * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def product_minimal_covers(matrix, demands, budget=None):
+    """Reference of `oracle.enumerate_minimal_covers`: every box point from
+    `itertools.product`, every row sum recomputed at each point."""
+    from itertools import product
+
+    from circover import BudgetExceeded
+    from circover.matrices import check_demands
+    from circover.oracle import DEFAULT_BUDGET
+
+    demands = check_demands(matrix, demands)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    n = matrix.n
+    maxb = max(demands, default=0)
+    if (maxb + 1) ** n > budget:
+        raise BudgetExceeded(
+            f"box of {(maxb + 1) ** n} points exceeds budget {budget}"
+        )
+    supports = [sorted(matrix.support(i)) for i in range(1, matrix.m + 1)]
+    cols_rows = [[] for _ in range(n + 1)]
+    for ridx, sup in enumerate(supports):
+        for j in sup:
+            cols_rows[j].append(ridx)
+    out = []
+    for x in product(range(maxb + 1), repeat=n):
+        sums = [sum(x[j - 1] for j in sup) for sup in supports]
+        if any(s < b for s, b in zip(sums, demands)):
+            continue
+        minimal = True
+        for j in range(1, n + 1):
+            if x[j - 1] == 0:
+                continue
+            if all(sums[r] - demands[r] >= 1 for r in cols_rows[j]):
+                minimal = False
+                break
+        if minimal:
+            out.append(x)
+    return tuple(out)
+
+
+def unfiltered_circulant_minors(circ, max_count=None):
+    """Reference of `inequalities.enumerate_circulant_minors`: the cover
+    search on every column subset, with no closure pre-filter."""
+    from itertools import combinations
+
+    from circover import MinorEnumeration, MinorWitness
+    from circover.inequalities import _uniform_circuit_cover
+    from circover.matrices import circulant_isomorphic, circulant_matrix, contract
+
+    n, k = circ.order, circ.window
+    parent = circulant_matrix(n, k)
+    witnesses = []
+    for size in range(1, n - 2):
+        for nodes in combinations(range(1, n + 1), size):
+            got = _uniform_circuit_cover(nodes, n, k)
+            if got is None:
+                continue
+            d, q = got
+            window = k - d * q
+            if window < 2:
+                continue
+            match = circulant_isomorphic(contract(parent, nodes))
+            assert match is not None and (match.order, match.window) == (n - size, window)
+            witnesses.append(MinorWitness(tuple(nodes), n - size, window, (), True))
+            if max_count is not None and len(witnesses) >= max_count:
+                return MinorEnumeration(tuple(witnesses), False)
+    return MinorEnumeration(tuple(witnesses), True)

@@ -180,6 +180,22 @@ def test_output_flag_writes_file(pentagon_file, tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == "3"
 
 
+def test_options_of_one_call_do_not_leak_into_the_next(pentagon_file, tmp_path, capsys):
+    """`main` reuses one parser per process; options given to one call must
+    not reach a later call that leaves them out."""
+    plain = {verb: run(capsys, [verb, pentagon_file]) for verb in ("facets", "verify", "minors")}
+    target = tmp_path / "out.json"
+    for verb, extra in (
+        ("facets", ["--alpha", "2", "--max-circuits", "1", "--output", str(target)]),
+        ("verify", ["--alpha", "2", "--max-circuits", "1"]),
+        ("minors", ["--max-circuits", "1", "--output", str(target)]),
+    ):
+        assert run(capsys, [verb, pentagon_file] + extra) != plain[verb]
+        assert run(capsys, [verb, pentagon_file]) == plain[verb]
+        assert plain[verb][0] == 0 and plain[verb][1]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_seed_flag_is_accepted(pentagon_file, capsys):
     code, out, _ = run(capsys, ["solve", pentagon_file, "--seed", "7"])
     assert code == 0

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from _helpers import unfiltered_circulant_minors
+from test_cli import run_python
 
 from circover import (
     FORWARD_ROW,
     REVERSE_SHORT,
     BadParameters,
+    CertificateError,
     Circulant,
     NoEssentialBullets,
     NonpositiveWinding,
@@ -39,6 +42,7 @@ from circover import (
     row_family_inequality,
     row_inequalities,
 )
+from circover import inequalities
 
 
 def all_row_circuit(matrix, order):
@@ -449,3 +453,51 @@ def test_general_candidates_cover_the_hull_of_mixed_demands():
     covers = enumerate_minimal_covers(m, demands)
     for q in enum.inequalities:
         assert check_validity(q, covers)
+
+
+def test_circulant_minors_match_the_unfiltered_search():
+    """The closure pre-filter skips only sets the cover search rejects: the
+    same witnesses, in the same order, as the search on every subset, for
+    every circulant of order 5-13, also when cut off by max_count."""
+    found = 0
+    for n in range(5, 14):
+        for k in range(2, n):
+            circ = Circulant(n, k)
+            full = unfiltered_circulant_minors(circ)
+            assert enumerate_circulant_minors(circ) == full, (n, k)
+            found += len(full.witnesses)
+            for cap in (1, 3, 10):
+                # below the cap the reference runs the same full search
+                want = full if len(full.witnesses) < cap else unfiltered_circulant_minors(
+                    circ, max_count=cap
+                )
+                assert enumerate_circulant_minors(circ, max_count=cap) == want, (n, k, cap)
+    assert found >= 500, found
+
+
+def _wrong_match(matrix):
+    match = circulant_isomorphic(matrix)
+    return None if match is None else Circulant(match.order, match.window + 1)
+
+
+def test_minor_cross_check_raises(monkeypatch):
+    monkeypatch.setattr(inequalities, "circulant_isomorphic", _wrong_match)
+    with pytest.raises(CertificateError, match="does not leave the circulant"):
+        enumerate_circulant_minors(Circulant(8, 3))
+
+
+def test_minor_certificate_survives_dash_O():
+    script = """
+import sys
+from circover import CertificateError, Circulant, enumerate_circulant_minors
+assert False, "asserts must be stripped here"
+module = sys.modules["circover.inequalities"]
+module.circulant_isomorphic = lambda matrix: None
+try:
+    enumerate_circulant_minors(Circulant(8, 3))
+except CertificateError as exc:
+    print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    assert "does not leave the circulant (6, 2)" in out

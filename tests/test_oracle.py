@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from _helpers import product_minimal_covers
 
 from circover import (
     BudgetExceeded,
+    CertificateError,
     NegativeCoefficient,
     check_facet,
     check_validity,
@@ -15,6 +18,7 @@ from circover import (
     make_inequality,
     membership,
 )
+from circover import oracle
 
 
 def test_minimal_covers_4_2():
@@ -144,3 +148,37 @@ def test_hull_facets_are_sorted_and_self_consistent():
     # every cover satisfies every facet, some tightly
     for q in h.facets:
         assert check_validity(q, h.covers)
+
+
+def test_minimal_covers_match_the_product_scan():
+    """The odometer against the `itertools.product` scan it replaced, on
+    random circular matrices with demands 0-3 (zeros and columns in no row
+    included): the same covers in the same order, and the same
+    BudgetExceeded one point below the box."""
+    rng = random.Random(1753)
+    seen_zero = seen_empty_column = 0
+    for _ in range(120):
+        n = rng.randint(3, 9)
+        top = max(d for d in range(4) if (d + 1) ** n <= 4096)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+        m = circular_matrix(n, rng.sample(pool, rng.randint(1, min(len(pool), 2 * n))))
+        demands = [rng.randint(0, top) for _ in range(m.m)]
+        seen_zero += 0 in demands
+        seen_empty_column += any(
+            all(j not in m.support(i) for i in range(1, m.m + 1)) for j in range(1, n + 1)
+        )
+        assert enumerate_minimal_covers(m, demands) == product_minimal_covers(m, demands)
+        box = (max(demands) + 1) ** n
+        assert enumerate_minimal_covers(m, demands, box) == product_minimal_covers(m, demands)
+        with pytest.raises(BudgetExceeded) as got:
+            enumerate_minimal_covers(m, demands, box - 1)
+        with pytest.raises(BudgetExceeded) as want:
+            product_minimal_covers(m, demands, box - 1)
+        assert str(got.value) == str(want.value)
+    assert seen_zero >= 30 and seen_empty_column >= 5, (seen_zero, seen_empty_column)
+
+
+def test_hull_facets_raise_on_a_dependent_base(monkeypatch):
+    monkeypatch.setattr(oracle, "invert", lambda matrix: None)
+    with pytest.raises(CertificateError, match="dependent"):
+        hull_facets(circulant_matrix(5, 2), [1] * 5)
