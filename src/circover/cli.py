@@ -52,7 +52,10 @@ from .separation import cut_loop, separate
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise BadParameters(f"cannot decode {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -276,8 +276,10 @@ def enumerate_circuits(
     min_winding filters on the winding number at emission time (the search
     itself is not pruned by it). forbid_kinds drops whole arc kinds before
     searching. Hitting max_count stops the search and flags the result
-    incomplete instead of raising.
+    incomplete instead of raising; a max_count below 1 raises BadParameters.
     """
+    if max_count is not None and max_count < 1:
+        raise BadParameters(f"max_count must be at least 1, got {max_count}")
     for k in forbid_kinds:
         if k not in ARC_KINDS:
             raise BadParameters(f"unknown arc kind {k!r}")

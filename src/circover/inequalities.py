@@ -98,10 +98,12 @@ def make_inequality(coeffs, rhs, kind, witness=None, *, reduce=True) -> LinearIn
     out = []
     for c in coeffs:
         ci = int(c)
-        assert ci == c, f"non-integer coefficient {c}"
+        if ci != c:
+            raise BadParameters(f"non-integer coefficient {c}")
         out.append(ci)
     ri = int(rhs)
-    assert ri == rhs, f"non-integer right-hand side {rhs}"
+    if ri != rhs:
+        raise BadParameters(f"non-integer right-hand side {rhs}")
     ineq = LinearInequality(tuple(out), ri, kind, witness)
     return ineq.normalized() if reduce else ineq
 
@@ -611,7 +613,11 @@ def enumerate_circulant_minors(
     and a predecessor (i-k or i-k-1) inside it. A bitmask test of both
     closures runs first, and the cover search only on the sets that pass;
     every set the test skips is one the search would reject.
+
+    A max_count below 1 raises BadParameters.
     """
+    if max_count is not None and max_count < 1:
+        raise BadParameters(f"max_count must be at least 1, got {max_count}")
     n, k = circ.order, circ.window
     parent = circulant_matrix(n, k)
     bits = [1 << j for j in range(n)]

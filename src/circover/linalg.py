@@ -1,8 +1,7 @@
-"""Small exact linear algebra helpers.
+"""Small exact linear algebra helper.
 
 `exact_rank` runs fraction-free integer elimination (Bareiss): rows are
 scaled to integers and every step divides exactly by the previous pivot.
-`invert` runs Gauss-Jordan elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -54,26 +53,3 @@ def exact_rank(rows) -> int:
         prev = pv
         rank += 1
     return rank
-
-
-def invert(matrix):
-    """Inverse of a square rational matrix, or None if singular."""
-    size = len(matrix)
-    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if work[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for r in range(size):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]

@@ -10,6 +10,13 @@ x). The facet test is an exact affine-rank computation, the full hull comes
 from a plain double description run on the dual cone, and membership is a
 phase-1 LP.
 
+The double description runs in Python ints. The base of the n unit
+constraints and the first cover's constraint (1, c) has the closed-form
+inverse with columns (-c_j, e_j), then (1, 0, ..., 0): these are the start
+rays, already primitive. A new ray is a gcd-reduced int combination of two
+rays, zero exactly where both are and on the new constraint, since both
+weights are positive and both rays meet every earlier constraint with >= 0.
+
 The box scan is guarded by a budget in box points, default (3+1)^9: enough
 for every instance with n <= 9 and demands up to 3, the intended desk scale.
 The budget counts the whole box, which the odometer still visits point by
@@ -19,11 +26,10 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import BudgetExceeded, CertificateError, NegativeCoefficient
-from .linalg import exact_rank, invert
+from .linalg import exact_rank
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands
 from .rationals import parse_rational_vector
@@ -122,31 +128,15 @@ def membership(point, covers) -> bool:
     x = parse_rational_vector(point)
     n = len(x)
     k = len(covers)
-    rows = []
-    senses = []
-    rhs = []
-    rows.append([Fraction(1)] * k)
-    senses.append("==")
-    rhs.append(Fraction(1))
+    rows = [[1] * k]
+    senses = ["=="]
+    rhs = [1]
     for j in range(n):
-        rows.append([Fraction(cover[j]) for cover in covers])
+        rows.append([cover[j] for cover in covers])
         senses.append("<=")
         rhs.append(x[j])
-    res = solve_lp([Fraction(0)] * k, rows, senses, rhs)
+    res = solve_lp([0] * k, rows, senses, rhs)
     return res.status == "optimal"
-
-
-def _primitive(vec) -> tuple[int, ...]:
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -164,41 +154,28 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
     constraints and one constraint (1, cover) per minimal cover. Extreme
     rays of that cone are exactly the facets of the hull plus the trivial
     ray (1, 0) (the inequality 0 >= -1), which is dropped.
+
+    With c the first cover, start ray j < n is (-c_j, e_j), zero on every
+    unit constraint but j and on the cover; start ray n is (1, 0, ..., 0),
+    zero on every unit constraint. Rays stay primitive int vectors, and a
+    ray's zero set is kept as a bitmask over the constraints added so far:
+    the ray combined from an adjacent pair across constraint t is zero on
+    the pair's common zero set and on t, nowhere else.
     """
     from .inequalities import make_inequality  # local import, no cycle
 
     covers = enumerate_minimal_covers(matrix, demands, budget)
     n = matrix.n
-    cons: list[tuple[int, ...]] = []
-    for j in range(n):
-        cons.append(tuple(int(t == j + 1) for t in range(n + 1)))
-    for cover in covers:
-        cons.append((1,) + tuple(cover))
+    first = covers[0]
+    rays = [(-c,) + tuple(int(t == j) for t in range(n)) for j, c in enumerate(first)]
+    rays.append((1,) + (0,) * n)
+    units = (1 << n) - 1
+    masks = [units & ~(1 << j) | 1 << n for j in range(n)]
+    masks.append(units)
 
-    base = [list(map(Fraction, cons[t])) for t in range(n + 1)]
-    binv = invert(base)
-    if binv is None:
-        raise CertificateError("the unit rows and the first cover row are dependent")
-    rays = []
-    for j in range(n + 1):
-        vec = _primitive([binv[i][j] for i in range(n + 1)])
-        rays.append(vec)
-
-    def dot(c, r):
-        return sum(a * b for a, b in zip(c, r))
-
-    def zmask(vec, upto):
-        m = 0
-        for t in range(upto):
-            if dot(cons[t], vec) == 0:
-                m |= 1 << t
-        return m
-
-    masks = [zmask(r, n + 1) for r in rays]
-
-    for t in range(n + 1, len(cons)):
-        h = cons[t]
-        vals = [dot(h, r) for r in rays]
+    for t, cover in enumerate(covers[1:], n + 1):
+        h = (1, *cover)
+        vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         if all(v >= 0 for v in vals):
             masks = [
                 m | ((v == 0) << t) for m, v in zip(masks, vals)
@@ -231,9 +208,9 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
                 if not adjacent:
                     continue
                 combo = [vp * b - vn * a for a, b in zip(rp, rn)]
-                vec = _primitive([Fraction(v) for v in combo])
-                keep_rays.append(vec)
-                keep_masks.append(zmask(vec, t + 1))
+                g = gcd(*combo)
+                keep_rays.append(tuple(v // g for v in combo))
+                keep_masks.append(common | 1 << t)
         rays = keep_rays
         masks = keep_masks
 

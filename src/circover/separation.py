@@ -170,8 +170,10 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
 
     Terminates when the LP optimum is a hull member. Weights must be
     non-negative. All-zero weights short-circuit: value 0 at any integer
-    cover, no LP needed.
+    cover, no LP needed. A max_rounds below 1 raises BadParameters.
     """
+    if max_rounds < 1:
+        raise BadParameters(f"max_rounds must be at least 1, got {max_rounds}")
     n, m = matrix.n, matrix.m
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)
@@ -180,9 +182,9 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
         point = tuple(Fraction(top) for _ in range(n))
         return CutLoopResult(Fraction(0), point, ())
     digraph = build_digraph(matrix, restricted=False)
-    rows = [[Fraction(v) for v in matrix.row_vector(i)] for i in range(1, m + 1)]
+    rows = [matrix.row_vector(i) for i in range(1, m + 1)]
     senses = [">="] * m
-    rhs = [Fraction(b) for b in demands]
+    rhs = list(demands)
     steps: list[CutLoopStep] = []
     for _ in range(max_rounds):
         res = solve_lp(w, rows, senses, rhs)
@@ -193,7 +195,7 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
             steps.append(CutLoopStep(res.point, res.value, None, None))
             return CutLoopResult(res.value, res.point, tuple(steps))
         steps.append(CutLoopStep(res.point, res.value, sep.inequality, sep.certificate))
-        rows.append([Fraction(c) for c in sep.inequality.coeffs])
+        rows.append(sep.inequality.coeffs)
         senses.append(">=")
-        rhs.append(Fraction(sep.inequality.rhs))
+        rhs.append(sep.inequality.rhs)
     raise IterationLimit(f"no convergence within {max_rounds} rounds")

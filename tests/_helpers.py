@@ -221,3 +221,94 @@ def unfiltered_circulant_minors(circ, max_count=None):
             if max_count is not None and len(witnesses) >= max_count:
                 return MinorEnumeration(tuple(witnesses), False)
     return MinorEnumeration(tuple(witnesses), True)
+
+
+def fraction_invert(matrix):
+    """Inverse of a square rational matrix by Gauss-Jordan elimination over
+    Fractions, or None if it is singular."""
+    size = len(matrix)
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(size)]
+            for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = None
+        for r in range(col, size):
+            if work[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [v / pv for v in work[col]]
+        for r in range(size):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[size:] for row in work]
+
+
+def _fraction_primitive(vec) -> tuple[int, ...]:
+    """The rational vector scaled by the lcm of its denominators, then
+    divided by the gcd of the resulting ints."""
+    from math import gcd
+
+    denom = 1
+    for v in vec:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def fraction_hull_facets(matrix, demands, budget=None):
+    """Reference of `oracle.hull_facets`: the start cone from the Fraction
+    inverse of the base (the unit rows and the first cover row), every new
+    ray made primitive through Fractions, and zero sets recomputed by dot
+    products against every constraint so far."""
+    from circover import make_inequality
+    from circover.oracle import HullDescription, enumerate_minimal_covers
+
+    covers = enumerate_minimal_covers(matrix, demands, budget)
+    n = matrix.n
+    cons = [tuple(int(t == j + 1) for t in range(n + 1)) for j in range(n)]
+    cons += [(1,) + tuple(cover) for cover in covers]
+    binv = fraction_invert([list(map(Fraction, cons[t])) for t in range(n + 1)])
+    rays = [_fraction_primitive([binv[i][j] for i in range(n + 1)]) for j in range(n + 1)]
+
+    def dot(c, r):
+        return sum(a * b for a, b in zip(c, r))
+
+    def zmask(vec, upto):
+        return sum(1 << t for t in range(upto) if dot(cons[t], vec) == 0)
+
+    masks = [zmask(r, n + 1) for r in rays]
+    for t in range(n + 1, len(cons)):
+        vals = [dot(cons[t], r) for r in rays]
+        keep = [(r, m | ((v == 0) << t)) for r, v, m in zip(rays, vals, masks) if v >= 0]
+        pos = [(r, v, m) for r, v, m in zip(rays, vals, masks) if v > 0]
+        neg = [(r, v, m) for r, v, m in zip(rays, vals, masks) if v < 0]
+        for rp, vp, mp in pos:
+            for rn, vn, mn in neg:
+                common = mp & mn
+                if any(
+                    common & m2 == common
+                    for r2, m2 in zip(rays, masks)
+                    if r2 is not rp and r2 is not rn
+                ):
+                    continue
+                vec = _fraction_primitive(
+                    [Fraction(vp * b - vn * a) for a, b in zip(rp, rn)])
+                keep.append((vec, zmask(vec, t + 1)))
+        rays = [r for r, _ in keep]
+        masks = [m for _, m in keep]
+
+    facets = []
+    for vec in rays:
+        if any(vec[1:]):
+            facets.append(make_inequality(vec[1:], -vec[0], kind="hull"))
+    facets.sort(key=lambda q: (q.coeffs, q.rhs))
+    return HullDescription(tuple(facets), covers, n)

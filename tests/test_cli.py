@@ -172,6 +172,20 @@ def test_cut_loop_round_cap(pentagon_file, capsys):
     assert "error" in json.loads(out)
 
 
+def test_caps_below_one_rejected(pentagon_file, tmp_path, capsys):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"n": 7, "rows": [[1, 3], [2, 5], [5, 5]]}))
+    for args in (["facets", pentagon_file, "--max-circuits", "0"],
+                 ["verify", pentagon_file, "--max-circuits", "-1"],
+                 ["minors", pentagon_file, "--max-circuits", "0"],
+                 ["minors", str(mixed), "--max-circuits", "0"],
+                 ["cut-loop", pentagon_file, "--max-rounds", "0"]):
+        code, out, err = run(capsys, args)
+        assert code == 1, args
+        assert out == "", args
+        assert err.startswith("error:") and len(err.splitlines()) == 1, args
+
+
 def test_output_flag_writes_file(pentagon_file, tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, ["solve", pentagon_file, "--output", str(target)])
@@ -206,6 +220,24 @@ def test_missing_file(capsys):
     code, out, err = run(capsys, ["solve", "/nonexistent/instance.json"])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_non_utf8_file_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_non_utf8_stdin_rejected(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, ["solve", "-"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_duplicate_row_rejected(capsys, monkeypatch):

@@ -177,6 +177,14 @@ def test_enumeration_cap_flags_incomplete():
     assert capped.circuits == full.circuits[:3]
 
 
+def test_enumeration_cap_below_one_raises():
+    d = build_digraph(circulant_matrix(6, 2))
+    for cap in (0, -1):
+        with pytest.raises(BadParameters, match="max_count"):
+            enumerate_circuits(d, max_count=cap)
+    assert len(enumerate_circuits(d, max_count=1).circuits) == 1
+
+
 def test_forbid_kinds():
     d = build_digraph(circulant_matrix(5, 2))
     enum = enumerate_circuits(d, forbid_kinds=frozenset({REVERSE_ROW, REVERSE_SHORT}))

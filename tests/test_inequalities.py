@@ -57,6 +57,14 @@ def test_make_inequality_normalizes():
     assert q2.coeffs == (1, 2) and q2.rhs == 3
 
 
+def test_make_inequality_rejects_non_integers():
+    # raised, not asserted: `python -O` once truncated this to (0, 1) >= 1
+    with pytest.raises(BadParameters, match="coefficient"):
+        make_inequality([F(1, 2), 1], F(3, 2), "x")
+    with pytest.raises(BadParameters, match="right-hand side"):
+        make_inequality([1, 1], F(3, 2), "x")
+
+
 def test_nonnegativity_and_rows():
     m = circulant_matrix(4, 2)
     nn = nonnegativity(4)
@@ -414,6 +422,13 @@ def test_enumerate_circulant_minors_cap():
     enum = enumerate_circulant_minors(Circulant(10, 4), max_count=2)
     assert not enum.complete
     assert len(enum.witnesses) == 2
+
+
+def test_enumerate_circulant_minors_cap_below_one_raises():
+    for cap in (0, -1):
+        with pytest.raises(BadParameters, match="max_count"):
+            enumerate_circulant_minors(Circulant(10, 4), max_count=cap)
+    assert len(enumerate_circulant_minors(Circulant(10, 4), max_count=1).witnesses) == 1
 
 
 def test_facet_candidates_5_2_equal_the_hull():

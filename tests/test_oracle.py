@@ -2,11 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from _helpers import product_minimal_covers
+from _helpers import fraction_hull_facets, product_minimal_covers
 
 from circover import (
     BudgetExceeded,
-    CertificateError,
     NegativeCoefficient,
     check_facet,
     check_validity,
@@ -18,7 +17,6 @@ from circover import (
     make_inequality,
     membership,
 )
-from circover import oracle
 
 
 def test_minimal_covers_4_2():
@@ -178,7 +176,28 @@ def test_minimal_covers_match_the_product_scan():
     assert seen_zero >= 30 and seen_empty_column >= 5, (seen_zero, seen_empty_column)
 
 
-def test_hull_facets_raise_on_a_dependent_base(monkeypatch):
-    monkeypatch.setattr(oracle, "invert", lambda matrix: None)
-    with pytest.raises(CertificateError, match="dependent"):
-        hull_facets(circulant_matrix(5, 2), [1] * 5)
+def test_hull_facets_match_the_fraction_construction():
+    """The closed-form int start cone and the gcd-reduced int rays against
+    the Fraction construction they replaced (inverted base, rays made
+    primitive through Fractions, zero sets from dot products): the same
+    facets in the same order on every circulant with 5 <= n <= 11 and
+    b = 1, and on random circular matrices with demands 0-3 whose box
+    fits 4096 points."""
+    def key(hull):
+        return [(q.coeffs, q.rhs, q.kind) for q in hull.facets]
+
+    for n in range(5, 12):
+        for k in range(2, n):
+            m = circulant_matrix(n, k)
+            assert key(hull_facets(m, [1] * n)) == key(fraction_hull_facets(m, [1] * n))
+    rng = random.Random(1996)
+    levels = set()
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        top = max(d for d in range(4) if (d + 1) ** n <= 4096)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+        m = circular_matrix(n, rng.sample(pool, rng.randint(1, min(len(pool), 2 * n))))
+        demands = [rng.randint(0, top) for _ in range(m.m)]
+        levels.update(demands)
+        assert key(hull_facets(m, demands)) == key(fraction_hull_facets(m, demands))
+    assert levels == {0, 1, 2, 3}

@@ -187,6 +187,13 @@ def test_cut_loop_guards():
         cut_loop(m, [1] * 5, [1] * 5, max_rounds=1)
 
 
+def test_cut_loop_rounds_below_one_raise():
+    m = circulant_matrix(5, 2)
+    for rounds in (0, -1):
+        with pytest.raises(BadParameters, match="max_rounds"):
+            cut_loop(m, [1] * 5, [1] * 5, max_rounds=rounds)
+
+
 def _random_matrix(rng, n, rows):
     pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
     return circular_matrix(n, rng.sample(pool, rows))
