@@ -447,13 +447,31 @@ class RowFamilyResult:
     valid: bool | None    # True / False per condition check, None if unchecked
 
 
-def default_family_winding(matrix: CircularMatrix, rows) -> int:
-    """The always-valid parameter: max column multiplicity of the family, minus 1."""
-    rows = sorted(set(rows))
+def _family_multiplicities(matrix: CircularMatrix, rows) -> tuple[list[int], list[int]]:
+    """The family's distinct rows, sorted, and per column j (index j, 1..n)
+    the number of its rows that meet j.
+
+    BadParameters for a row outside 1..m or a family of fewer than two rows.
+    """
+    family = sorted(set(rows))
+    for i in family:
+        if not 1 <= i <= matrix.m:
+            raise BadParameters(f"row {i} outside 1..{matrix.m}")
+    if len(family) < 2:
+        raise BadParameters("a row family needs at least two rows")
     colsum = [0] * (matrix.n + 1)
-    for i in rows:
+    for i in family:
         for j in matrix.support(i):
             colsum[j] += 1
+    return family, colsum
+
+
+def default_family_winding(matrix: CircularMatrix, rows) -> int:
+    """The always-valid parameter: max column multiplicity of the family, minus 1.
+
+    BadParameters for a row outside 1..m or a family of fewer than two rows.
+    """
+    _, colsum = _family_multiplicities(matrix, rows)
     return max(colsum[1:]) - 1
 
 
@@ -473,17 +491,8 @@ def row_family_inequality(
     a multiple of a non-default p; at the default p with p | s the r = 0
     degenerate inequality is returned flagged redundant.
     """
-    family = sorted(set(rows))
-    for i in family:
-        if not 1 <= i <= matrix.m:
-            raise BadParameters(f"row {i} outside 1..{matrix.m}")
+    family, colsum = _family_multiplicities(matrix, rows)
     s = len(family)
-    if s < 2:
-        raise BadParameters("a row family needs at least two rows")
-    colsum = [0] * (matrix.n + 1)
-    for i in family:
-        for j in matrix.support(i):
-            colsum[j] += 1
     pstar = max(colsum[1:]) - 1
     if p is None:
         p = pstar
@@ -537,65 +546,27 @@ class MinorEnumeration:
 def _uniform_circuit_cover(nodes, n, k):
     """Disjoint simple circuits in the step digraph covering `nodes` exactly.
 
-    Arcs go from i to i+k or i+k+1 (mod n). Searches for a bijection of
-    `nodes` onto itself along such arcs whose cycles all share one profile
-    (#short steps, #long steps); returns (#cycles, per-cycle winding) or None.
+    Arcs go from i to i+k or i+k+1 (mod n); returns (#cycles, per-cycle
+    winding) of such a cover, or None. With the sorted nodes s_0 < ... <
+    s_{m-1} lifted to L(t + m) = L(t) + n, a bijection of the nodes along
+    step arcs keeps their cyclic order (two consecutive nodes with one image
+    would collide), so it is the shift t -> t + r of L for one r in 1..m,
+    and it exists exactly when k <= L(t + r) - L(t) <= k + 1 for every t.
+    Its cycles then all have m/gcd(r, m) nodes and winding r/gcd(r, m), so
+    they share one (short, long) profile; at most one r fits, since two
+    would force the nodes to be every column.
     """
-    node_set = set(nodes)
-    order = sorted(nodes)
-    options = {}
-    for i in order:
-        opts = [t for t in (norm_col(i + k, n), norm_col(i + k + 1, n)) if t in node_set]
-        if not opts:
-            return None
-        options[i] = opts
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def profile_if_uniform():
-        seen: set[int] = set()
-        prof = None
-        cycles = 0
-        for i in order:
-            if i in seen:
-                continue
-            cycles += 1
-            short = long_ = 0
-            cur = i
-            while cur not in seen:
-                seen.add(cur)
-                nxt = assign[cur]
-                if nxt == norm_col(cur + k, n):
-                    short += 1
-                else:
-                    long_ += 1
-                cur = nxt
-            if prof is None:
-                prof = (short, long_)
-            elif prof != (short, long_):
-                return None
-        total = prof[0] * k + prof[1] * (k + 1)
-        if total % n:
-            raise CertificateError(f"a cycle of steps sums to {total}, not a multiple of {n}")
-        return cycles, total // n
-
-    def search(idx):
-        if idx == len(order):
-            return profile_if_uniform()
-        i = order[idx]
-        for t in options[i]:
-            if t in used:
-                continue
-            assign[i] = t
-            used.add(t)
-            got = search(idx + 1)
-            used.discard(t)
-            del assign[i]
-            if got is not None:
-                return got
-        return None
-
-    return search(0)
+    lifted = sorted(nodes)
+    m = len(lifted)
+    lifted += [j + n for j in lifted]
+    for r in range(1, m + 1):
+        # t = 0 first: L increases, so at most two r get past it
+        if k <= lifted[r] - lifted[0] <= k + 1 and all(
+            k <= lifted[t + r] - lifted[t] <= k + 1 for t in range(1, m)
+        ):
+            d = gcd(r, m)
+            return d, r // d
+    return None
 
 
 def enumerate_circulant_minors(
@@ -611,8 +582,11 @@ def enumerate_circulant_minors(
 
     A set can pass only if each of its nodes has a successor (i+k or i+k+1)
     and a predecessor (i-k or i-k-1) inside it. A bitmask test of both
-    closures runs first, and the cover search only on the sets that pass;
-    every set the test skips is one the search would reject.
+    closures runs first, and the cover test only on the sets that pass;
+    every set the test skips is one the cover test would reject. A cover of
+    the set by step circuits is a rotation of its sorted nodes by r places,
+    so the cover test tries each r once and a set of d circuits of winding
+    q leaves the window k - d*q (see `_uniform_circuit_cover`).
 
     A max_count below 1 raises BadParameters.
     """

@@ -223,9 +223,15 @@ def circulant_isomorphic(m) -> CirculantMatch | None:
     """Decide whether row/column permutations turn m into a circulant.
 
     Works on a SupportMatrix (typically a contraction) or a CircularMatrix.
-    Returns a CirculantMatch with the permutation witness, or None. The
-    search anchors the smallest column first and tries extensions in
-    ascending column order, so the witness is deterministic.
+    Returns a CirculantMatch with the permutation witness, or None.
+
+    In the circulant (s, window) with window <= s-2, two columns share
+    window-1 rows exactly when they are cyclically adjacent. So the walk
+    starts at the smallest column and keeps appending the smallest unused
+    column sharing window-1 rows with the last one placed, and m is a
+    circulant exactly when the s windows of that order are its supports.
+    The order is the least arrangement that works (for window = s-1, where
+    any order does, the sorted one), so the witness is deterministic.
     """
     columns, supports = _as_supports(m)
     s = len(supports)
@@ -240,56 +246,33 @@ def circulant_isomorphic(m) -> CirculantMatch | None:
     support_set = set(supports)
     if len(support_set) != s:
         return None
-    # each column must lie in exactly `window` rows
-    for c in columns:
-        if sum(c in sup for sup in supports) != window:
+    # each column must lie in exactly `window` rows; bit r of rows_at[c]
+    # is set when row r contains column c
+    rows_at = dict.fromkeys(columns, 0)
+    for r, sup in enumerate(supports):
+        for c in sup:
+            if c not in rows_at:
+                return None
+            rows_at[c] |= 1 << r
+    if any(mask.bit_count() != window for mask in rows_at.values()):
+        return None
+
+    unused = sorted(columns)
+    order = [unused.pop(0)]
+    while unused:
+        last = rows_at[order[-1]]
+        nxt = next(
+            (c for c in unused if (rows_at[c] & last).bit_count() == window - 1), None
+        )
+        if nxt is None:
             return None
-
-    cols_sorted = sorted(columns)
-    order: list[int] = [cols_sorted[0]]
-    used_cols = {cols_sorted[0]}
-    used_windows: set[frozenset[int]] = set()
-
-    def window_at(pos: int) -> frozenset[int]:
-        return frozenset(order[(pos + t) % s] for t in range(window))
-
-    def place(pos: int) -> bool:
-        if pos == s:
-            extra = []
-            for t in range(s - window + 1, s):
-                w = window_at(t)
-                if w in used_windows or w not in support_set:
-                    for e in extra:
-                        used_windows.discard(e)
-                    return False
-                used_windows.add(w)
-                extra.append(w)
-            return True
-        for c in cols_sorted:
-            if c in used_cols:
-                continue
-            order.append(c)
-            used_cols.add(c)
-            w = None
-            ok = True
-            if pos >= window - 1:
-                w = window_at(pos - window + 1)
-                ok = w in support_set and w not in used_windows
-                if ok:
-                    used_windows.add(w)
-            if ok and place(pos + 1):
-                return True
-            if w is not None and ok:
-                used_windows.discard(w)
-            order.pop()
-            used_cols.discard(c)
-        return False
-
-    if not place(1):
+        order.append(nxt)
+        unused.remove(nxt)
+    windows = [frozenset(order[(t + d) % s] for d in range(window)) for t in range(s)]
+    if set(windows) != support_set:
         return None
     row_of = {sup: idx + 1 for idx, sup in enumerate(supports)}
-    row_order = tuple(row_of[window_at(t)] for t in range(s))
-    return CirculantMatch(s, window, tuple(order), row_order)
+    return CirculantMatch(s, window, tuple(order), tuple(row_of[w] for w in windows))
 
 
 def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) -> tuple[int, int]:

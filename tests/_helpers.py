@@ -116,13 +116,15 @@ def fraction_negative_circuit(digraph, forward, reverse):
     while node not in seen:
         seen[node] = len(chain)
         a = pred[node]
-        assert a is not None, "improved nodes always have predecessors"
+        if a is None:
+            raise AssertionError("improved nodes always have predecessors")
         chain.append(a)
         node = a.tail
     cyc = chain[seen[node]:]
     cyc.reverse()
     path = ClosedPath(tuple(cyc), n, digraph.slots).canonical()
-    assert sum((arc_cost(a) for a in path.arcs), Fraction(0)) < 0
+    if sum((arc_cost(a) for a in path.arcs), Fraction(0)) >= 0:
+        raise AssertionError(f"the predecessor cycle {path.descriptor()} is not negative")
     return path
 
 
@@ -194,13 +196,148 @@ def product_minimal_covers(matrix, demands, budget=None):
     return tuple(out)
 
 
+def search_circuit_cover(nodes, n, k):
+    """Reference of `inequalities._uniform_circuit_cover`: a backtracking
+    search over bijections of `nodes` onto itself along step arcs (i to
+    i+k or i+k+1, mod n) whose cycles all share one (#short, #long)
+    profile; returns (#cycles, per-cycle winding) or None."""
+    from circover.matrices import norm_col
+
+    node_set = set(nodes)
+    order = sorted(nodes)
+    options = {}
+    for i in order:
+        opts = [t for t in (norm_col(i + k, n), norm_col(i + k + 1, n)) if t in node_set]
+        if not opts:
+            return None
+        options[i] = opts
+    assign = {}
+    used = set()
+
+    def profile_if_uniform():
+        seen = set()
+        prof = None
+        cycles = 0
+        for i in order:
+            if i in seen:
+                continue
+            cycles += 1
+            short = long_ = 0
+            cur = i
+            while cur not in seen:
+                seen.add(cur)
+                nxt = assign[cur]
+                if nxt == norm_col(cur + k, n):
+                    short += 1
+                else:
+                    long_ += 1
+                cur = nxt
+            if prof is None:
+                prof = (short, long_)
+            elif prof != (short, long_):
+                return None
+        total = prof[0] * k + prof[1] * (k + 1)
+        if total % n:
+            raise AssertionError(f"a cycle of steps sums to {total}, not a multiple of {n}")
+        return cycles, total // n
+
+    def search(idx):
+        if idx == len(order):
+            return profile_if_uniform()
+        i = order[idx]
+        for t in options[i]:
+            if t in used:
+                continue
+            assign[i] = t
+            used.add(t)
+            got = search(idx + 1)
+            used.discard(t)
+            del assign[i]
+            if got is not None:
+                return got
+        return None
+
+    return search(0)
+
+
+def search_circulant_isomorphic(m):
+    """Reference of `matrices.circulant_isomorphic`: the same pre-checks,
+    then a backtracking search that anchors the smallest column and tries
+    extensions in ascending column order, so its witness is the least
+    arrangement whose windows are the supports."""
+    from circover.matrices import CirculantMatch, _as_supports
+
+    columns, supports = _as_supports(m)
+    s = len(supports)
+    if s != len(columns) or s < 3:
+        return None
+    sizes = {len(sup) for sup in supports}
+    if len(sizes) != 1:
+        return None
+    window = sizes.pop()
+    if not 2 <= window <= s - 1:
+        return None
+    support_set = set(supports)
+    if len(support_set) != s:
+        return None
+    for c in columns:
+        if sum(c in sup for sup in supports) != window:
+            return None
+
+    cols_sorted = sorted(columns)
+    order = [cols_sorted[0]]
+    used_cols = {cols_sorted[0]}
+    used_windows = set()
+
+    def window_at(pos):
+        return frozenset(order[(pos + t) % s] for t in range(window))
+
+    def place(pos):
+        if pos == s:
+            extra = []
+            for t in range(s - window + 1, s):
+                w = window_at(t)
+                if w in used_windows or w not in support_set:
+                    for e in extra:
+                        used_windows.discard(e)
+                    return False
+                used_windows.add(w)
+                extra.append(w)
+            return True
+        for c in cols_sorted:
+            if c in used_cols:
+                continue
+            order.append(c)
+            used_cols.add(c)
+            w = None
+            ok = True
+            if pos >= window - 1:
+                w = window_at(pos - window + 1)
+                ok = w in support_set and w not in used_windows
+                if ok:
+                    used_windows.add(w)
+            if ok and place(pos + 1):
+                return True
+            if w is not None and ok:
+                used_windows.discard(w)
+            order.pop()
+            used_cols.discard(c)
+        return False
+
+    if not place(1):
+        return None
+    row_of = {sup: idx + 1 for idx, sup in enumerate(supports)}
+    row_order = tuple(row_of[window_at(t)] for t in range(s))
+    return CirculantMatch(s, window, tuple(order), row_order)
+
+
 def unfiltered_circulant_minors(circ, max_count=None):
-    """Reference of `inequalities.enumerate_circulant_minors`: the cover
-    search on every column subset, with no closure pre-filter."""
+    """Reference of `inequalities.enumerate_circulant_minors`: the
+    backtracking cover search on every column subset, with no closure
+    pre-filter."""
     from itertools import combinations
 
     from circover import MinorEnumeration, MinorWitness
-    from circover.inequalities import _uniform_circuit_cover
     from circover.matrices import circulant_isomorphic, circulant_matrix, contract
 
     n, k = circ.order, circ.window
@@ -208,7 +345,7 @@ def unfiltered_circulant_minors(circ, max_count=None):
     witnesses = []
     for size in range(1, n - 2):
         for nodes in combinations(range(1, n + 1), size):
-            got = _uniform_circuit_cover(nodes, n, k)
+            got = search_circuit_cover(nodes, n, k)
             if got is None:
                 continue
             d, q = got
@@ -216,7 +353,11 @@ def unfiltered_circulant_minors(circ, max_count=None):
             if window < 2:
                 continue
             match = circulant_isomorphic(contract(parent, nodes))
-            assert match is not None and (match.order, match.window) == (n - size, window)
+            if match is None or (match.order, match.window) != (n - size, window):
+                raise AssertionError(
+                    f"deleting {nodes} from {circ} leaves {match}, "
+                    f"not the circulant ({n - size}, {window})"
+                )
             witnesses.append(MinorWitness(tuple(nodes), n - size, window, (), True))
             if max_count is not None and len(witnesses) >= max_count:
                 return MinorEnumeration(tuple(witnesses), False)

@@ -365,6 +365,15 @@ def test_row_family_parameter_errors():
         row_family_inequality(m, [3], p=1)
     with pytest.raises(BadParameters):
         row_family_inequality(m, [1, 9], p=1)
+    # the default parameter validates the family the same way: row 0 is not
+    # the last row, and a row past m is no IndexError
+    with pytest.raises(BadParameters, match="row 0 outside"):
+        default_family_winding(m, [0, 1])
+    three_rows = circular_matrix(7, [(1, 3), (2, 5), (5, 5)])
+    with pytest.raises(BadParameters, match="row 7 outside"):
+        default_family_winding(three_rows, [1, 7])
+    with pytest.raises(BadParameters, match="row 7 outside"):
+        row_family_inequality(three_rows, [1, 7])
 
 
 def test_row_family_heavy_columns_get_zero():

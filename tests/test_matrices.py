@@ -1,4 +1,8 @@
+import random
+from itertools import combinations
+
 import pytest
+from _helpers import search_circulant_isomorphic
 
 from circover import (
     BadParameters,
@@ -8,6 +12,7 @@ from circover import (
     EmptyColumnSet,
     Instance,
     NotInterval,
+    SupportMatrix,
     circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
@@ -127,6 +132,61 @@ def test_circulant_isomorphic_negative():
     assert circulant_isomorphic(circular_matrix(6, [(1, 2), (3, 2), (5, 2)])) is None
     # same column degrees everywhere but an interval pattern that cannot close
     assert circulant_isomorphic(contract(circulant_matrix(7, 2), [4])) is None
+
+
+def _relabelled_circulant(rng, s, w):
+    """The circulant (s, w) with its columns renamed at random and its rows
+    listed in random order."""
+    labels = rng.sample(range(1, 5 * s), s)
+    supports = [frozenset(labels[(i + d) % s] for d in range(w)) for i in range(s)]
+    rng.shuffle(supports)
+    return SupportMatrix(
+        tuple(sorted(labels)), tuple(supports), tuple((r,) for r in range(1, s + 1))
+    )
+
+
+def test_circulant_walk_matches_the_backtracking_reference():
+    """The neighbour walk returns the backtracking search's witness, or None
+    where it does: on every contraction of every circulant of order up to
+    10, on seeded near-circulant matrices and their contractions, and on
+    relabelled circulants."""
+    found = 0
+    cases = []
+    for n in range(3, 11):
+        for k in range(2, n):
+            m = circulant_matrix(n, k)
+            for size in range(n - 2):
+                cases.extend(contract(m, gone) for gone in combinations(range(1, n + 1), size))
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(4, 10)
+        k = rng.randint(2, n - 2)
+        rows = {(i, k) for i in range(1, n + 1)}
+        for _ in range(rng.randint(0, 2)):
+            rows.discard(rng.choice(sorted(rows)))
+            rows.add((rng.randint(1, n), rng.randint(2, n - 1)))
+        m = circular_matrix(n, sorted(rows))
+        cases.append(m)
+        cases.append(contract(m, rng.sample(range(1, n + 1), rng.randint(1, n - 3))))
+    for s in range(3, 10):
+        for w in range(2, s):
+            cases.extend(_relabelled_circulant(rng, s, w) for _ in range(5))
+    for m in cases:
+        match = circulant_isomorphic(m)
+        assert match == search_circulant_isomorphic(m), m
+        found += match is not None
+    assert found >= 2000, found
+
+
+def test_circulant_walk_on_a_relabelled_circulant():
+    m = _relabelled_circulant(random.Random(12), 12, 10)
+    match = circulant_isomorphic(m)
+    assert match is not None
+    assert (match.order, match.window) == (12, 10)
+    assert sorted(match.column_order) == sorted(m.columns)
+    for t, row in enumerate(match.row_order):
+        win = {match.column_order[(t + d) % 12] for d in range(10)}
+        assert win == m.rows[row - 1]
 
 
 def test_interval_row():
