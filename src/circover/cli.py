@@ -79,6 +79,14 @@ def _pick_demands(inst, alpha):
     return (alpha,) * inst.matrix.m
 
 
+def _cap(value, flag):
+    """A cap option, which must be at least 1 when given; the error names
+    the flag, not the library argument it feeds."""
+    if value is not None and value < 1:
+        raise BadParameters(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _candidates(matrix, demands, max_circuits):
     levels = set(demands)
     if len(levels) == 1 and demands and demands[0] >= 1:
@@ -106,7 +114,7 @@ def _cmd_facets(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
-    enum = _candidates(matrix, demands, args.max_circuits)
+    enum = _candidates(matrix, demands, _cap(args.max_circuits, "--max-circuits"))
     try:
         covers = enumerate_minimal_covers(matrix, demands, args.budget)
     except BudgetExceeded:
@@ -129,7 +137,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
-    enum = _candidates(matrix, demands, args.max_circuits)
+    enum = _candidates(matrix, demands, _cap(args.max_circuits, "--max-circuits"))
     cand_items = [inequality_json(q) for q in enum.inequalities]
     try:
         hull = hull_facets(matrix, demands, args.budget)
@@ -173,13 +181,14 @@ def _witness_json(w) -> dict:
 def _cmd_minors(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     matrix = inst.matrix
+    max_count = _cap(args.max_circuits, "--max-circuits")
     circ = matrix.as_circulant()
     if circ is not None:
-        enum = enumerate_circulant_minors(circ, max_count=args.max_circuits)
+        enum = enumerate_circulant_minors(circ, max_count=max_count)
         witnesses, complete = list(enum.witnesses), enum.complete
     else:
         digraph = build_digraph(matrix, restricted=True)
-        cenum = enumerate_circuits(digraph, min_winding=2, max_count=args.max_circuits)
+        cenum = enumerate_circuits(digraph, min_winding=2, max_count=max_count)
         seen: dict[tuple, object] = {}
         for path in cenum.circuits:
             try:
@@ -205,7 +214,8 @@ def _cmd_cut_loop(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     try:
         res = cut_loop(
-            inst.matrix, inst.demands, inst.weights, max_rounds=args.max_rounds
+            inst.matrix, inst.demands, inst.weights,
+            max_rounds=_cap(args.max_rounds, "--max-rounds"),
         )
     except IterationLimit as exc:
         return {"instance": _instance_json(inst), "error": str(exc)}, 2

@@ -24,14 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterable
 
 from .digraph import (
     FORWARD_ROW,
     FORWARD_SHORT,
     REVERSE_ROW,
     REVERSE_SHORT,
-    AuxDigraph,
     ClosedPath,
     build_digraph,
     enumerate_circuits,
@@ -543,30 +541,43 @@ class MinorEnumeration:
     complete: bool
 
 
-def _uniform_circuit_cover(nodes, n, k):
-    """Disjoint simple circuits in the step digraph covering `nodes` exactly.
+def _rotation_sets(n: int, k: int, m: int, r: int) -> list[tuple[int, ...]]:
+    """The m-sets of columns 1..n whose every r-th gap is k or k+1, in lex order.
 
-    Arcs go from i to i+k or i+k+1 (mod n); returns (#cycles, per-cycle
-    winding) of such a cover, or None. With the sorted nodes s_0 < ... <
-    s_{m-1} lifted to L(t + m) = L(t) + n, a bijection of the nodes along
-    step arcs keeps their cyclic order (two consecutive nodes with one image
-    would collide), so it is the shift t -> t + r of L for one r in 1..m,
-    and it exists exactly when k <= L(t + r) - L(t) <= k + 1 for every t.
-    Its cycles then all have m/gcd(r, m) nodes and winding r/gcd(r, m), so
-    they share one (short, long) profile; at most one r fits, since two
-    would force the nodes to be every column.
+    With the sorted nodes s_0 < ... < s_{m-1} lifted to L(t + m) = L(t) + n,
+    a set qualifies when k <= L(t + r) - L(t) <= k + 1 for every t. So
+    s_1..s_{r-1} lie within k of s_0, and each later s_t is s_{t-r} + k or
+    s_{t-r} + k + 1. The a = (m - 1 - t) // r further steps from t land on
+    L(u + m) = s_u + n with u = t + (a + 1)r - m < r, which bounds s_t to
+    s_u + n - (a + 1)(k + 1) .. s_u + n - (a + 1)k. Once the first r nodes
+    are placed every node is tried only inside its range; for the last r
+    nodes (a = 0) that range is the wrap-around gap itself.
     """
-    lifted = sorted(nodes)
-    m = len(lifted)
-    lifted += [j + n for j in lifted]
-    for r in range(1, m + 1):
-        # t = 0 first: L increases, so at most two r get past it
-        if k <= lifted[r] - lifted[0] <= k + 1 and all(
-            k <= lifted[t + r] - lifted[t] <= k + 1 for t in range(1, m)
-        ):
-            d = gcd(r, m)
-            return d, r // d
-    return None
+    ranges = []
+    for t in range(m):
+        a = (m - 1 - t) // r
+        ranges.append((t + (a + 1) * r - m, n - (a + 1) * (k + 1), n - (a + 1) * k))
+    sets = []
+    for first in range(1, n + 1):
+        for rest in combinations(range(first + 1, min(first + k, n) + 1), r - 1):
+            head = (first, *rest)
+            if all(
+                head[u] + lo <= head[t] <= head[u] + hi
+                for t, (u, lo, hi) in enumerate(ranges[:r])
+            ):
+                sets.append(head)
+    # each level extends its sets in order, by increasing values: lex order holds
+    for t in range(r, m):
+        u, lo, hi = ranges[t]
+        sets = [
+            s + (v,)
+            for s in sets
+            for v in range(
+                max(s[-1] + 1, s[t - r] + k, s[u] + lo),
+                min(n, s[t - r] + k + 1, s[u] + hi) + 1,
+            )
+        ]
+    return sets
 
 
 def enumerate_circulant_minors(
@@ -574,19 +585,23 @@ def enumerate_circulant_minors(
 ) -> MinorEnumeration:
     """All column sets whose deletion leaves a circulant minor (window >= 2).
 
-    Candidate sets are recognized by the circuit-cover criterion on the step
-    digraph (the classical characterization of circulant minors), then
-    cross-validated by actually contracting; sets that pass the criterion
-    but fall below the window-2 bound are skipped. Deterministic order:
-    by size, then lexicographic.
+    A set qualifies when its nodes split into disjoint circuits of the step
+    digraph (arcs i to i+k and i+k+1, mod n) sharing one (short, long)
+    profile, the classical characterization of circulant minors. Such a
+    bijection of the sorted nodes, lifted to L(t + m) = L(t) + n, keeps
+    their cyclic order, so it is the shift by r places for one r: every
+    r-th gap L(t + r) - L(t) is k or k+1. The cover then has d = gcd(r, m)
+    circuits of winding q = r/d, and the minor is the circulant
+    (n - m, k - d*q) = (n - m, k - r). So only r <= k - 2 counts, and as
+    the m r-th gaps add up to r*n, only m*k <= r*n <= m*(k+1).
 
-    A set can pass only if each of its nodes has a successor (i+k or i+k+1)
-    and a predecessor (i-k or i-k-1) inside it. A bitmask test of both
-    closures runs first, and the cover test only on the sets that pass;
-    every set the test skips is one the cover test would reject. A cover of
-    the set by step circuits is a rotation of its sorted nodes by r places,
-    so the cover test tries each r once and a set of d circuits of winding
-    q leaves the window k - d*q (see `_uniform_circuit_cover`).
+    The sets are generated rather than searched: for each size m and each
+    such r, `_rotation_sets` places the least node, the next r - 1 nodes
+    within k of it, every later node k or k+1 past the node r places back,
+    and closes with the wrap-around gaps. Output order: by size, then
+    lexicographic in the sorted removed columns; max_count cuts that list.
+    Every witness is certified by contracting the columns and matching the
+    result to the promised circulant; a mismatch raises CertificateError.
 
     A max_count below 1 raises BadParameters.
     """
@@ -594,27 +609,14 @@ def enumerate_circulant_minors(
         raise BadParameters(f"max_count must be at least 1, got {max_count}")
     n, k = circ.order, circ.window
     parent = circulant_matrix(n, k)
-    bits = [1 << j for j in range(n)]
     witnesses = []
     for size in range(1, n - 2):
-        for combo in combinations(bits, size):
-            mask = sum(combo)
-            # in the doubled mask, bit j of `twice >> s` is node j + s (mod n)
-            twice = mask | mask << n
-            succ = twice >> k | twice >> (k + 1)
-            pred = twice >> (n - k) | twice >> (n - k - 1)
-            if mask & ~(succ & pred):
-                continue
-            # from a list: tuple() over an iterator over-allocates and resizes,
-            # which left the process's peak RSS growing call after call
-            nodes = tuple([j + 1 for j in range(n) if mask >> j & 1])
-            got = _uniform_circuit_cover(nodes, n, k)
-            if got is None:
-                continue
-            d, q = got
-            window = k - d * q
-            if window < 2:
-                continue
+        found = []
+        for r in range(1, k - 1):
+            if size * k <= r * n <= size * (k + 1):
+                found.extend((nodes, k - r) for nodes in _rotation_sets(n, k, size, r))
+        found.sort()
+        for nodes, window in found:
             match = circulant_isomorphic(contract(parent, nodes))
             if match is None or (match.order, match.window) != (n - size, window):
                 raise CertificateError(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -80,13 +81,21 @@ class CircularMatrix:
         start, length = self.rows[i - 1]
         return frozenset(norm_col(start + t, self.n) for t in range(length))
 
+    @cached_property
+    def row_masks(self) -> tuple[int, ...]:
+        """Row supports as bitmasks (bit j-1 set for column j), in row order,
+        computed once per matrix."""
+        n = self.n
+        full = (1 << n) - 1
+        out = []
+        for start, length in self.rows:
+            run = ((1 << length) - 1) << (start - 1)
+            out.append((run | run >> n) & full)  # fold the wrap-around bits
+        return tuple(out)
+
     def support_mask(self, i: int) -> int:
         """Support of row i as a bitmask (bit j-1 set for column j)."""
-        start, length = self.rows[i - 1]
-        mask = 0
-        for t in range(length):
-            mask |= 1 << (norm_col(start + t, self.n) - 1)
-        return mask
+        return self.row_masks[i - 1]
 
     def row_vector(self, i: int) -> tuple[int, ...]:
         sup = self.support(i)
@@ -166,31 +175,50 @@ def contract(matrix: CircularMatrix, removed: Iterable[int]) -> SupportMatrix:
     removed may be empty (then only dominated/duplicated supports go away).
     Raises EmptyColumnSet if every column would be deleted, BoundViolation
     for a column outside 1..n.
+
+    The supports are compared as bitmasks of `matrix.row_masks`; frozensets
+    are built only for the minimal ones returned, listed by size and then by
+    their sorted columns.
     """
-    gone = set()
+    n = matrix.n
+    gone = 0
     for j in removed:
-        if not 1 <= j <= matrix.n:
-            raise BoundViolation(f"column {j} outside 1..{matrix.n}")
-        gone.add(j)
-    if len(gone) == matrix.n:
+        if not 1 <= j <= n:
+            raise BoundViolation(f"column {j} outside 1..{n}")
+        gone |= 1 << (j - 1)
+    if gone == (1 << n) - 1:
         raise EmptyColumnSet("cannot delete every column")
-    kept = tuple(j for j in range(1, matrix.n + 1) if j not in gone)
+    kept = tuple([j for j in range(1, n + 1) if not gone >> (j - 1) & 1])
 
-    by_support: dict[frozenset[int], list[int]] = {}
-    for i in range(1, matrix.m + 1):
-        sup = frozenset(matrix.support(i) - gone)
-        by_support.setdefault(sup, []).append(i)
+    by_support: dict[int, list[int]] = {}
+    for i, mask in enumerate(matrix.row_masks, 1):
+        by_support.setdefault(mask & ~gone, []).append(i)
 
-    supports = list(by_support)
-    minimal = [
-        s for s in supports
-        if not any(t < s for t in supports)
-    ]
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
+    # a strict subset has fewer columns, so in size order each support
+    # need only be tested against the minimal ones of smaller size
+    minimal: list[int] = []
+    smaller: tuple[int, ...] = ()
+    size = 0
+    for sup in sorted(by_support, key=int.bit_count):
+        if sup.bit_count() != size:
+            size = sup.bit_count()
+            smaller = tuple(minimal)
+        for sub in smaller:
+            if sub & sup == sub:
+                break
+        else:
+            minimal.append(sup)
+    # lists, not tuple(generator): that tuple is over-allocated, then
+    # resized, and the churn raised peak RSS across many contractions
+    keyed = []
+    for sup in minimal:
+        cols = [j for j in kept if sup >> (j - 1) & 1]
+        keyed.append((len(cols), cols, sup))
+    keyed.sort()
     return SupportMatrix(
         columns=kept,
-        rows=tuple(minimal),
-        row_origins=tuple(tuple(by_support[s]) for s in minimal),
+        rows=tuple(frozenset(cols) for _, cols, _ in keyed),
+        row_origins=tuple(tuple(by_support[sup]) for _, _, sup in keyed),
     )
 
 

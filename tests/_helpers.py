@@ -197,10 +197,10 @@ def product_minimal_covers(matrix, demands, budget=None):
 
 
 def search_circuit_cover(nodes, n, k):
-    """Reference of `inequalities._uniform_circuit_cover`: a backtracking
-    search over bijections of `nodes` onto itself along step arcs (i to
-    i+k or i+k+1, mod n) whose cycles all share one (#short, #long)
-    profile; returns (#cycles, per-cycle winding) or None."""
+    """Reference of `rotation_cover`: a backtracking search over bijections
+    of `nodes` onto itself along step arcs (i to i+k or i+k+1, mod n) whose
+    cycles all share one (#short, #long) profile; returns (#cycles,
+    per-cycle winding) or None."""
     from circover.matrices import norm_col
 
     node_set = set(nodes)
@@ -331,14 +331,120 @@ def search_circulant_isomorphic(m):
     return CirculantMatch(s, window, tuple(order), row_order)
 
 
+def frozenset_contract(matrix, removed):
+    """Reference of `matrices.contract` on frozensets: each row's support
+    minus the removed columns, duplicates merged, every support with a
+    strict subset among the others dropped, the rest listed by size and
+    then by their sorted columns."""
+    from circover import BoundViolation, EmptyColumnSet, SupportMatrix
+
+    gone = set()
+    for j in removed:
+        if not 1 <= j <= matrix.n:
+            raise BoundViolation(f"column {j} outside 1..{matrix.n}")
+        gone.add(j)
+    if len(gone) == matrix.n:
+        raise EmptyColumnSet("cannot delete every column")
+    kept = tuple(j for j in range(1, matrix.n + 1) if j not in gone)
+
+    by_support = {}
+    for i in range(1, matrix.m + 1):
+        sup = frozenset(matrix.support(i) - gone)
+        by_support.setdefault(sup, []).append(i)
+
+    supports = list(by_support)
+    minimal = [s for s in supports if not any(t < s for t in supports)]
+    minimal.sort(key=lambda s: (len(s), sorted(s)))
+    return SupportMatrix(
+        columns=kept,
+        rows=tuple(minimal),
+        row_origins=tuple(tuple(by_support[s]) for s in minimal),
+    )
+
+
+def rotation_cover(nodes, n, k):
+    """Disjoint simple circuits in the step digraph covering `nodes` exactly.
+
+    Arcs go from i to i+k or i+k+1 (mod n); returns (#cycles, per-cycle
+    winding) of such a cover, or None. With the sorted nodes s_0 < ... <
+    s_{m-1} lifted to L(t + m) = L(t) + n, a bijection of the nodes along
+    step arcs keeps their cyclic order, so it is the shift t -> t + r of L
+    for one r in 1..m, and it exists exactly when k <= L(t + r) - L(t) <=
+    k + 1 for every t. Its cycles then all have m/gcd(r, m) nodes and
+    winding r/gcd(r, m).
+    """
+    from math import gcd
+
+    lifted = sorted(nodes)
+    m = len(lifted)
+    lifted += [j + n for j in lifted]
+    for r in range(1, m + 1):
+        if all(k <= lifted[t + r] - lifted[t] <= k + 1 for t in range(m)):
+            d = gcd(r, m)
+            return d, r // d
+    return None
+
+
+def _certified_witness(parent, nodes, window):
+    """The exact MinorWitness for deleting `nodes`, after checking with the
+    reference contraction that the minor is the circulant promised."""
+    from circover import MinorWitness
+    from circover.matrices import circulant_isomorphic
+
+    n = parent.n
+    match = circulant_isomorphic(frozenset_contract(parent, nodes))
+    if match is None or (match.order, match.window) != (n - len(nodes), window):
+        raise AssertionError(
+            f"deleting {nodes} from {parent} leaves {match}, "
+            f"not the circulant ({n - len(nodes)}, {window})"
+        )
+    return MinorWitness(tuple(nodes), n - len(nodes), window, (), True)
+
+
+def scanned_circulant_minors(circ, max_count=None):
+    """Reference of `inequalities.enumerate_circulant_minors`: every column
+    subset, by size and then lexicographically, through a bitmask test that
+    each node has a step successor and predecessor in the set, then the
+    rotation test `rotation_cover`."""
+    from itertools import combinations
+
+    from circover import MinorEnumeration
+    from circover.matrices import circulant_matrix
+
+    n, k = circ.order, circ.window
+    parent = circulant_matrix(n, k)
+    bits = [1 << j for j in range(n)]
+    witnesses = []
+    for size in range(1, n - 2):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            # in the doubled mask, bit j of `twice >> s` is node j + s (mod n)
+            twice = mask | mask << n
+            succ = twice >> k | twice >> (k + 1)
+            pred = twice >> (n - k) | twice >> (n - k - 1)
+            if mask & ~(succ & pred):
+                continue
+            nodes = tuple(j + 1 for j in range(n) if mask >> j & 1)
+            got = rotation_cover(nodes, n, k)
+            if got is None:
+                continue
+            d, q = got
+            if k - d * q < 2:
+                continue
+            witnesses.append(_certified_witness(parent, nodes, k - d * q))
+            if max_count is not None and len(witnesses) >= max_count:
+                return MinorEnumeration(tuple(witnesses), False)
+    return MinorEnumeration(tuple(witnesses), True)
+
+
 def unfiltered_circulant_minors(circ, max_count=None):
     """Reference of `inequalities.enumerate_circulant_minors`: the
     backtracking cover search on every column subset, with no closure
     pre-filter."""
     from itertools import combinations
 
-    from circover import MinorEnumeration, MinorWitness
-    from circover.matrices import circulant_isomorphic, circulant_matrix, contract
+    from circover import MinorEnumeration
+    from circover.matrices import circulant_matrix
 
     n, k = circ.order, circ.window
     parent = circulant_matrix(n, k)
@@ -349,16 +455,9 @@ def unfiltered_circulant_minors(circ, max_count=None):
             if got is None:
                 continue
             d, q = got
-            window = k - d * q
-            if window < 2:
+            if k - d * q < 2:
                 continue
-            match = circulant_isomorphic(contract(parent, nodes))
-            if match is None or (match.order, match.window) != (n - size, window):
-                raise AssertionError(
-                    f"deleting {nodes} from {circ} leaves {match}, "
-                    f"not the circulant ({n - size}, {window})"
-                )
-            witnesses.append(MinorWitness(tuple(nodes), n - size, window, (), True))
+            witnesses.append(_certified_witness(parent, nodes, k - d * q))
             if max_count is not None and len(witnesses) >= max_count:
                 return MinorEnumeration(tuple(witnesses), False)
     return MinorEnumeration(tuple(witnesses), True)

@@ -1,6 +1,8 @@
 """Package surface: one validation rule behind every entry point, clean exports."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -68,3 +70,27 @@ def test_star_import_binds_no_module_and_all_resolves():
     assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
     for name in circover.__all__:
         assert getattr(circover, name) is namespace[name]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports (`__future__` aside) and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """`__init__.py` is skipped: its imports are the package's re-exports."""
+    modules = sorted(Path(circover.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    unused = [hit for path in modules if path.name != "__init__.py"
+              for hit in _unused_imports(path)]
+    assert unused == []

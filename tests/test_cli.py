@@ -184,6 +184,8 @@ def test_caps_below_one_rejected(pentagon_file, tmp_path, capsys):
         assert code == 1, args
         assert out == "", args
         assert err.startswith("error:") and len(err.splitlines()) == 1, args
+        # the message names the flag typed, not the library argument
+        assert err == f"error: {args[2]} must be at least 1, got {args[3]}\n", args
 
 
 def test_output_flag_writes_file(pentagon_file, tmp_path, capsys):

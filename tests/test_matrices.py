@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from _helpers import search_circulant_isomorphic
+from _helpers import frozenset_contract, search_circulant_isomorphic
 
 from circover import (
     BadParameters,
@@ -107,6 +107,54 @@ def test_contract_errors():
         contract(m, [6])
     with pytest.raises(EmptyColumnSet):
         contract(m, [1, 2, 3, 4, 5])
+
+
+def test_row_masks_are_the_supports():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(3, 12)
+        rows = {(rng.randint(1, n), rng.randint(2, n - 1)) for _ in range(rng.randint(1, 8))}
+        m = circular_matrix(n, sorted(rows))
+        for i, mask in enumerate(m.row_masks, 1):
+            assert {j for j in range(1, n + 1) if mask >> (j - 1) & 1} == m.support(i)
+            assert m.support_mask(i) == mask
+    assert m.row_masks is m.row_masks  # computed once per matrix
+
+
+def _contract_outcome(contraction, matrix, removed):
+    try:
+        return contraction(matrix, removed)
+    except (BoundViolation, EmptyColumnSet) as exc:
+        return type(exc), str(exc)
+
+
+def test_contract_matches_the_frozenset_reference():
+    """The bitmask contraction returns the reference's SupportMatrix (columns,
+    row order, row origins) or raises the same error: on every column set of
+    every circulant of order up to 10, and on seeded random circular
+    matrices with random column sets, some reaching outside 1..n."""
+    cases = []
+    for n in range(3, 11):
+        for k in range(2, n):
+            m = circulant_matrix(n, k)
+            for size in range(n + 1):
+                cases.extend((m, gone) for gone in combinations(range(1, n + 1), size))
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(3, 14)
+        rows = {(rng.randint(1, n), rng.randint(2, n - 1)) for _ in range(rng.randint(1, 2 * n))}
+        m = circular_matrix(n, sorted(rows))
+        gone = rng.sample(range(1, n + 1), rng.randint(0, n))
+        if rng.random() < 0.1:
+            gone.append(rng.choice((0, n + 1, -2)))
+            rng.shuffle(gone)
+        cases.append((m, gone))
+    errors = 0
+    for m, gone in cases:
+        got = _contract_outcome(contract, m, gone)
+        assert got == _contract_outcome(frozenset_contract, m, gone), (m, gone)
+        errors += isinstance(got, tuple)
+    assert errors >= 50, errors
 
 
 def test_circulant_isomorphic_on_actual_circulants():
