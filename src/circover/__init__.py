@@ -61,10 +61,9 @@ from .digraph import (
     CircuitEnumeration,
     ClosedPath,
     build_digraph,
-    closed_path,
     enumerate_circuits,
 )
-from .lp import LPResult, lp_feasible, solve_lp
+from .lp import LPResult, solve_lp
 from .oracle import (
     DEFAULT_BUDGET,
     HullDescription,

@@ -13,8 +13,9 @@ optional "b" (one integer demand per row, default all 1) and "w" (one
 rational weight per column, default all 1). Points are JSON arrays of
 rationals written as strings or integers.
 
-Exit codes: 0 success, 1 bad input (including points outside the covering
-polyhedron), 2 a cap or budget was hit and the JSON emitted is partial.
+Exit codes: 0 success, 1 bad input (including usage errors and points
+outside the covering polyhedron), 2 a cap or budget was hit and the JSON
+emitted is partial.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def _cmd_facets(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
+    budget = _cap(args.budget, "--budget")
     enum = _candidates(matrix, demands, _cap(args.max_circuits, "--max-circuits"))
     try:
-        covers = enumerate_minimal_covers(matrix, demands, args.budget)
+        covers = enumerate_minimal_covers(matrix, demands, budget)
     except BudgetExceeded:
         covers = None
     items = []
@@ -137,10 +139,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
+    budget = _cap(args.budget, "--budget")
     enum = _candidates(matrix, demands, _cap(args.max_circuits, "--max-circuits"))
     cand_items = [inequality_json(q) for q in enum.inequalities]
     try:
-        hull = hull_facets(matrix, demands, args.budget)
+        hull = hull_facets(matrix, demands, budget)
     except BudgetExceeded as exc:
         payload = {
             "instance": _instance_json(inst),
@@ -187,13 +190,15 @@ def _cmd_minors(args) -> tuple[dict, int]:
         enum = enumerate_circulant_minors(circ, max_count=max_count)
         witnesses, complete = list(enum.witnesses), enum.complete
     else:
+        if matrix.dominating_rows():
+            raise BadParameters("minors need a matrix without dominating rows")
         digraph = build_digraph(matrix, restricted=True)
         cenum = enumerate_circuits(digraph, min_winding=2, max_count=max_count)
         seen: dict[tuple, object] = {}
         for path in cenum.circuits:
             try:
                 w = extract_minor(matrix, path)
-            except (BadParameters, NoEssentialBullets):
+            except NoEssentialBullets:
                 continue
             prev = seen.get(w.removed_columns)
             if prev is None or (w.exact and not prev.exact):
@@ -238,11 +243,19 @@ def _cmd_cut_loop(args) -> tuple[dict, int]:
     return payload, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as BadParameters, so `main` prints it as one
+    `error:` line and exits 1; `--help` still exits 0."""
+
+    def error(self, message):
+        raise BadParameters(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use (parsing does not
     change it, so repeated `main` calls share it)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circover",
         description="exact covering polyhedra of circular 0/1 matrices",
     )
@@ -297,8 +310,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = _HANDLERS[args.verb](args)
     except (CircoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

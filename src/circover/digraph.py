@@ -64,9 +64,6 @@ class Arc:
     def is_forward(self) -> bool:
         return self.length > 0
 
-    def jumps(self, j: int) -> bool:
-        return bool(self.jump_mask >> (j - 1) & 1)
-
     def descriptor(self) -> dict:
         return {"kind": self.kind, "index": self.index,
                 "tail": self.tail, "head": self.head}
@@ -118,12 +115,6 @@ class AuxDigraph:
     def slots(self) -> int:
         return self.matrix.m + self.matrix.n
 
-    def find_arc(self, kind: str, index: int) -> Arc:
-        for a in self.arcs:
-            if a.kind == kind and a.index == index:
-                return a
-        raise BadParameters(f"no arc {kind}/{index}")
-
 
 def build_digraph(matrix: CircularMatrix, *, restricted: bool = False) -> AuxDigraph:
     return AuxDigraph(matrix, restricted)
@@ -174,31 +165,6 @@ class ClosedPath:
         kind = FORWARD_ROW if forward else REVERSE_ROW
         return tuple(a.index for a in self.arcs if a.kind == kind)
 
-    def forward_counts(self) -> tuple[int, ...]:
-        out = [0] * self.slots
-        for a in self.arcs:
-            if a.is_forward:
-                out[a.slot] += 1
-        return tuple(out)
-
-    def reverse_counts(self) -> tuple[int, ...]:
-        out = [0] * self.slots
-        for a in self.arcs:
-            if not a.is_forward:
-                out[a.slot] += 1
-        return tuple(out)
-
-    def jump_counts(self, j: int) -> tuple[int, int]:
-        """(#forward arcs jumping column j, #reverse arcs jumping column j)."""
-        plus = minus = 0
-        for a in self.arcs:
-            if a.jumps(j):
-                if a.is_forward:
-                    plus += 1
-                else:
-                    minus += 1
-        return plus, minus
-
     def canonical(self) -> "ClosedPath":
         """Rotate so the smallest tail node comes first (simple paths only)."""
         k = min(range(len(self.arcs)), key=lambda t: self.arcs[t].tail)
@@ -206,10 +172,6 @@ class ClosedPath:
 
     def descriptor(self) -> list[dict]:
         return [a.descriptor() for a in self.arcs]
-
-
-def closed_path(digraph: AuxDigraph, arcs) -> ClosedPath:
-    return ClosedPath(arcs, digraph.n, digraph.slots)
 
 
 def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath | None:

@@ -677,9 +677,7 @@ def enumerate_facet_candidates(
         tau = cover_number(circ.order, circ.window)
     else:
         from .optimize import optimize
-        tau_val = optimize(matrix, (alpha,) * matrix.m, (1,) * matrix.n).value
-        assert tau_val.denominator == 1
-        tau = int(tau_val)
+        tau = optimize(matrix, (alpha,) * matrix.m, (1,) * matrix.n).beta
     cands.append(make_inequality([1] * matrix.n, tau, "rank"))
     for path in enum.circuits:
         classes = classify_nodes(path, matrix.n)
@@ -709,9 +707,8 @@ def enumerate_candidates_general(
     cands.extend(nonnegativity(matrix.n))
     cands.extend(row_inequalities(matrix, demands))
     from .optimize import optimize
-    tau_val = optimize(matrix, demands, (1,) * matrix.n).value
-    assert tau_val.denominator == 1
-    cands.append(make_inequality([1] * matrix.n, int(tau_val), "rank"))
+    tau = optimize(matrix, demands, (1,) * matrix.n).beta
+    cands.append(make_inequality([1] * matrix.n, tau, "rank"))
     for path in enum.circuits:
         ineq = circuit_inequality(matrix, demands, path)
         w = ineq.witness

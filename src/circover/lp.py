@@ -1,13 +1,14 @@
-"""Dense two-phase simplex over exact rationals.
+"""Linear minimization by a dense two-phase simplex over exact rationals.
 
 Small, deterministic, and boring on purpose: Bland's rule everywhere (lowest
 eligible column enters; ratio ties leave by lowest basic variable index), so
 the solver cannot cycle and always returns the same vertex for the same
-input. All variables are implicitly >= 0; senses are per-row strings
-"<=", ">=", "==". Entries stay Python ints while every pivot is +-1 (a
-totally unimodular system, such as an optimizer slice, never leaves ints);
-another pivot divides its row into Fractions, and ratios are compared by
-cross-multiplication, so no int is ever divided by an int.
+input. A caller that maximizes negates the objective. All variables are
+implicitly >= 0; senses are per-row strings "<=", ">=", "==". Entries stay
+Python ints while every pivot is +-1 (a totally unimodular system, such as
+an optimizer slice, never leaves ints); another pivot divides its row into
+Fractions, and ratios are compared by cross-multiplication, so no int is
+ever divided by an int.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _run_simplex(tab, cost, basis):
         _pivot(tab, cost, basis, leave, enter)
 
 
-def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
-    """Optimize objective . x subject to rows[i] . x (sense_i) rhs_i, x >= 0."""
+def solve_lp(objective, rows, senses, rhs) -> LPResult:
+    """Minimize objective . x subject to rows[i] . x (sense_i) rhs_i, x >= 0."""
     nvars = len(objective)
     if not (len(rows) == len(senses) == len(rhs)):
         raise BadParameters("rows, senses, rhs must have equal length")
@@ -95,8 +96,6 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
         if s not in SENSES:
             raise BadParameters(f"unknown sense {s!r}")
     obj = [_exact(v) for v in objective]
-    if not minimize:
-        obj = [-v for v in obj]
 
     work = []
     for row, s, b in zip(rows, senses, rhs):
@@ -163,12 +162,5 @@ def solve_lp(objective, rows, senses, rhs, *, minimize=True) -> LPResult:
         if b < nvars:
             x[b] = Fraction(tab[r][-1])
     value = sum((o * v for o, v in zip(obj, x)), Fraction(0))
-    if not minimize:
-        value = -value
     return LPResult("optimal", value, tuple(x))
 
-
-def lp_feasible(rows, senses, rhs, nvars) -> tuple[Fraction, ...] | None:
-    """Phase-1 only convenience: a feasible point with x >= 0, or None."""
-    res = solve_lp([0] * nvars, rows, senses, rhs)
-    return res.point if res.status == "optimal" else None

@@ -16,6 +16,11 @@ def incidence_matrix(digraph) -> list[list[int]]:
     return rows
 
 
+def find_arc(digraph, kind: str, index: int):
+    """The arc of the given kind for row or column `index`."""
+    return next(a for a in digraph.arcs if a.kind == kind and a.index == index)
+
+
 def determinant(matrix) -> Fraction:
     """Determinant via fraction-free-ish elimination (fine at our sizes)."""
     size = len(matrix)

@@ -155,6 +155,17 @@ def test_minors_general_matrix(tmp_path, capsys):
     ]
 
 
+def test_minors_rejects_dominating_rows(tmp_path, capsys):
+    # circulant (9,4) plus the row {1..5}, which strictly contains row 1
+    rows = [[i, 4] for i in range(1, 10)] + [[1, 5]]
+    path = tmp_path / "dominated.json"
+    path.write_text(json.dumps({"n": 9, "rows": rows}))
+    code, out, err = run(capsys, ["minors", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: minors need a matrix without dominating rows\n"
+
+
 def test_cut_loop(pentagon_file, capsys):
     code, out, _ = run(capsys, ["cut-loop", pentagon_file])
     assert code == 0
@@ -179,13 +190,37 @@ def test_caps_below_one_rejected(pentagon_file, tmp_path, capsys):
                  ["verify", pentagon_file, "--max-circuits", "-1"],
                  ["minors", pentagon_file, "--max-circuits", "0"],
                  ["minors", str(mixed), "--max-circuits", "0"],
-                 ["cut-loop", pentagon_file, "--max-rounds", "0"]):
+                 ["cut-loop", pentagon_file, "--max-rounds", "0"],
+                 ["facets", pentagon_file, "--budget", "0"],
+                 ["verify", pentagon_file, "--budget", "-3"]):
         code, out, err = run(capsys, args)
         assert code == 1, args
         assert out == "", args
         assert err.startswith("error:") and len(err.splitlines()) == 1, args
         # the message names the flag typed, not the library argument
         assert err == f"error: {args[2]} must be at least 1, got {args[3]}\n", args
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "PENTAGON", "--bogus"],
+    ["facets", "PENTAGON", "--alpha", "x"],
+    ["minors", "PENTAGON", "--max-circuits", "1.5"],
+    ["separate", "PENTAGON"],
+    [],
+], ids=["unknown-flag", "alpha-not-int", "cap-not-int", "no-point", "no-verb"])
+def test_usage_errors_are_one_line_exit_1(args, pentagon_file, capsys):
+    args = [pentagon_file if a == "PENTAGON" else a for a in args]
+    code, out, err = run(capsys, args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_output_flag_writes_file(pentagon_file, tmp_path, capsys):

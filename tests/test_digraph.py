@@ -9,14 +9,14 @@ from circover import (
     REVERSE_ROW,
     REVERSE_SHORT,
     BadParameters,
+    ClosedPath,
     NotClosedPath,
     build_digraph,
     circular_matrix,
     circulant_matrix,
-    closed_path,
     enumerate_circuits,
 )
-from _helpers import determinant, incidence_matrix
+from _helpers import determinant, find_arc, incidence_matrix
 
 
 def three_row_matrix():
@@ -25,33 +25,33 @@ def three_row_matrix():
 
 def test_row_arcs_of_the_three_row_example():
     d = build_digraph(three_row_matrix())
-    a1 = d.find_arc(FORWARD_ROW, 1)
-    a2 = d.find_arc(FORWARD_ROW, 2)
-    a3 = d.find_arc(FORWARD_ROW, 3)
+    a1 = find_arc(d, FORWARD_ROW, 1)
+    a2 = find_arc(d, FORWARD_ROW, 2)
+    a3 = find_arc(d, FORWARD_ROW, 3)
     assert (a1.tail, a1.head, a1.length) == (7, 3, 3)
     assert (a2.tail, a2.head, a2.length) == (1, 6, 5)
     assert (a3.tail, a3.head, a3.length) == (4, 2, 5)
     # row arc i jumps exactly the support of row i
     m = three_row_matrix()
     for i in (1, 2, 3):
-        a = d.find_arc(FORWARD_ROW, i)
-        assert {j for j in range(1, 8) if a.jumps(j)} == set(m.support(i))
+        a = find_arc(d, FORWARD_ROW, i)
+        assert {j for j in range(1, 8) if a.jump_mask >> (j - 1) & 1} == set(m.support(i))
 
 
 def test_short_arcs_and_slots():
     m = three_row_matrix()
     d = build_digraph(m)
-    s4 = d.find_arc(FORWARD_SHORT, 4)
+    s4 = find_arc(d, FORWARD_SHORT, 4)
     assert (s4.tail, s4.head, s4.length, s4.slot) == (3, 4, 1, m.m + 3)
-    assert {j for j in range(1, 8) if s4.jumps(j)} == {4}
-    s1 = d.find_arc(FORWARD_SHORT, 1)
+    assert {j for j in range(1, 8) if s4.jump_mask >> (j - 1) & 1} == {4}
+    s1 = find_arc(d, FORWARD_SHORT, 1)
     assert (s1.tail, s1.head) == (7, 1)
-    r2 = d.find_arc(REVERSE_ROW, 2)
-    f2 = d.find_arc(FORWARD_ROW, 2)
+    r2 = find_arc(d, REVERSE_ROW, 2)
+    f2 = find_arc(d, FORWARD_ROW, 2)
     assert (r2.tail, r2.head) == (f2.head, f2.tail)
     assert r2.length == -f2.length
     assert r2.slot == f2.slot
-    b4 = d.find_arc(REVERSE_SHORT, 4)
+    b4 = find_arc(d, REVERSE_SHORT, 4)
     assert (b4.tail, b4.head, b4.length, b4.slot) == (4, 3, -1, s4.slot)
 
 
@@ -89,32 +89,28 @@ def test_incidence_spot_check_total_unimodularity():
 def test_closed_path_winding_and_errors():
     m = circulant_matrix(5, 2)
     d = build_digraph(m)
-    rows = [d.find_arc(FORWARD_ROW, i) for i in (2, 4, 1, 3, 5)]
-    path = closed_path(d, rows)
+    rows = [find_arc(d, FORWARD_ROW, i) for i in (2, 4, 1, 3, 5)]
+    path = ClosedPath(rows, d.n, d.slots)
     assert path.winding == 2
     assert path.is_simple
     assert sorted(path.nodes) == [1, 2, 3, 4, 5]
     assert path.row_indices(forward=True) == (2, 4, 1, 3, 5)
     with pytest.raises(NotClosedPath):
-        closed_path(d, rows[:3])
+        ClosedPath(rows[:3], d.n, d.slots)
     with pytest.raises(NotClosedPath):
-        closed_path(d, [rows[0], rows[0]])
+        ClosedPath([rows[0], rows[0]], d.n, d.slots)
     with pytest.raises(NotClosedPath):
-        closed_path(d, [])
+        ClosedPath([], d.n, d.slots)
     # chained, yet its lengths do not wind a whole number of times
     with pytest.raises(NotClosedPath, match="not a multiple of 5"):
-        closed_path(d, [replace(rows[0], length=3)] + rows[1:])
+        ClosedPath([replace(rows[0], length=3)] + rows[1:], d.n, d.slots)
 
 
 def test_closed_path_counts_and_canonical():
     m = circulant_matrix(5, 2)
     d = build_digraph(m)
-    arcs = [d.find_arc(FORWARD_ROW, i) for i in (2, 4, 1, 3, 5)]
-    path = closed_path(d, arcs)
-    fwd = path.forward_counts()
-    assert fwd == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)
-    assert path.reverse_counts() == (0,) * 10
-    assert path.jump_counts(3) == (2, 0)  # rows 2 and 3 both jump column 3
+    arcs = [find_arc(d, FORWARD_ROW, i) for i in (2, 4, 1, 3, 5)]
+    path = ClosedPath(arcs, d.n, d.slots)
     canon = path.canonical()
     assert canon.arcs[0].tail == 1
     assert set(canon.arcs) == set(path.arcs)
@@ -124,9 +120,9 @@ def test_closed_path_counts_and_canonical():
 def test_walks_may_repeat_arcs():
     # forward short then reverse short is a legal winding-0 closed walk
     d = build_digraph(circulant_matrix(5, 2))
-    f = d.find_arc(FORWARD_SHORT, 3)
-    b = d.find_arc(REVERSE_SHORT, 3)
-    w = closed_path(d, [f, b, f, b])
+    f = find_arc(d, FORWARD_SHORT, 3)
+    b = find_arc(d, REVERSE_SHORT, 3)
+    w = ClosedPath([f, b, f, b], d.n, d.slots)
     assert w.winding == 0
     assert not w.is_simple
 

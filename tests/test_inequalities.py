@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from _helpers import scanned_circulant_minors, unfiltered_circulant_minors
+from _helpers import find_arc, scanned_circulant_minors, unfiltered_circulant_minors
 from test_cli import run_python
 
 from circover import (
@@ -10,6 +10,7 @@ from circover import (
     BadParameters,
     CertificateError,
     Circulant,
+    ClosedPath,
     NoEssentialBullets,
     NonpositiveWinding,
     NotCirculantMinor,
@@ -24,7 +25,6 @@ from circover import (
     circulant_matrix,
     circular_matrix,
     classify_nodes,
-    closed_path,
     contract,
     circulant_isomorphic,
     default_family_winding,
@@ -47,7 +47,8 @@ from circover import inequalities
 
 def all_row_circuit(matrix, order):
     d = build_digraph(matrix)
-    return closed_path(d, [d.find_arc(FORWARD_ROW, i) for i in order])
+    arcs = [find_arc(d, FORWARD_ROW, i) for i in order]
+    return ClosedPath(arcs, d.n, d.slots)
 
 
 def test_make_inequality_normalizes():
@@ -99,9 +100,9 @@ def test_circuit_inequality_with_demands():
 def test_circuit_inequality_rejects_nonpositive_winding():
     m = circulant_matrix(5, 2)
     d = build_digraph(m)
-    f = d.find_arc("forward-short", 3)
-    b = d.find_arc("reverse-short", 3)
-    walk = closed_path(d, [f, b])
+    f = find_arc(d, "forward-short", 3)
+    b = find_arc(d, "reverse-short", 3)
+    walk = ClosedPath([f, b], d.n, d.slots)
     with pytest.raises(NonpositiveWinding):
         circuit_inequality(m, [1] * 5, walk)
 
@@ -127,11 +128,11 @@ def test_classify_nodes():
     d = build_digraph(m, restricted=True)
     # rows 3 and 6 plus forward short 3 and backward short 3: hand-built
     arcs = [
-        d.find_arc(FORWARD_ROW, 3),        # 2 -> 5
-        d.find_arc(FORWARD_ROW, 6),        # 5 -> 1
-        d.find_arc("forward-short", 2),    # 1 -> 2
+        find_arc(d, FORWARD_ROW, 3),        # 2 -> 5
+        find_arc(d, FORWARD_ROW, 6),        # 5 -> 1
+        find_arc(d, "forward-short", 2),    # 1 -> 2
     ]
-    path = closed_path(d, arcs)
+    path = ClosedPath(arcs, d.n, d.slots)
     assert path.winding == 1
     cls = classify_nodes(path, 7)
     assert sorted(cls.circles) == [2]
@@ -139,10 +140,10 @@ def test_classify_nodes():
     assert sorted(cls.bullets) == [1, 3, 4, 5, 6, 7]
     assert sorted(cls.essential) == [1, 5]
     full = build_digraph(m)
-    rev = closed_path(full, [
-        full.find_arc(FORWARD_ROW, 3),
-        full.find_arc("reverse-row", 3),
-    ])
+    rev = ClosedPath([
+        find_arc(full, FORWARD_ROW, 3),
+        find_arc(full, "reverse-row", 3),
+    ], full.n, full.slots)
     with pytest.raises(ReverseRowArcPresent):
         classify_nodes(rev, 7)
 
@@ -195,16 +196,16 @@ def test_block_structure_with_runs():
     m = circulant_matrix(8, 3)
     d = build_digraph(m, restricted=True)
     arcs = [
-        d.find_arc(FORWARD_ROW, 2),       # 1 -> 4
-        d.find_arc(FORWARD_ROW, 5),       # 4 -> 7
-        d.find_arc(FORWARD_ROW, 8),       # 7 -> 2
-        d.find_arc("forward-short", 3),   # 2 -> 3
-        d.find_arc(FORWARD_ROW, 4),       # 3 -> 6
-        d.find_arc(REVERSE_SHORT, 6),     # 6 -> 5
-        d.find_arc(FORWARD_ROW, 6),       # 5 -> 8
-        d.find_arc("forward-short", 1),   # 8 -> 1
+        find_arc(d, FORWARD_ROW, 2),       # 1 -> 4
+        find_arc(d, FORWARD_ROW, 5),       # 4 -> 7
+        find_arc(d, FORWARD_ROW, 8),       # 7 -> 2
+        find_arc(d, "forward-short", 3),   # 2 -> 3
+        find_arc(d, FORWARD_ROW, 4),       # 3 -> 6
+        find_arc(d, REVERSE_SHORT, 6),     # 6 -> 5
+        find_arc(d, FORWARD_ROW, 6),       # 5 -> 8
+        find_arc(d, "forward-short", 1),   # 8 -> 1
     ]
-    path = closed_path(d, arcs)
+    path = ClosedPath(arcs, d.n, d.slots)
     assert path.winding == 2
     blocks = block_decomposition(m, path)
     assert blocks.essential == (2, 4, 5, 7, 8)
@@ -226,12 +227,12 @@ def test_block_structure_with_runs():
 def test_block_structure_rejects_dominating_rows():
     m = circular_matrix(6, [(1, 2), (1, 3), (4, 2)])
     d = build_digraph(m, restricted=True)
-    path = closed_path(d, [
-        d.find_arc(FORWARD_ROW, 1),
-        d.find_arc("forward-short", 3),
-        d.find_arc(FORWARD_ROW, 3),
-        d.find_arc("forward-short", 6),
-    ])
+    path = ClosedPath([
+        find_arc(d, FORWARD_ROW, 1),
+        find_arc(d, "forward-short", 3),
+        find_arc(d, FORWARD_ROW, 3),
+        find_arc(d, "forward-short", 6),
+    ], d.n, d.slots)
     with pytest.raises(BadParameters):
         block_decomposition(m, path)
 
@@ -242,8 +243,8 @@ def test_no_essential_bullets():
     d = build_digraph(m, restricted=True)
     # 1 -> 5 -> 3 -> 1 with shorts covering everything else would need all
     # other nodes on shorts; build 6 shorts + no rows => winding 1, no rows
-    arcs = [d.find_arc("forward-short", j) for j in (2, 3, 4, 5, 6, 1)]
-    path = closed_path(d, arcs)
+    arcs = [find_arc(d, "forward-short", j) for j in (2, 3, 4, 5, 6, 1)]
+    path = ClosedPath(arcs, d.n, d.slots)
     with pytest.raises(NoEssentialBullets):
         block_decomposition(m, path)
 
@@ -267,11 +268,11 @@ def test_extract_minor_exact_cases_on_7_3():
 def test_extract_minor_needs_winding_two():
     m = circulant_matrix(7, 3)
     d = build_digraph(m, restricted=True)
-    path = closed_path(d, [
-        d.find_arc(FORWARD_ROW, 3),
-        d.find_arc(FORWARD_ROW, 6),
-        d.find_arc("forward-short", 2),
-    ])
+    path = ClosedPath([
+        find_arc(d, FORWARD_ROW, 3),
+        find_arc(d, FORWARD_ROW, 6),
+        find_arc(d, "forward-short", 2),
+    ], d.n, d.slots)
     with pytest.raises(BadParameters):
         extract_minor(m, path)
 

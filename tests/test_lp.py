@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from circover import lp, lp_feasible, solve_lp
+from circover import lp, solve_lp
 
 
 def test_tiny_minimization():
@@ -11,17 +11,16 @@ def test_tiny_minimization():
     assert res.point == (F(2, 5), F(9, 5))
 
 
-def test_maximization_via_flag():
-    # max 3x + 2y s.t. x + y <= 4, x <= 2
+def test_maximization_via_negated_objective():
+    # max 3x + 2y s.t. x + y <= 4, x <= 2, as min -3x - 2y
     res = solve_lp(
-        [F(3), F(2)],
+        [F(-3), F(-2)],
         [[F(1), F(1)], [F(1), F(0)]],
         ["<=", "<="],
         [F(4), F(2)],
-        minimize=False,
     )
     assert res.status == "optimal"
-    assert res.value == F(10)
+    assert res.value == F(-10)
     assert res.point == (F(2), F(2))
 
 
@@ -42,9 +41,8 @@ def test_equality_rows():
 def test_infeasible():
     res = solve_lp([F(1)], [[F(1)], [F(1)]], ["<=", ">="], [F(1), F(2)])
     assert res.status == "infeasible"
-    assert lp_feasible([[F(1)], [F(1)]], ["<=", ">="], [F(1), F(2)], 1) is None
-    good = lp_feasible([[F(1)], [F(1)]], ["<=", ">="], [F(1), F(1)], 1)
-    assert good == (F(1),)
+    good = solve_lp([F(0)], [[F(1)], [F(1)]], ["<=", ">="], [F(1), F(1)])
+    assert good.point == (F(1),)
 
 
 def test_unbounded():
@@ -123,9 +121,9 @@ def test_unit_pivots_stay_in_ints(monkeypatch):
 
 
 def test_non_unit_pivots_fall_back_to_fractions():
-    # max x + y s.t. 2x + y <= 4, x + 3y <= 6, given as plain ints
-    res = solve_lp([1, 1], [[2, 1], [1, 3]], ["<=", "<="], [4, 6], minimize=False)
+    # max x + y s.t. 2x + y <= 4, x + 3y <= 6, given as plain ints, as min -x - y
+    res = solve_lp([-1, -1], [[2, 1], [1, 3]], ["<=", "<="], [4, 6])
     assert res.status == "optimal"
-    assert res.value == F(14, 5)
+    assert res.value == F(-14, 5)
     assert res.point == (F(6, 5), F(8, 5))
     assert all_fractions(res)
