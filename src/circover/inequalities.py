@@ -358,8 +358,9 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     """Read the circulant minor certified by a circuit (winding >= 2).
 
     The circuit's rows restricted to its essential plain nodes always form a
-    circulant of order s and window p (asserted); the witness is exact when
-    no bad row exists, and then the full contraction is that circulant too.
+    circulant of order s and window p; the witness is exact when no bad row
+    exists, and then the full contraction is that circulant too. Either
+    match failing raises CertificateError.
     """
     blocks = block_decomposition(matrix, path)
     p = blocks.winding
@@ -375,13 +376,21 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
         row_origins=tuple((i,) for i in rows),
     )
     match = circulant_isomorphic(sub)
-    assert match is not None and (match.order, match.window) == (s, p)
+    if match is None or (match.order, match.window) != (s, p):
+        raise CertificateError(
+            f"the circuit's rows on its {s} essential columns are not the "
+            f"circulant ({s}, {p})"
+        )
     bad = bad_arcs(matrix, path, blocks)
     exact = not bad
     removed = tuple(j for j in range(1, matrix.n + 1) if j not in ess_set)
     if exact:
         full = circulant_isomorphic(contract(matrix, removed))
-        assert full is not None and (full.order, full.window) == (s, p)
+        if full is None or (full.order, full.window) != (s, p):
+            raise CertificateError(
+                f"deleting columns {list(removed)} does not leave the circulant "
+                f"({s}, {p}) the circuit promises"
+            )
     return MinorWitness(removed, s, p, rows, exact)
 
 
@@ -410,7 +419,11 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
     if match is None:
         raise NotCirculantMinor(f"deleting {sorted(removed_set)} leaves no circulant")
     nprime, kprime = match.order, match.window
-    assert nprime == matrix.n - len(removed_set)
+    if nprime != matrix.n - len(removed_set):
+        raise CertificateError(
+            f"deleting {len(removed_set)} of {matrix.n} columns left a circulant "
+            f"of order {nprime}"
+        )
     k = circ.window
     doubled = {
         j for j in removed_set if norm_col(j - (k + 1), matrix.n) in removed_set

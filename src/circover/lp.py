@@ -1,4 +1,4 @@
-"""Linear minimization by a dense two-phase simplex over exact rationals.
+"""Linear minimization by a two-phase tableau simplex over exact rationals.
 
 Small, deterministic, and boring on purpose: Bland's rule everywhere (lowest
 eligible column enters; ratio ties leave by lowest basic variable index), so
@@ -9,6 +9,14 @@ Python ints while every pivot is +-1 (a totally unimodular system, such as
 an optimizer slice, never leaves ints); another pivot divides its row into
 Fractions, and ratios are compared by cross-multiplication, so no int is
 ever divided by an int.
+
+The tableau is stored dense, but a pivot is sparse: it lists the pivot
+row's nonzero columns once and updates every other row, and the cost row,
+only there. Most entries are zeros of the slack and artificial columns, and
+a - f * 0 leaves them as they are, save that an int becomes the equal
+Fraction where the full update would have made one; so every entry keeps
+the value and type the full update gives, and the pivots and results are
+unchanged.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from fractions import Fraction
 from .errors import BadParameters, CertificateError
 
 SENSES = ("<=", ">=", "==")
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -34,21 +43,43 @@ def _exact(v):
     return v.numerator if v.denominator == 1 else v
 
 
+def _eliminate(row, f, pairs, fzero):
+    """row - f * pivot row, in place, touching only the pivot row's nonzero
+    columns `pairs`; elsewhere a - f * 0 keeps a, except that an int a
+    becomes Fraction(a) where f or that zero (a column of `fzero`) is a
+    Fraction, just as the full update's type rules give."""
+    if type(f) is not int:
+        if int in map(type, row):
+            row[:] = [Fraction(a) if type(a) is int else a for a in row]
+    else:
+        for j in fzero:
+            if type(row[j]) is int:
+                row[j] = Fraction(row[j])
+    for j, b in pairs:
+        row[j] -= f * b
+
+
 def _pivot(tab, cost, basis, prow, pcol):
     pr = tab[prow]
     pv = pr[pcol]
     if pv == -1:
-        pr = tab[prow] = [-v for v in pr]
+        for j, v in enumerate(pr):
+            if v:
+                pr[j] = -v
     elif pv != 1:
         pv = Fraction(pv)
-        pr = tab[prow] = [v / pv for v in pr]
+        pr[:] = [v / pv if v else _ZERO for v in pr]
+    pairs, fzero = [], []
+    for j, v in enumerate(pr):
+        if v:
+            pairs.append((j, v))
+        elif type(v) is not int:
+            fzero.append(j)
     for r, row in enumerate(tab):
-        if r != prow and row[pcol] != 0:
-            f = row[pcol]
-            tab[r] = [a - f * b for a, b in zip(row, pr)]
-    f = cost[pcol]
-    if f != 0:
-        cost[:] = [a - f * b for a, b in zip(cost, pr)]
+        if r != prow and row[pcol]:
+            _eliminate(row, row[pcol], pairs, fzero)
+    if cost[pcol]:
+        _eliminate(cost, cost[pcol], pairs, fzero)
     basis[prow] = pcol
 
 

@@ -115,14 +115,18 @@ class CircularMatrix:
             return None
         return Circulant(self.n, window)
 
+    @cached_property
+    def _dominating(self) -> tuple[int, ...]:
+        masks = self.row_masks
+        return tuple(
+            i for i, mi in enumerate(masks, 1)
+            if any(mj & mi == mj != mi for mj in masks)
+        )
+
     def dominating_rows(self) -> tuple[int, ...]:
-        """Rows whose support strictly contains another row's support."""
-        sups = [self.support(i) for i in range(1, self.m + 1)]
-        out = []
-        for i, si in enumerate(sups):
-            if any(sj < si for j, sj in enumerate(sups) if j != i):
-                out.append(i + 1)
-        return tuple(out)
+        """Rows whose support strictly contains another row's support,
+        computed once per matrix."""
+        return self._dominating
 
 
 def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:

@@ -1,5 +1,6 @@
 """Helpers used only by the test suites."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -557,3 +558,47 @@ def fraction_hull_facets(matrix, demands, budget=None):
             facets.append(make_inequality(vec[1:], -vec[0], kind="hull"))
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HullDescription(tuple(facets), covers, n)
+
+
+def dense_pivot(tab, cost, basis, prow, pcol):
+    """Reference for `lp._pivot`: the same pivot, rebuilding every entry of
+    each updated row, zeros of the pivot row included, as a - f * b."""
+    pr = tab[prow]
+    pv = pr[pcol]
+    if pv == -1:
+        pr = tab[prow] = [-v for v in pr]
+    elif pv != 1:
+        pv = Fraction(pv)
+        pr = tab[prow] = [v / pv for v in pr]
+    for r, row in enumerate(tab):
+        if r != prow and row[pcol] != 0:
+            f = row[pcol]
+            tab[r] = [a - f * b for a, b in zip(row, pr)]
+    f = cost[pcol]
+    if f != 0:
+        cost[:] = [a - f * b for a, b in zip(cost, pr)]
+    basis[prow] = pcol
+
+
+@contextmanager
+def pivoting_with(pivot):
+    """Run every simplex of `circover.lp` with `pivot` as its `_pivot`;
+    `pivoting_with(dense_pivot)` makes `solve_lp` and its callers the
+    reference."""
+    from circover import lp
+
+    saved = lp._pivot
+    lp._pivot = pivot
+    try:
+        yield
+    finally:
+        lp._pivot = saved
+
+
+def recording(pivot, log):
+    """pivot, appending (prow, pcol) and every tableau and cost entry's
+    (type, value) after it to log."""
+    def record(tab, cost, basis, prow, pcol):
+        pivot(tab, cost, basis, prow, pcol)
+        log.append((prow, pcol, [[(type(v), v) for v in row] for row in [*tab, cost]]))
+    return record

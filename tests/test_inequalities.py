@@ -536,6 +536,86 @@ def test_minor_cross_check_raises(monkeypatch):
         enumerate_circulant_minors(Circulant(8, 3))
 
 
+def _wrong_from_call(k):
+    """circulant_isomorphic whose k-th and later answers name a window one
+    too large."""
+    calls = []
+
+    def fake(matrix):
+        calls.append(matrix)
+        return circulant_isomorphic(matrix) if len(calls) < k else _wrong_match(matrix)
+    return fake
+
+
+def _wrong_order(matrix):
+    match = circulant_isomorphic(matrix)
+    return None if match is None else Circulant(match.order + 1, match.window)
+
+
+def _order_5_circuit_of_7_3():
+    m = circulant_matrix(7, 3)
+    circuits = enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits
+    return m, next(p for p in circuits if extract_minor(m, p).order == 5)
+
+
+@pytest.mark.parametrize("fake, call, message", [
+    (lambda: _wrong_from_call(1), extract_minor, "are not the circulant (5, 2)"),
+    (lambda: _wrong_from_call(2), extract_minor, "does not leave the circulant (5, 2)"),
+    (lambda: _wrong_order, lambda m, path: minor_inequalities(m, [1, 4]),
+     "2 of 7 columns left a circulant of order 6"),
+], ids=["essential rows", "full contraction", "minor order"])
+def test_minor_checks_raise(monkeypatch, fake, call, message):
+    m, path = _order_5_circuit_of_7_3()
+    monkeypatch.setattr(inequalities, "circulant_isomorphic", fake())
+    with pytest.raises(CertificateError) as info:
+        call(m, path)
+    assert message in str(info.value)
+
+
+def test_minor_checks_survive_dash_O():
+    script = """
+import sys
+from circover import (CertificateError, Circulant, build_digraph, circulant_matrix,
+                      enumerate_circuits, extract_minor, minor_inequalities)
+assert False, "asserts must be stripped here"
+module = sys.modules["circover.inequalities"]
+true_match = module.circulant_isomorphic
+m = circulant_matrix(7, 3)
+circuits = enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits
+path = next(p for p in circuits if extract_minor(m, p).order == 5)
+
+def wrong_from_call(k):
+    calls = []
+    def fake(matrix):
+        calls.append(matrix)
+        match = true_match(matrix)
+        return match if len(calls) < k else Circulant(match.order, match.window + 1)
+    return fake
+
+def wrong_order(matrix):
+    match = true_match(matrix)
+    return Circulant(match.order + 1, match.window)
+
+for fake, call in [
+    (wrong_from_call(1), lambda: extract_minor(m, path)),
+    (wrong_from_call(2), lambda: extract_minor(m, path)),
+    (wrong_order, lambda: minor_inequalities(m, [1, 4])),
+]:
+    module.circulant_isomorphic = fake
+    try:
+        call()
+    except CertificateError as exc:
+        print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3, out
+    assert "are not the circulant (5, 2)" in lines[0]
+    assert "does not leave the circulant (5, 2)" in lines[1]
+    assert "2 of 7 columns left a circulant of order 6" in lines[2]
+
+
 def test_minor_certificate_survives_dash_O():
     script = """
 import sys

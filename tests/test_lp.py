@@ -1,4 +1,8 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
+
+from _helpers import dense_pivot, pivoting_with, recording
 
 from circover import lp, solve_lp
 
@@ -127,3 +131,43 @@ def test_non_unit_pivots_fall_back_to_fractions():
     assert res.value == F(-14, 5)
     assert res.point == (F(6, 5), F(8, 5))
     assert all_fractions(res)
+
+
+def _random_lp(rng):
+    """A small LP of any status; about half carry Fraction entries."""
+    fractions = rng.random() < 0.5
+
+    def entry():
+        if fractions and rng.random() < 0.3:
+            return F(rng.randint(-9, 9), rng.randint(2, 6))
+        return rng.choice((0, 0, 0, 1, 1, -1, 2, -2, 3))
+
+    nvars, nrows = rng.randint(1, 6), rng.randint(1, 6)
+    rows = [[entry() for _ in range(nvars)] for _ in range(nrows)]
+    senses = [rng.choice(lp.SENSES) for _ in range(nrows)]
+    return [entry() for _ in range(nvars)], rows, senses, [entry() for _ in range(nrows)]
+
+
+def test_sparse_pivots_replay_the_dense_reference():
+    """On 900 seeded LPs the sparse elimination makes the same Bland pivots
+    as the dense reference, leaves every tableau entry with the same value
+    and type after each one, and returns the same result, element types
+    included."""
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(900):
+        args = _random_lp(rng)
+        results = []
+        for pivot in (lp._pivot, dense_pivot):
+            log = []
+            with pivoting_with(recording(pivot, log)):
+                res = solve_lp(*args)
+            point = res.point or ()
+            results.append((res.status, res.value, type(res.value), point,
+                            [type(v) for v in point], log))
+        assert results[0] == results[1], args
+        log = results[0][-1]
+        seen[res.status] += 1
+        seen["fraction entries"] += any(type(v) is F for _, _, tab in log for row in tab for _, v in row)
+        seen["mixed types"] += any(len({t for t, _ in row}) > 1 for _, _, tab in log for row in tab)
+    assert min(seen.values()) >= 100, seen

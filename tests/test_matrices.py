@@ -83,6 +83,29 @@ def test_dominating_rows():
     assert m2.dominating_rows() == (2,)
 
 
+def _dominating_by_supports(m):
+    sups = [m.support(i) for i in range(1, m.m + 1)]
+    return tuple(i for i, si in enumerate(sups, 1) if any(sj < si for sj in sups))
+
+
+def test_dominating_rows_match_the_support_definition():
+    """The bitmask answer equals the support-set definition on every
+    circulant with n <= 10 and on 300 seeded random circular matrices."""
+    cases = [circulant_matrix(n, k) for n in range(3, 11) for k in range(2, n)]
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+        cases.append(circular_matrix(n, rng.sample(pool, rng.randint(1, min(len(pool), 2 * n)))))
+    dominated = 0
+    for m in cases:
+        rows = m.dominating_rows()
+        assert rows == _dominating_by_supports(m), m
+        assert m.dominating_rows() is rows  # computed once
+        dominated += bool(rows)
+    assert dominated >= 150, dominated
+
+
 def test_contract_worked_example():
     """Deleting column 3 from the 3-row example keeps {1,2} and {2,4,5,6};
     the restricted row 3 strictly contains restricted row 1 and is dropped."""

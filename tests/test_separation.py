@@ -6,7 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from _helpers import fraction_costs, fraction_negative_circuit
+from _helpers import (
+    dense_pivot,
+    fraction_costs,
+    fraction_negative_circuit,
+    pivoting_with,
+    recording,
+)
 from test_cli import run_python
 
 from circover import (
@@ -26,6 +32,7 @@ from circover import (
     negative_circuit,
     separate,
 )
+from circover import lp
 
 HALF5 = (F(1, 2),) * 5
 
@@ -197,6 +204,37 @@ def test_cut_loop_rounds_below_one_raise():
 def _random_matrix(rng, n, rows):
     pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
     return circular_matrix(n, rng.sample(pool, rows))
+
+
+def _cut_loop_cases(rng):
+    """(matrix, demands, weights): circulants (n, k), k not dividing n, with
+    unit or rational weights, and random circular matrices with n rows of
+    length 2-5, n 5-20."""
+    weights = (1, 2, 3, F(1, 2), F(3, 2), F(5, 3))
+    pairs = [(n, k) for n in range(5, 21) for k in range(2, n - 1) if n % k]
+    for n, k in rng.sample(pairs, 12):
+        w = [rng.choice(weights) for _ in range(n)] if rng.random() < 0.5 else [1] * n
+        yield circulant_matrix(n, k), [1] * n, w
+    for _ in range(12):
+        n = rng.randint(5, 20)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, min(5, n - 2) + 1)]
+        m = circular_matrix(n, rng.sample(pool, n))
+        yield m, [rng.randint(1, 2) for _ in range(n)], [rng.choice(weights) for _ in range(n)]
+
+
+def test_cut_loop_replays_the_dense_pivots():
+    """Every cut_loop step (point, value, cut, certificate), every pivot and
+    every tableau entry after it equal the dense reference's."""
+    rounds = 0
+    for m, b, w in _cut_loop_cases(random.Random(5)):
+        results = []
+        for pivot in (lp._pivot, dense_pivot):
+            log = []
+            with pivoting_with(recording(pivot, log)):
+                results.append((cut_loop(m, b, w), log))
+        assert results[0] == results[1], (m, b, w)
+        rounds += len(results[0][0].steps)
+    assert rounds >= 30, rounds
 
 
 def _random_cover(rng, m, demands):
