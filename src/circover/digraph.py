@@ -97,11 +97,11 @@ class AuxDigraph:
         self.arcs: tuple[Arc, ...] = tuple(arcs)
         # flat views of self.arcs for the Bellman-Ford kernel; an arc's cost
         # sits at cost_index in the forward costs followed by the reverse ones
-        self.tails = tuple(a.tail for a in self.arcs)
-        self.heads = tuple(a.head for a in self.arcs)
-        self.cost_index = tuple(
+        self.tails = tuple([a.tail for a in self.arcs])
+        self.heads = tuple([a.head for a in self.arcs])
+        self.cost_index = tuple([
             a.slot if a.is_forward else m + n + a.slot for a in self.arcs
-        )
+        ])
         out: dict[int, list[Arc]] = {v: [] for v in range(1, n + 1)}
         for a in self.arcs:
             out[a.tail].append(a)
@@ -163,7 +163,7 @@ class ClosedPath:
 
     def row_indices(self, *, forward: bool) -> tuple[int, ...]:
         kind = FORWARD_ROW if forward else REVERSE_ROW
-        return tuple(a.index for a in self.arcs if a.kind == kind)
+        return tuple([a.index for a in self.arcs if a.kind == kind])
 
     def canonical(self) -> "ClosedPath":
         """Rotate so the smallest tail node comes first (simple paths only)."""
@@ -184,7 +184,7 @@ def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath |
     n = digraph.n
     slot_costs = tuple(forward) + tuple(reverse)
     cost = [slot_costs[k] for k in digraph.cost_index]
-    sweep = tuple(zip(range(len(cost)), digraph.tails, digraph.heads, cost))
+    sweep = list(zip(range(len(cost)), digraph.tails, digraph.heads, cost))
     dist = [0] * (n + 1)
     pred = [-1] * (n + 1)
     last = n - 1

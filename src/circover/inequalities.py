@@ -88,7 +88,7 @@ class LinearInequality:
         if g <= 1:
             return self
         return LinearInequality(
-            tuple(c // g for c in self.coeffs), self.rhs // g, self.kind, self.witness
+            tuple([c // g for c in self.coeffs]), self.rhs // g, self.kind, self.witness
         )
 
 
@@ -314,7 +314,8 @@ def bad_arcs(
 
     Every row jumps p-1, p, or p+1 of them; the p-1 ones (the bad rows) are
     exactly the rows whose arc starts inside a circle block and ends on a
-    circle or off the circuit. Both facts are asserted.
+    circle or off the circuit. Both facts are checked, and CertificateError
+    is raised when either fails.
     """
     if blocks is None:
         blocks = block_decomposition(matrix, path)
@@ -333,11 +334,13 @@ def bad_arcs(
         tail = norm_col(start - 1, n)
         head = norm_col(start + length - 1, n)
         cnt = len(matrix.support(i) & ess)
-        assert p - 1 <= cnt <= p + 1, f"row {i} jumps {cnt} essential nodes"
+        if not p - 1 <= cnt <= p + 1:
+            raise CertificateError(f"row {i} jumps {cnt} essential nodes at winding {p}")
         expect_bad = tail in circle_nodes and (
             head in classes.circles or head not in nodes
         )
-        assert (cnt == p - 1) == expect_bad, f"bad-row criterion failed on row {i}"
+        if (cnt == p - 1) != expect_bad:
+            raise CertificateError(f"bad-row criterion failed on row {i}")
         if cnt == p - 1:
             bad.append(i)
     return tuple(bad)
@@ -372,8 +375,8 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     rows = tuple(sorted(path.row_indices(forward=True)))
     sub = SupportMatrix(
         columns=tuple(ess),
-        rows=tuple(matrix.support(i) & ess_set for i in rows),
-        row_origins=tuple((i,) for i in rows),
+        rows=tuple([matrix.support(i) & ess_set for i in rows]),
+        row_origins=tuple([(i,) for i in rows]),
     )
     match = circulant_isomorphic(sub)
     if match is None or (match.order, match.window) != (s, p):
@@ -383,7 +386,7 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
         )
     bad = bad_arcs(matrix, path, blocks)
     exact = not bad
-    removed = tuple(j for j in range(1, matrix.n + 1) if j not in ess_set)
+    removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
     if exact:
         full = circulant_isomorphic(contract(matrix, removed))
         if full is None or (full.order, full.window) != (s, p):

@@ -6,18 +6,7 @@ scaled to integers and every step divides exactly by the previous pivot.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
-
-def _integer_row(row):
-    """The row itself if every entry is an int, else the row of rationals
-    times the lcm of their denominators (a non-zero scale keeps the rank)."""
-    if all(type(v) is int for v in row):
-        return row
-    fracs = [Fraction(v) for v in row]
-    scale = lcm(*(v.denominator for v in fracs))
-    return [int(v * scale) for v in fracs]
+from .rationals import scaled_to_integers
 
 
 def exact_rank(rows) -> int:
@@ -30,7 +19,8 @@ def exact_rank(rows) -> int:
     however many columns were skipped. Rows keep only the columns still to
     eliminate, and a row that falls to zero is dropped.
     """
-    work = [row for row in map(_integer_row, rows) if any(row)]
+    # each row times the lcm of its denominators: a non-zero scale keeps the rank
+    work = [row for _, row in map(scaled_to_integers, rows) if any(row)]
     rank = 0
     prev = 1
     while work and work[0]:

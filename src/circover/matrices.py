@@ -99,7 +99,7 @@ class CircularMatrix:
 
     def row_vector(self, i: int) -> tuple[int, ...]:
         sup = self.support(i)
-        return tuple(int(j in sup) for j in range(1, self.n + 1))
+        return tuple([int(j in sup) for j in range(1, self.n + 1)])
 
     def as_circulant(self) -> Circulant | None:
         """Return the (order, window) identity if the rows are exactly a circulant."""
@@ -118,10 +118,10 @@ class CircularMatrix:
     @cached_property
     def _dominating(self) -> tuple[int, ...]:
         masks = self.row_masks
-        return tuple(
+        return tuple([
             i for i, mi in enumerate(masks, 1)
             if any(mj & mi == mj != mi for mj in masks)
-        )
+        ])
 
     def dominating_rows(self) -> tuple[int, ...]:
         """Rows whose support strictly contains another row's support,
@@ -221,8 +221,8 @@ def contract(matrix: CircularMatrix, removed: Iterable[int]) -> SupportMatrix:
     keyed.sort()
     return SupportMatrix(
         columns=kept,
-        rows=tuple(frozenset(cols) for _, cols, _ in keyed),
-        row_origins=tuple(tuple(by_support[sup]) for _, _, sup in keyed),
+        rows=tuple([frozenset(cols) for _, cols, _ in keyed]),
+        row_origins=tuple([tuple(by_support[sup]) for _, _, sup in keyed]),
     )
 
 
@@ -247,7 +247,7 @@ def _as_supports(m) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
         return m.columns, m.rows
     if isinstance(m, CircularMatrix):
         cols = tuple(range(1, m.n + 1))
-        return cols, tuple(m.support(i) for i in range(1, m.m + 1))
+        return cols, tuple([m.support(i) for i in range(1, m.m + 1)])
     raise BadParameters(f"expected a matrix, got {type(m).__name__}")
 
 
@@ -304,7 +304,7 @@ def circulant_isomorphic(m) -> CirculantMatch | None:
     if set(windows) != support_set:
         return None
     row_of = {sup: idx + 1 for idx, sup in enumerate(supports)}
-    return CirculantMatch(s, window, tuple(order), tuple(row_of[w] for w in windows))
+    return CirculantMatch(s, window, tuple(order), tuple([row_of[w] for w in windows]))
 
 
 def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) -> tuple[int, int]:

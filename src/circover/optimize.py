@@ -16,7 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import BadParameters, CertificateError
 from .lp import solve_lp
@@ -27,6 +26,7 @@ from .matrices import (
     circular_matrix,
     interval_row,
 )
+from .rationals import scaled_to_integers
 
 
 def _slice_system(matrix: CircularMatrix, demands, beta: int):
@@ -37,12 +37,6 @@ def _slice_system(matrix: CircularMatrix, demands, beta: int):
     rows = [[int(j in sup) - int(j + 1 in sup) for j in range(1, n)] for sup, _ in stacked]
     rhs = [d - beta * int(n in sup) for sup, d in stacked]
     return rows, rhs
-
-
-def _integer_costs(w) -> list[int]:
-    """The weights times the lcm of their denominators."""
-    scale = lcm(*(v.denominator for v in w))
-    return [v.numerator * (scale // v.denominator) for v in w]
 
 
 def _slice_vertex(matrix, demands, costs, beta) -> tuple[int, ...] | None:
@@ -59,7 +53,7 @@ def _slice_vertex(matrix, demands, costs, beta) -> tuple[int, ...] | None:
     x = [y[0]] + [y[j] - y[j - 1] for j in range(1, n)]
     if any(v.denominator != 1 or v < 0 for v in x):
         raise CertificateError(f"non-integral slice vertex {x}")
-    xi = tuple(int(v) for v in x)
+    xi = tuple([int(v) for v in x])
     for i in range(1, matrix.m + 1):
         if sum(xi[j - 1] for j in matrix.support(i)) < demands[i - 1]:
             raise CertificateError(f"slice vertex {xi} leaves row {i} uncovered")
@@ -86,7 +80,7 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSol
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise BadParameters(f"the coordinate sum must be an int, got {beta!r}")
     # a positive scale keeps every pivot choice, hence the vertex
-    xi = _slice_vertex(matrix, demands, _integer_costs(w), beta)
+    xi = _slice_vertex(matrix, demands, scaled_to_integers(w)[1], beta)
     if xi is None:
         return None
     return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)
@@ -128,13 +122,13 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     # rank the slice's integer points by w . x, then lexicographically, with no
     # ties; the slice is integral, so this LP's optimal vertex is the lexmin point
     n, base = matrix.n, beta + 1
-    costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(_integer_costs(w))]
+    costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(scaled_to_integers(w)[1])]
     point = _slice_vertex(matrix, demands, costs, beta)
     if best is None or point is None or best.value != sum(
         (wv * v for wv, v in zip(w, point)), Fraction(0)
     ):
         raise CertificateError(f"no certified lexmin optimum at sum {beta}")
-    slices = tuple((b, s.value if s else None) for b, s in sorted(probed.items()))
+    slices = tuple([(b, s.value if s else None) for b, s in sorted(probed.items())])
     return OptimizationResult(best.value, point, beta, slices)
 
 

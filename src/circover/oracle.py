@@ -167,7 +167,7 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
     covers = enumerate_minimal_covers(matrix, demands, budget)
     n = matrix.n
     first = covers[0]
-    rays = [(-c,) + tuple(int(t == j) for t in range(n)) for j, c in enumerate(first)]
+    rays = [(-c,) + tuple([int(t == j) for t in range(n)]) for j, c in enumerate(first)]
     rays.append((1,) + (0,) * n)
     units = (1 << n) - 1
     masks = [units & ~(1 << j) | 1 << n for j in range(n)]
@@ -209,7 +209,7 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
                     continue
                 combo = [vp * b - vn * a for a, b in zip(rp, rn)]
                 g = gcd(*combo)
-                keep_rays.append(tuple(v // g for v in combo))
+                keep_rays.append(tuple([v // g for v in combo]))
                 keep_masks.append(common | 1 << t)
         rays = keep_rays
         masks = keep_masks

@@ -9,6 +9,7 @@ file is a user error, not something to silently round.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadParameters
 
@@ -37,7 +38,16 @@ def format_rational(value) -> str:
 def parse_rational_vector(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
         raise BadParameters("expected a list of rationals")
-    return tuple(parse_rational(v) for v in values)
+    return tuple([parse_rational(v) for v in values])
+
+
+def scaled_to_integers(values) -> tuple[int, list[int]]:
+    """(L, L * values as ints), L the lcm of the values' denominators."""
+    if set(map(type, values)) <= {int}:
+        return 1, list(values)
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*[v.denominator for v in fracs])
+    return scale, [v.numerator * (scale // v.denominator) for v in fracs]
 
 
 def format_rational_vector(values) -> list[str]:

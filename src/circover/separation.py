@@ -30,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 from .digraph import Arc, AuxDigraph, ClosedPath, build_digraph, find_negative_circuit
 from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands, check_weights
-from .rationals import parse_rational_vector
+from .rationals import parse_rational_vector, scaled_to_integers
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,8 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     x = parse_rational_vector(point)
     if len(x) != n:
         raise BadParameters(f"{len(x)} coordinates for {n} columns")
-    d = lcm(*(v.denominator for v in x))
-    dx = [v.numerator * (d // v.denominator) for v in x]
-    prefix = tuple(accumulate(dx + dx, initial=0))
+    d, dx = scaled_to_integers(x)
+    prefix = list(accumulate(dx + dx, initial=0))
     slack = []
     last = []   # whether the extended row covers column n
     for i, (start, length) in enumerate(matrix.rows, 1):
@@ -89,15 +87,15 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     last += [False] * (n - 1) + [True]
     g = -prefix[n] % d              # D * mu
     h = d - g                       # D * (1 - mu)
-    forward = tuple(g * (s - h) if v else g * s for s, v in zip(slack, last))
-    reverse = tuple(h * (s + g) if v else h * s for s, v in zip(slack, last))
+    forward = tuple([g * (s - h) if v else g * s for s, v in zip(slack, last)])
+    reverse = tuple([h * (s + g) if v else h * s for s, v in zip(slack, last)])
     dd = d * d
     return CostAssignment(
         matrix, demands, x,
-        tuple(Fraction(s, d) for s in slack),
+        tuple([Fraction(s, d) for s in slack]),
         Fraction(g, d),
-        tuple(Fraction(c, dd) for c in forward),
-        tuple(Fraction(c, dd) for c in reverse),
+        tuple([Fraction(c, dd) for c in forward]),
+        tuple([Fraction(c, dd) for c in reverse]),
         forward, reverse,
     )
 
@@ -179,7 +177,7 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
     w = check_weights(matrix, weights)
     if all(v == 0 for v in w):
         top = max(demands, default=0)
-        point = tuple(Fraction(top) for _ in range(n))
+        point = tuple([Fraction(top) for _ in range(n)])
         return CutLoopResult(Fraction(0), point, ())
     digraph = build_digraph(matrix, restricted=False)
     rows = [matrix.row_vector(i) for i in range(1, m + 1)]

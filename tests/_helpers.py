@@ -1,6 +1,5 @@
 """Helpers used only by the test suites."""
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 
@@ -560,45 +559,169 @@ def fraction_hull_facets(matrix, demands, budget=None):
     return HullDescription(tuple(facets), covers, n)
 
 
-def dense_pivot(tab, cost, basis, prow, pcol):
-    """Reference for `lp._pivot`: the same pivot, rebuilding every entry of
-    each updated row, zeros of the pivot row included, as a - f * b."""
+def _fraction_eliminate(row, f, pairs, fzero):
+    """row - f * pivot row, in place, touching only the pivot row's nonzero
+    columns `pairs`; elsewhere a - f * 0 keeps a, except that an int a
+    becomes Fraction(a) where f or that zero (a column of `fzero`) is a
+    Fraction, just as the full update's type rules give."""
+    if type(f) is not int:
+        if int in map(type, row):
+            row[:] = [Fraction(a) if type(a) is int else a for a in row]
+    else:
+        for j in fzero:
+            if type(row[j]) is int:
+                row[j] = Fraction(row[j])
+    for j, b in pairs:
+        row[j] -= f * b
+
+
+def _fraction_pivot(tab, cost, basis, prow, pcol):
     pr = tab[prow]
     pv = pr[pcol]
     if pv == -1:
-        pr = tab[prow] = [-v for v in pr]
+        for j, v in enumerate(pr):
+            if v:
+                pr[j] = -v
     elif pv != 1:
         pv = Fraction(pv)
-        pr = tab[prow] = [v / pv for v in pr]
+        pr[:] = [v / pv if v else Fraction(0) for v in pr]
+    pairs, fzero = [], []
+    for j, v in enumerate(pr):
+        if v:
+            pairs.append((j, v))
+        elif type(v) is not int:
+            fzero.append(j)
     for r, row in enumerate(tab):
-        if r != prow and row[pcol] != 0:
-            f = row[pcol]
-            tab[r] = [a - f * b for a, b in zip(row, pr)]
-    f = cost[pcol]
-    if f != 0:
-        cost[:] = [a - f * b for a, b in zip(cost, pr)]
+        if r != prow and row[pcol]:
+            _fraction_eliminate(row, row[pcol], pairs, fzero)
+    if cost[pcol]:
+        _fraction_eliminate(cost, cost[pcol], pairs, fzero)
     basis[prow] = pcol
 
 
-@contextmanager
-def pivoting_with(pivot):
-    """Run every simplex of `circover.lp` with `pivot` as its `_pivot`;
-    `pivoting_with(dense_pivot)` makes `solve_lp` and its callers the
-    reference."""
+def _fraction_reduced_costs(tab, basis, c):
+    cost = list(c) + [0]
+    for row, b in zip(tab, basis):
+        cb = c[b]
+        if cb != 0:
+            cost = [a - cb * v for a, v in zip(cost, row)]
+    return cost
+
+
+def _fraction_simplex(tab, cost, basis, log):
+    ncols = len(tab[0]) - 1 if tab else len(cost) - 1
+    while True:
+        enter = None
+        for j in range(ncols):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return "optimal"
+        leave = None
+        for r, row in enumerate(tab):
+            a = row[enter]
+            if a > 0:
+                if leave is not None:
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leave]):
+                        continue
+                leave, num, den = r, row[-1], a
+        if leave is None:
+            return "unbounded"
+        _fraction_pivot_logged(tab, cost, basis, leave, enter, log)
+
+
+def _fraction_pivot_logged(tab, cost, basis, prow, pcol, log):
+    _fraction_pivot(tab, cost, basis, prow, pcol)
+    if log is not None:
+        log.append((prow, pcol, [list(row) for row in [*tab, cost]]))
+
+
+def fraction_solve_lp(objective, rows, senses, rhs, log=None):
+    """Reference for `lp.solve_lp`: the same two-phase Bland simplex on a
+    tableau of ints and Fractions, entries divided out at every non-unit
+    pivot. With a list `log`, appends (prow, pcol, tableau rows then the
+    cost row) after every pivot."""
+    from circover import CertificateError, LPResult
+
+    def exact(v):
+        v = v if type(v) is int else Fraction(v)
+        return v.numerator if v.denominator == 1 else v
+
+    nvars = len(objective)
+    obj = [exact(v) for v in objective]
+    work = []
+    for row, s, b in zip(rows, senses, rhs):
+        coeffs = [exact(v) for v in row]
+        b = exact(b)
+        if b < 0:
+            coeffs = [-v for v in coeffs]
+            b = -b
+            s = {"<=": ">=", ">=": "<=", "==": "=="}[s]
+        work.append((coeffs, s, b))
+
+    nslack = sum(1 for _, s, _ in work if s != "==")
+    art_base = nvars + nslack
+    nart = sum(1 for _, s, _ in work if s != "<=")
+    total = art_base + nart
+    tab, basis = [], []
+    si, ai = nvars, art_base
+    for coeffs, s, b in work:
+        row = coeffs + [0] * (total - nvars) + [b]
+        if s != "==":
+            row[si] = 1 if s == "<=" else -1
+            si += 1
+        if s == "<=":
+            basis.append(si - 1)
+        else:
+            row[ai] = 1
+            basis.append(ai)
+            ai += 1
+        tab.append(row)
+
+    if nart:
+        cost = _fraction_reduced_costs(tab, basis, [0] * art_base + [1] * nart)
+        if _fraction_simplex(tab, cost, basis, log) != "optimal":
+            raise CertificateError("phase 1 came back unbounded")
+        if cost[-1] != 0:
+            return LPResult("infeasible", None, None)
+        keep = []
+        for r in range(len(tab)):
+            if basis[r] < art_base:
+                keep.append(r)
+                continue
+            pcol = next((j for j in range(art_base) if tab[r][j] != 0), None)
+            if pcol is None:
+                continue
+            _fraction_pivot_logged(tab, cost, basis, r, pcol, log)
+            keep.append(r)
+        tab = [tab[r][:art_base] + [tab[r][-1]] for r in keep]
+        basis = [basis[r] for r in keep]
+    else:
+        tab = [row[:art_base] + [row[-1]] for row in tab]
+
+    cost = _fraction_reduced_costs(tab, basis, obj + [0] * nslack)
+    if _fraction_simplex(tab, cost, basis, log) == "unbounded":
+        return LPResult("unbounded", None, None)
+    x = [Fraction(0)] * nvars
+    for r, b in enumerate(basis):
+        if b < nvars:
+            x[b] = Fraction(tab[r][-1])
+    value = sum((o * v for o, v in zip(obj, x)), Fraction(0))
+    return LPResult("optimal", value, tuple(x))
+
+
+def recording(log):
+    """A stand-in for `lp._pivot` that pivots and then appends (prow, pcol,
+    tableau rows then the cost row, every entry divided by the new common
+    denominator) to log."""
     from circover import lp
 
-    saved = lp._pivot
-    lp._pivot = pivot
-    try:
-        yield
-    finally:
-        lp._pivot = saved
+    pivot = lp._pivot
 
-
-def recording(pivot, log):
-    """pivot, appending (prow, pcol) and every tableau and cost entry's
-    (type, value) after it to log."""
-    def record(tab, cost, basis, prow, pcol):
-        pivot(tab, cost, basis, prow, pcol)
-        log.append((prow, pcol, [[(type(v), v) for v in row] for row in [*tab, cost]]))
+    def record(tab, cost, basis, prow, pcol, d):
+        d = pivot(tab, cost, basis, prow, pcol, d)
+        log.append((prow, pcol, [[Fraction(v, d) for v in row] for row in [*tab, cost]]))
+        return d
     return record

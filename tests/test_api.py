@@ -94,3 +94,28 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [hit for path in modules if path.name != "__init__.py"
               for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _generator_tuples(path: Path) -> list[str]:
+    """Calls `tuple(<generator>)` and calls with a `*<generator>` argument."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        args = node.args
+        if (isinstance(node.func, ast.Name) and node.func.id == "tuple"
+                and args and isinstance(args[0], ast.GeneratorExp)) or any(
+                isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp)
+                for a in args):
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_no_tuple_is_built_from_a_generator():
+    """A tuple built from a generator is allocated small and resized as it
+    grows, and short-lived ones of that kind keep refilling CPython's tuple
+    free lists, so a long-running process's peak RSS creeps up with its job
+    count (see `matrices.contract`). Build such tuples from lists."""
+    modules = sorted(Path(circover.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    assert [hit for path in modules for hit in _generator_tuples(path)] == []

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -631,3 +632,50 @@ except CertificateError as exc:
     code, out = run_python("-O", "-c", script)
     assert code == 0
     assert "does not leave the circulant (6, 2)" in out
+
+
+def _tampered_block_structures():
+    """A winding-2 circuit of the circulant (8,3) whose row 1 is bad, with
+    its block structure tampered two ways: the winding raised by 2 (rows
+    then jump too few essential nodes), and its circle block relabelled
+    plain (row 1 stays bad where the criterion says good)."""
+    m = circulant_matrix(8, 3)
+    path = enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits[1]
+    blocks = block_decomposition(m, path)
+    assert bad_arcs(m, path, blocks) == (1,)
+    plain = tuple(replace(b, kind="plain") for b in blocks.blocks)
+    return m, path, [replace(blocks, winding=4), replace(blocks, blocks=plain)]
+
+
+@pytest.mark.parametrize("case, message", [
+    (0, "essential nodes at winding 4"),
+    (1, "bad-row criterion failed on row 1"),
+], ids=["jump count", "bad-row criterion"])
+def test_bad_arcs_certificates_raise(case, message):
+    m, path, tampered = _tampered_block_structures()
+    with pytest.raises(CertificateError, match=message):
+        bad_arcs(m, path, tampered[case])
+
+
+def test_bad_arcs_certificates_survive_dash_O():
+    script = """
+from dataclasses import replace
+from circover import (CertificateError, bad_arcs, block_decomposition, build_digraph,
+                      circulant_matrix, enumerate_circuits)
+assert False, "asserts must be stripped here"
+m = circulant_matrix(8, 3)
+path = enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits[1]
+blocks = block_decomposition(m, path)
+plain = tuple(replace(b, kind="plain") for b in blocks.blocks)
+for tampered in [replace(blocks, winding=4), replace(blocks, blocks=plain)]:
+    try:
+        bad_arcs(m, path, tampered)
+    except CertificateError as exc:
+        print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2, out
+    assert "essential nodes at winding 4" in lines[0]
+    assert "bad-row criterion failed on row 1" in lines[1]

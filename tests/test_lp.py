@@ -1,8 +1,9 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
-from _helpers import dense_pivot, pivoting_with, recording
+from _helpers import fraction_solve_lp, recording
 
 from circover import lp, solve_lp
 
@@ -106,14 +107,16 @@ def all_fractions(res):
 
 
 def test_unit_pivots_stay_in_ints(monkeypatch):
-    """Consecutive-ones rows are totally unimodular: every pivot is +-1."""
+    """Consecutive-ones rows are totally unimodular: every pivot is +-1 and
+    the common denominator stays 1."""
     states = []
     pivot = lp._pivot
 
-    def checked(tab, cost, basis, prow, pcol):
-        states.append(type(tab[prow][pcol]) is int and abs(tab[prow][pcol]) == 1)
-        pivot(tab, cost, basis, prow, pcol)
-        states.append(all(type(v) is int for row in [*tab, cost] for v in row))
+    def checked(tab, cost, basis, prow, pcol, d):
+        states.append(d == 1 and abs(tab[prow][pcol]) == 1)
+        d = pivot(tab, cost, basis, prow, pcol, d)
+        states.append(d == 1)
+        return d
 
     monkeypatch.setattr(lp, "_pivot", checked)
     rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 0]]
@@ -124,9 +127,20 @@ def test_unit_pivots_stay_in_ints(monkeypatch):
     assert all(v.denominator == 1 for v in res.point)
 
 
-def test_non_unit_pivots_fall_back_to_fractions():
+def test_non_unit_pivots_grow_the_common_denominator(monkeypatch):
+    """The denominator after a pivot is |pivot|, the basis determinant: 2,
+    then det [[2, 1], [1, 3]] = 5."""
+    dens = []
+    pivot = lp._pivot
+
+    def logged(*args):
+        dens.append(pivot(*args))
+        return dens[-1]
+
+    monkeypatch.setattr(lp, "_pivot", logged)
     # max x + y s.t. 2x + y <= 4, x + 3y <= 6, given as plain ints, as min -x - y
     res = solve_lp([-1, -1], [[2, 1], [1, 3]], ["<=", "<="], [4, 6])
+    assert dens == [2, 5]
     assert res.status == "optimal"
     assert res.value == F(-14, 5)
     assert res.point == (F(6, 5), F(8, 5))
@@ -148,26 +162,42 @@ def _random_lp(rng):
     return [entry() for _ in range(nvars)], rows, senses, [entry() for _ in range(nrows)]
 
 
-def test_sparse_pivots_replay_the_dense_reference():
-    """On 900 seeded LPs the sparse elimination makes the same Bland pivots
-    as the dense reference, leaves every tableau entry with the same value
-    and type after each one, and returns the same result, element types
-    included."""
+def _scaled_lp(objective, rows, senses, rhs):
+    """The LP as `solve_lp` scales it: rows and right-hand sides by one lcm
+    of their denominators, the objective by the lcm of its own."""
+    def times(values, scale):
+        return [F(v) * scale for v in values]
+
+    obj_scale = lcm(*[F(v).denominator for v in objective])
+    scale = lcm(*[F(v).denominator for row in [*rows, rhs] for v in row])
+    return (times(objective, obj_scale), [times(row, scale) for row in rows],
+            senses, times(rhs, scale))
+
+
+def test_integer_tableau_replays_the_fraction_simplex(monkeypatch):
+    """On 900 seeded LPs the integer tableau returns the Fraction
+    reference's (status, value, point), Fraction elements included, after
+    the same Bland pivots; after every pivot each entry over the common
+    denominator equals the reference's entry on the LP scaled as `solve_lp`
+    scales it."""
     rng = random.Random(11)
     seen = Counter()
+    log = []
+    monkeypatch.setattr(lp, "_pivot", recording(log))
     for _ in range(900):
         args = _random_lp(rng)
-        results = []
-        for pivot in (lp._pivot, dense_pivot):
-            log = []
-            with pivoting_with(recording(pivot, log)):
-                res = solve_lp(*args)
-            point = res.point or ()
-            results.append((res.status, res.value, type(res.value), point,
-                            [type(v) for v in point], log))
-        assert results[0] == results[1], args
-        log = results[0][-1]
+        log.clear()
+        res = solve_lp(*args)
+        plain, scaled = [], []
+        ref = fraction_solve_lp(*args, log=plain)
+        fraction_solve_lp(*_scaled_lp(*args), log=scaled)
+        assert (res.status, res.value, res.point) == (ref.status, ref.value, ref.point), args
+        if res.status == "optimal":
+            assert all_fractions(res)
+        assert [step[:2] for step in log] == [step[:2] for step in plain], args
+        assert log == scaled, args
         seen[res.status] += 1
-        seen["fraction entries"] += any(type(v) is F for _, _, tab in log for row in tab for _, v in row)
-        seen["mixed types"] += any(len({t for t, _ in row}) > 1 for _, _, tab in log for row in tab)
+        seen["fraction entries"] += any(type(v) is F for row in args[1] for v in row)
+        seen["non-unit pivots"] += any(v.denominator != 1 for _, _, tab in log
+                                       for row in tab for v in row)
     assert min(seen.values()) >= 100, seen

@@ -7,10 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import (
-    dense_pivot,
     fraction_costs,
     fraction_negative_circuit,
-    pivoting_with,
+    fraction_solve_lp,
     recording,
 )
 from test_cli import run_python
@@ -32,7 +31,7 @@ from circover import (
     negative_circuit,
     separate,
 )
-from circover import lp
+from circover import lp, separation
 
 HALF5 = (F(1, 2),) * 5
 
@@ -222,18 +221,26 @@ def _cut_loop_cases(rng):
         yield m, [rng.randint(1, 2) for _ in range(n)], [rng.choice(weights) for _ in range(n)]
 
 
-def test_cut_loop_replays_the_dense_pivots():
-    """Every cut_loop step (point, value, cut, certificate), every pivot and
-    every tableau entry after it equal the dense reference's."""
+def test_cut_loop_replays_the_fraction_simplex(monkeypatch):
+    """Every cut_loop step (point, value, cut, certificate) equals the one
+    cut_loop takes on the Fraction reference simplex, after the same pivots;
+    the cut rows are ints, so after every pivot each tableau entry over the
+    common denominator equals the reference's (the cost row, scaled by the
+    weights' lcm, is compared in test_lp)."""
     rounds = 0
     for m, b, w in _cut_loop_cases(random.Random(5)):
-        results = []
-        for pivot in (lp._pivot, dense_pivot):
-            log = []
-            with pivoting_with(recording(pivot, log)):
-                results.append((cut_loop(m, b, w), log))
-        assert results[0] == results[1], (m, b, w)
-        rounds += len(results[0][0].steps)
+        log, ref_log = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_pivot", recording(log))
+            result = cut_loop(m, b, w)
+        with monkeypatch.context() as patch:
+            patch.setattr(separation, "solve_lp",
+                          lambda *args: fraction_solve_lp(*args, log=ref_log))
+            ref = cut_loop(m, b, w)
+        assert result == ref, (m, b, w)
+        assert [(r, c, tab[:-1]) for r, c, tab in log] == \
+            [(r, c, tab[:-1]) for r, c, tab in ref_log], (m, b, w)
+        rounds += len(result.steps)
     assert rounds >= 30, rounds
 
 
