@@ -313,14 +313,14 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload, code = _HANDLERS[args.verb](args)
+        text = json.dumps(payload, indent=2)
+        if args.output:
+            Path(args.output).write_text(text + "\n")
+        else:
+            print(text)
     except (CircoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -19,7 +19,8 @@ closed path visiting each node at most once. Circuit enumeration is
 deterministic: each circuit is reported exactly once, anchored and starting
 at its smallest node, with DFS branches explored in the fixed global arc
 order (forward rows, forward shorts, reverse rows, reverse shorts, each by
-index).
+index); `enumerate_circuits` builds that per-node adjacency from the arc
+list when it runs, so the digraph holds no adjacency map of its own.
 
 Negative circuits are found by one integer Bellman-Ford kernel,
 `find_negative_circuit`. Every node starts at distance 0 (a virtual source),
@@ -70,7 +71,8 @@ class Arc:
 
 
 class AuxDigraph:
-    """Arc container with deterministic ordering and per-node adjacency."""
+    """Arc container in the fixed global arc order, with the flat tail, head
+    and cost-index views the Bellman-Ford kernel reads."""
 
     def __init__(self, matrix: CircularMatrix, restricted: bool):
         self.matrix = matrix
@@ -102,18 +104,10 @@ class AuxDigraph:
         self.cost_index = tuple([
             a.slot if a.is_forward else m + n + a.slot for a in self.arcs
         ])
-        out: dict[int, list[Arc]] = {v: [] for v in range(1, n + 1)}
-        for a in self.arcs:
-            out[a.tail].append(a)
-        self.out: dict[int, tuple[Arc, ...]] = {v: tuple(lst) for v, lst in out.items()}
 
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    @property
-    def slots(self) -> int:
-        return self.matrix.m + self.matrix.n
 
 
 def build_digraph(matrix: CircularMatrix, *, restricted: bool = False) -> AuxDigraph:
@@ -123,7 +117,7 @@ def build_digraph(matrix: CircularMatrix, *, restricted: bool = False) -> AuxDig
 class ClosedPath:
     """A chained closed arc sequence (arcs may repeat)."""
 
-    def __init__(self, arcs, n: int, slots: int):
+    def __init__(self, arcs, n: int):
         arcs = tuple(arcs)
         if not arcs:
             raise NotClosedPath("empty arc sequence")
@@ -138,7 +132,6 @@ class ClosedPath:
             )
         self.arcs = arcs
         self.n = n
-        self.slots = slots
         total = sum(a.length for a in arcs)
         if total % n:
             raise NotClosedPath(f"arc lengths sum to {total}, not a multiple of {n}")
@@ -168,7 +161,7 @@ class ClosedPath:
     def canonical(self) -> "ClosedPath":
         """Rotate so the smallest tail node comes first (simple paths only)."""
         k = min(range(len(self.arcs)), key=lambda t: self.arcs[t].tail)
-        return ClosedPath(self.arcs[k:] + self.arcs[:k], self.n, self.slots)
+        return ClosedPath(self.arcs[k:] + self.arcs[:k], self.n)
 
     def descriptor(self) -> list[dict]:
         return [a.descriptor() for a in self.arcs]
@@ -217,7 +210,7 @@ def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath |
     if sum(cost[k] for k in cycle) >= 0:
         raise CertificateError("the predecessor circuit is not negative")
     cycle.reverse()
-    return ClosedPath([digraph.arcs[k] for k in cycle], n, digraph.slots).canonical()
+    return ClosedPath([digraph.arcs[k] for k in cycle], n).canonical()
 
 
 @dataclass(frozen=True)
@@ -235,10 +228,12 @@ def enumerate_circuits(
 ) -> CircuitEnumeration:
     """All simple circuits, canonical, deterministic order.
 
-    min_winding filters on the winding number at emission time (the search
-    itself is not pruned by it). forbid_kinds drops whole arc kinds before
-    searching. Hitting max_count stops the search and flags the result
-    incomplete instead of raising; a max_count below 1 raises BadParameters.
+    The DFS walks a per-node adjacency built here from `digraph.arcs`, in
+    the global arc order. min_winding filters on the winding number at
+    emission time (the search itself is not pruned by it). forbid_kinds
+    drops whole arc kinds from that adjacency before searching. Hitting
+    max_count stops the search and flags the result incomplete instead of
+    raising; a max_count below 1 raises BadParameters.
     """
     if max_count is not None and max_count < 1:
         raise BadParameters(f"max_count must be at least 1, got {max_count}")
@@ -248,24 +243,23 @@ def enumerate_circuits(
     found: list[ClosedPath] = []
     complete = True
     n = digraph.n
-
-    def allowed(a: Arc) -> bool:
-        return a.kind not in forbid_kinds
+    out: list[list[Arc]] = [[] for _ in range(n + 1)]
+    for a in digraph.arcs:
+        if a.kind not in forbid_kinds:
+            out[a.tail].append(a)
 
     path: list[Arc] = []
     on_path: set[int] = set()
 
     def visit(start: int, v: int) -> bool:
         # returns False to abort the whole search (cap hit)
-        for a in digraph.out[v]:
-            if not allowed(a):
-                continue
+        for a in out[v]:
             h = a.head
             if h != start and (h < start or h in on_path):
                 continue
             path.append(a)
             if h == start:
-                cand = ClosedPath(tuple(path), n, digraph.slots)
+                cand = ClosedPath(path, n)
                 if min_winding is None or cand.winding >= min_winding:
                     found.append(cand)
                     if max_count is not None and len(found) >= max_count:

@@ -174,7 +174,11 @@ def classify_nodes(path: ClosedPath, n: int) -> NodeClasses:
             circles.add(a.index)
         elif a.kind == REVERSE_SHORT:
             crosses.add(a.index)
-    assert not circles & crosses, "only the winding-0 two-cycle mixes them"
+    both = circles & crosses
+    if both:
+        # on a circuit only the winding-0 two-cycle of one column mixes them
+        raise BadParameters(f"column {min(both)} is both a circle and a cross "
+                            f"on a path of winding {path.winding}")
     bullets = frozenset(range(1, n + 1)) - circles - crosses
     return NodeClasses(
         frozenset(circles),

@@ -18,11 +18,11 @@ membership: the point sits in one integral slice.
 All of this runs in integers. With D the lcm of the point's denominators,
 D * x is integral, so are D * slack and D * mu, and every cost above is an
 integer over D^2. `assign_costs` builds the row slacks from prefix sums of
-the doubled column vector D * x and keeps the costs scaled by D^2 beside
-their Fraction values. Multiplying every cost by the same positive integer
-preserves every comparison the Bellman-Ford kernel of `digraph` makes, so
-the circuit it returns is identical, arc for arc, to the one the same sweep
-finds over the Fraction costs.
+the doubled column vector D * x and keeps only the costs scaled by D^2; a
+circuit's Fraction cost is its scaled sum over D^2. Multiplying every cost
+by the same positive integer preserves every comparison the Bellman-Ford
+kernel of `digraph` makes, so the circuit it returns is identical, arc for
+arc, to the one the same sweep finds over the Fraction costs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .digraph import Arc, AuxDigraph, ClosedPath, build_digraph, find_negative_circuit
+from .digraph import AuxDigraph, ClosedPath, build_digraph, find_negative_circuit
 from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
@@ -41,22 +41,18 @@ from .rationals import parse_rational_vector, scaled_to_integers
 
 @dataclass(frozen=True)
 class CostAssignment:
-    matrix: CircularMatrix
-    demands: tuple[int, ...]
     point: tuple[Fraction, ...]
-    slack: tuple[Fraction, ...]     # extended stack: rows, then columns
+    scale: int                      # D, the lcm of the point's denominators
     gap: Fraction                   # distance from sum(point) up to the next integer
-    forward: tuple[Fraction, ...]
-    reverse: tuple[Fraction, ...]
-    # forward and reverse times D^2, D the lcm of the point's denominators
+    # forward and reverse costs times D^2, over the extended stack: rows,
+    # then columns
     scaled_forward: tuple[int, ...]
     scaled_reverse: tuple[int, ...]
 
-    def arc_cost(self, arc: Arc) -> Fraction:
-        return self.forward[arc.slot] if arc.is_forward else self.reverse[arc.slot]
-
     def path_cost(self, path: ClosedPath) -> Fraction:
-        return sum((self.arc_cost(a) for a in path.arcs), Fraction(0))
+        fwd, rev = self.scaled_forward, self.scaled_reverse
+        total = sum([fwd[a.slot] if a.is_forward else rev[a.slot] for a in path.arcs])
+        return Fraction(total, self.scale * self.scale)
 
 
 def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
@@ -89,15 +85,7 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     h = d - g                       # D * (1 - mu)
     forward = tuple([g * (s - h) if v else g * s for s, v in zip(slack, last)])
     reverse = tuple([h * (s + g) if v else h * s for s, v in zip(slack, last)])
-    dd = d * d
-    return CostAssignment(
-        matrix, demands, x,
-        tuple([Fraction(s, d) for s in slack]),
-        Fraction(g, d),
-        tuple([Fraction(c, dd) for c in forward]),
-        tuple([Fraction(c, dd) for c in reverse]),
-        forward, reverse,
-    )
+    return CostAssignment(x, d, Fraction(g, d), forward, reverse)
 
 
 def negative_circuit(digraph: AuxDigraph, costs: CostAssignment) -> ClosedPath | None:

@@ -127,7 +127,7 @@ def fraction_negative_circuit(digraph, forward, reverse):
         node = a.tail
     cyc = chain[seen[node]:]
     cyc.reverse()
-    path = ClosedPath(tuple(cyc), n, digraph.slots).canonical()
+    path = ClosedPath(tuple(cyc), n).canonical()
     if sum((arc_cost(a) for a in path.arcs), Fraction(0)) >= 0:
         raise AssertionError(f"the predecessor cycle {path.descriptor()} is not negative")
     return path

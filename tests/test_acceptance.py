@@ -376,8 +376,10 @@ def test_acceptance_8_structural_invariants(acceptance):
             except InfeasiblePoint:
                 continue
             points_checked += 1
+            dd = costs.scale * costs.scale
+            slack = [sum(c * v for c, v in zip(r, x)) - bi for r, bi in zip(rows, b)] + x
             for slot in range(m.m + n):
-                if costs.forward[slot] + costs.reverse[slot] != costs.slack[slot]:
+                if costs.scaled_forward[slot] + costs.scaled_reverse[slot] != dd * slack[slot]:
                     violations.append(("cost split", n, k, slot, tuple(x)))
                     break
             if costs.gap == 0:

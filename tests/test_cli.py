@@ -231,6 +231,14 @@ def test_output_flag_writes_file(pentagon_file, tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == "3"
 
 
+@pytest.mark.parametrize("target", ["nope/x.json", "."], ids=["missing-directory", "directory"])
+def test_unwritable_output_is_one_line_exit_1(target, pentagon_file, tmp_path, capsys):
+    code, out, err = run(capsys, ["solve", pentagon_file, "--output", str(tmp_path / target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_options_of_one_call_do_not_leak_into_the_next(pentagon_file, tmp_path, capsys):
     """`main` reuses one parser per process; options given to one call must
     not reach a later call that leaves them out."""

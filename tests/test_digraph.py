@@ -90,27 +90,27 @@ def test_closed_path_winding_and_errors():
     m = circulant_matrix(5, 2)
     d = build_digraph(m)
     rows = [find_arc(d, FORWARD_ROW, i) for i in (2, 4, 1, 3, 5)]
-    path = ClosedPath(rows, d.n, d.slots)
+    path = ClosedPath(rows, d.n)
     assert path.winding == 2
     assert path.is_simple
     assert sorted(path.nodes) == [1, 2, 3, 4, 5]
     assert path.row_indices(forward=True) == (2, 4, 1, 3, 5)
     with pytest.raises(NotClosedPath):
-        ClosedPath(rows[:3], d.n, d.slots)
+        ClosedPath(rows[:3], d.n)
     with pytest.raises(NotClosedPath):
-        ClosedPath([rows[0], rows[0]], d.n, d.slots)
+        ClosedPath([rows[0], rows[0]], d.n)
     with pytest.raises(NotClosedPath):
-        ClosedPath([], d.n, d.slots)
+        ClosedPath([], d.n)
     # chained, yet its lengths do not wind a whole number of times
     with pytest.raises(NotClosedPath, match="not a multiple of 5"):
-        ClosedPath([replace(rows[0], length=3)] + rows[1:], d.n, d.slots)
+        ClosedPath([replace(rows[0], length=3)] + rows[1:], d.n)
 
 
 def test_closed_path_counts_and_canonical():
     m = circulant_matrix(5, 2)
     d = build_digraph(m)
     arcs = [find_arc(d, FORWARD_ROW, i) for i in (2, 4, 1, 3, 5)]
-    path = ClosedPath(arcs, d.n, d.slots)
+    path = ClosedPath(arcs, d.n)
     canon = path.canonical()
     assert canon.arcs[0].tail == 1
     assert set(canon.arcs) == set(path.arcs)
@@ -122,7 +122,7 @@ def test_walks_may_repeat_arcs():
     d = build_digraph(circulant_matrix(5, 2))
     f = find_arc(d, FORWARD_SHORT, 3)
     b = find_arc(d, REVERSE_SHORT, 3)
-    w = ClosedPath([f, b, f, b], d.n, d.slots)
+    w = ClosedPath([f, b, f, b], d.n)
     assert w.winding == 0
     assert not w.is_simple
 

@@ -49,7 +49,7 @@ from circover import inequalities
 def all_row_circuit(matrix, order):
     d = build_digraph(matrix)
     arcs = [find_arc(d, FORWARD_ROW, i) for i in order]
-    return ClosedPath(arcs, d.n, d.slots)
+    return ClosedPath(arcs, d.n)
 
 
 def test_make_inequality_normalizes():
@@ -103,7 +103,7 @@ def test_circuit_inequality_rejects_nonpositive_winding():
     d = build_digraph(m)
     f = find_arc(d, "forward-short", 3)
     b = find_arc(d, "reverse-short", 3)
-    walk = ClosedPath([f, b], d.n, d.slots)
+    walk = ClosedPath([f, b], d.n)
     with pytest.raises(NonpositiveWinding):
         circuit_inequality(m, [1] * 5, walk)
 
@@ -133,7 +133,7 @@ def test_classify_nodes():
         find_arc(d, FORWARD_ROW, 6),        # 5 -> 1
         find_arc(d, "forward-short", 2),    # 1 -> 2
     ]
-    path = ClosedPath(arcs, d.n, d.slots)
+    path = ClosedPath(arcs, d.n)
     assert path.winding == 1
     cls = classify_nodes(path, 7)
     assert sorted(cls.circles) == [2]
@@ -144,9 +144,43 @@ def test_classify_nodes():
     rev = ClosedPath([
         find_arc(full, FORWARD_ROW, 3),
         find_arc(full, "reverse-row", 3),
-    ], full.n, full.slots)
+    ], full.n)
     with pytest.raises(ReverseRowArcPresent):
         classify_nodes(rev, 7)
+
+
+def test_classify_nodes_rejects_the_winding_0_two_cycle():
+    """[forward-short 3, reverse-short 3] is a valid closed path of winding
+    0 whose column 3 would be both a circle and a cross."""
+    m = circulant_matrix(5, 2)
+    d = build_digraph(m, restricted=True)
+    walk = ClosedPath([find_arc(d, "forward-short", 3), find_arc(d, REVERSE_SHORT, 3)], d.n)
+    assert walk.winding == 0
+    with pytest.raises(BadParameters, match="column 3 is both a circle and a cross"):
+        classify_nodes(walk, 5)
+    with pytest.raises(BadParameters, match="column 3 is both a circle and a cross"):
+        homogeneous_circuit_inequality(m, walk)
+
+
+def test_classify_nodes_rejects_the_two_cycle_under_dash_O():
+    script = """
+from circover import (BadParameters, ClosedPath, build_digraph, circulant_matrix,
+                      classify_nodes, homogeneous_circuit_inequality)
+assert False, "asserts must be stripped here"
+m = circulant_matrix(5, 2)
+d = build_digraph(m, restricted=True)
+walk = ClosedPath([a for a in d.arcs if a.index == 3 and a.kind.endswith("short")], d.n)
+for call in (lambda: classify_nodes(walk, 5), lambda: homogeneous_circuit_inequality(m, walk)):
+    try:
+        print(call())
+    except BadParameters as exc:
+        print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2, out
+    assert all("column 3 is both a circle and a cross" in line for line in lines), out
 
 
 def test_homogeneous_matches_the_general_form():
@@ -206,7 +240,7 @@ def test_block_structure_with_runs():
         find_arc(d, FORWARD_ROW, 6),       # 5 -> 8
         find_arc(d, "forward-short", 1),   # 8 -> 1
     ]
-    path = ClosedPath(arcs, d.n, d.slots)
+    path = ClosedPath(arcs, d.n)
     assert path.winding == 2
     blocks = block_decomposition(m, path)
     assert blocks.essential == (2, 4, 5, 7, 8)
@@ -233,7 +267,7 @@ def test_block_structure_rejects_dominating_rows():
         find_arc(d, "forward-short", 3),
         find_arc(d, FORWARD_ROW, 3),
         find_arc(d, "forward-short", 6),
-    ], d.n, d.slots)
+    ], d.n)
     with pytest.raises(BadParameters):
         block_decomposition(m, path)
 
@@ -245,7 +279,7 @@ def test_no_essential_bullets():
     # 1 -> 5 -> 3 -> 1 with shorts covering everything else would need all
     # other nodes on shorts; build 6 shorts + no rows => winding 1, no rows
     arcs = [find_arc(d, "forward-short", j) for j in (2, 3, 4, 5, 6, 1)]
-    path = ClosedPath(arcs, d.n, d.slots)
+    path = ClosedPath(arcs, d.n)
     with pytest.raises(NoEssentialBullets):
         block_decomposition(m, path)
 
@@ -273,7 +307,7 @@ def test_extract_minor_needs_winding_two():
         find_arc(d, FORWARD_ROW, 3),
         find_arc(d, FORWARD_ROW, 6),
         find_arc(d, "forward-short", 2),
-    ], d.n, d.slots)
+    ], d.n)
     with pytest.raises(BadParameters):
         extract_minor(m, path)
 

@@ -11,7 +11,18 @@ from _helpers import fraction_solve_lp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circover import circular_matrix, cut_loop, optimize, solve_lp
+from circover import (
+    InfeasiblePoint,
+    check_validity,
+    circulant_matrix,
+    circular_matrix,
+    cut_loop,
+    enumerate_minimal_covers,
+    membership,
+    optimize,
+    separate,
+    solve_lp,
+)
 from circover.lp import SENSES
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -56,3 +67,47 @@ def linear_programs(draw):
 def test_solve_lp_equals_the_fraction_simplex(lp):
     res, ref = solve_lp(*lp), fraction_solve_lp(*lp)
     assert (res.status, res.value, res.point) == (ref.status, ref.value, ref.point)
+
+
+@st.composite
+def separation_queries(draw):
+    """(matrix, demands, point) with n 3-7. Either a circular matrix of 1-n
+    distinct rows, demands 0-2 per row and a point drawn freely from
+    [0, 2]^n with denominators dividing 12; or a circulant of window 2 to
+    n-1 at one demand level 1-2 and its least uniform relaxation point,
+    raised by 0 or 1/12 per coordinate. That uniform point is cut off
+    wherever the window does not divide n times the demand."""
+    n = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+        rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=n, unique=True))
+        demands = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        point = draw(st.lists(st.integers(0, 24).map(lambda k: F(k, 12)),
+                              min_size=n, max_size=n))
+        return circular_matrix(n, rows), demands, point
+    window = draw(st.integers(2, n - 1))
+    level = draw(st.integers(1, 2))
+    steps = draw(st.lists(st.sampled_from((0, 0, 0, F(1, 12))), min_size=n, max_size=n))
+    point = [F(level, window) + step for step in steps]
+    return circulant_matrix(n, window), [level] * n, point
+
+
+@fixed
+@given(separation_queries())
+def test_separate_agrees_with_the_hull_oracle(query):
+    """"member" exactly on hull points, InfeasiblePoint only off the hull,
+    and every cut a valid inequality whose certificate is both the circuit
+    cost and the slack at the point, and negative."""
+    m, demands, x = query
+    covers = enumerate_minimal_covers(m, demands)
+    inside = membership(x, covers)
+    try:
+        res = separate(m, demands, x)
+    except InfeasiblePoint:
+        assert not inside
+        return
+    assert (res.verdict == "member") == inside
+    if res.verdict == "violated":
+        assert res.certificate == res.costs.path_cost(res.circuit)
+        assert res.certificate == res.inequality.evaluate(x) < 0
+        assert check_validity(res.inequality, covers)

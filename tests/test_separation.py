@@ -44,15 +44,14 @@ def test_cost_split_on_the_half_point():
     m = circulant_matrix(5, 2)
     costs = assign_costs(m, [1] * 5, HALF5)
     assert costs.gap == F(1, 2)
-    assert costs.slack == (0, 0, 0, 0, 0, F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-    assert costs.forward == (
-        0, 0, 0, F(-1, 4), F(-1, 4),
-        F(1, 4), F(1, 4), F(1, 4), F(1, 4), 0,
-    )
-    assert costs.reverse == (
-        0, 0, 0, F(1, 4), F(1, 4),
-        F(1, 4), F(1, 4), F(1, 4), F(1, 4), F(1, 2),
-    )
+    assert costs.scale == 2
+    # forward costs (0, 0, 0, -1/4, -1/4, 1/4, 1/4, 1/4, 1/4, 0), reverse
+    # costs (0, 0, 0, 1/4, 1/4, 1/4, 1/4, 1/4, 1/4, 1/2), each times D^2 = 4
+    assert costs.scaled_forward == (0, 0, 0, -1, -1, 1, 1, 1, 1, 0)
+    assert costs.scaled_reverse == (0, 0, 0, 1, 1, 1, 1, 1, 1, 2)
+    # their sum is the slack (0, 0, 0, 0, 0, 1/2, 1/2, 1/2, 1/2, 1/2) times 4
+    split = [f + r for f, r in zip(costs.scaled_forward, costs.scaled_reverse)]
+    assert split == [0, 0, 0, 0, 0, 2, 2, 2, 2, 2]
 
 
 def test_negative_circuit_on_the_half_point():
@@ -316,10 +315,14 @@ def test_assign_costs_matches_the_fraction_definition():
             assert str(got.value) == str(exc)
             continue
         costs = assign_costs(m, demands, x)
-        assert (costs.slack, costs.gap, costs.forward, costs.reverse) == ref
+        slack, gap, forward, reverse = ref
         d = math.lcm(*(v.denominator for v in x))
-        assert costs.scaled_forward == tuple(c * d * d for c in costs.forward)
-        assert costs.scaled_reverse == tuple(c * d * d for c in costs.reverse)
+        assert costs.scale == d
+        assert costs.gap == gap
+        assert tuple(F(c, d * d) for c in costs.scaled_forward) == forward
+        assert tuple(F(c, d * d) for c in costs.scaled_reverse) == reverse
+        assert tuple(F(f + r, d * d) for f, r in zip(costs.scaled_forward,
+                                                     costs.scaled_reverse)) == slack
     assert wrapped > 100 and 30 < errors < 270, (wrapped, errors)
 
 
