@@ -59,7 +59,9 @@ def _read_json(path: str):
         raise BadParameters(f"cannot decode {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past the digit
+        # limit of int(); RecursionError a nesting too deep to decode
         raise BadParameters(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -106,7 +108,7 @@ def _cmd_separate(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     try:
         point = json.loads(args.point)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise BadParameters(f"--point is not valid JSON: {exc}") from None
     return separation_json(separate(inst.matrix, inst.demands, point)), 0
 

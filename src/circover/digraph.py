@@ -13,6 +13,14 @@ row per column): a row arc with index i sits at slot i-1, a short arc for
 column j at slot m+j-1. Forward and reverse arcs of the same slot are
 antiparallel twins.
 
+`AuxDigraph` holds the digraph as three flat int lists built straight from
+the matrix rows: the tails, the heads and the cost index of every arc in
+the global order (forward arcs read cost `slot`, reverse arcs `m+n+slot`).
+`Arc` objects come from one constructor that reads them back from those
+lists: `arcs` builds all of them on first read, for circuit enumeration and
+the polyhedra callers, and the Bellman-Ford kernel builds only the arcs of
+the circuit it returns. A membership query builds none.
+
 A closed path is a chained arc sequence returning to its start; arcs may
 repeat (closed walks are legal inputs to winding computations). A circuit is a
 closed path visiting each node at most once. Circuit enumeration is
@@ -39,9 +47,10 @@ same as over the rational costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadParameters, CertificateError, NotClosedPath
-from .matrices import CircularMatrix, norm_col
+from .matrices import CircularMatrix
 
 FORWARD_ROW = "forward-row"
 FORWARD_SHORT = "forward-short"
@@ -71,43 +80,55 @@ class Arc:
 
 
 class AuxDigraph:
-    """Arc container in the fixed global arc order, with the flat tail, head
-    and cost-index views the Bellman-Ford kernel reads."""
+    """The digraph as flat int views in the fixed global arc order: arc k
+    runs from tails[k] to heads[k], and its cost sits at cost_index[k] in
+    the forward slot costs followed by the reverse ones. The views come
+    straight from the matrix rows; `Arc` objects are built on read."""
 
     def __init__(self, matrix: CircularMatrix, restricted: bool):
         self.matrix = matrix
         self.restricted = restricted
         n, m = matrix.n, matrix.m
-        arcs: list[Arc] = []
-        for i in range(1, m + 1):
-            start, length = matrix.rows[i - 1]
-            tail = norm_col(start - 1, n)
-            head = norm_col(start + length - 1, n)
-            arcs.append(Arc(FORWARD_ROW, i, tail, head, length,
-                            i - 1, matrix.support_mask(i)))
-        for j in range(1, n + 1):
-            arcs.append(Arc(FORWARD_SHORT, j, norm_col(j - 1, n), j, 1,
-                            m + j - 1, 1 << (j - 1)))
-        if not restricted:
-            for i in range(1, m + 1):
-                fwd = arcs[i - 1]
-                arcs.append(Arc(REVERSE_ROW, i, fwd.head, fwd.tail,
-                                -fwd.length, fwd.slot, fwd.jump_mask))
-        for j in range(1, n + 1):
-            arcs.append(Arc(REVERSE_SHORT, j, j, norm_col(j - 1, n), -1,
-                            m + j - 1, 1 << (j - 1)))
-        self.arcs: tuple[Arc, ...] = tuple(arcs)
-        # flat views of self.arcs for the Bellman-Ford kernel; an arc's cost
-        # sits at cost_index in the forward costs followed by the reverse ones
-        self.tails = tuple([a.tail for a in self.arcs])
-        self.heads = tuple([a.head for a in self.arcs])
-        self.cost_index = tuple([
-            a.slot if a.is_forward else m + n + a.slot for a in self.arcs
-        ])
+        row_tails = [start - 1 or n for start, _ in matrix.rows]
+        row_heads = [(start + length - 2) % n + 1 for start, length in matrix.rows]
+        cols = list(range(1, n + 1))
+        prev = [n] + cols[:-1]      # column j-1, with 0 read as n
+        if restricted:
+            self.tails = row_tails + prev + cols
+            self.heads = row_heads + cols + prev
+            self.cost_index = list(range(m + n)) + list(range(2 * m + n, 2 * (m + n)))
+        else:
+            self.tails = row_tails + prev + row_heads + cols
+            self.heads = row_heads + cols + row_tails + prev
+            self.cost_index = list(range(2 * (m + n)))
 
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    def _arc(self, k: int) -> Arc:
+        """Arc k of the global order, read back from the flat views."""
+        n, m = self.matrix.n, self.matrix.m
+        c = self.cost_index[k]
+        forward = c < m + n
+        slot = c if forward else c - m - n
+        if slot < m:
+            kind = FORWARD_ROW if forward else REVERSE_ROW
+            index = slot + 1
+            length = self.matrix.rows[slot][1]
+            mask = self.matrix.row_masks[slot]
+        else:
+            kind = FORWARD_SHORT if forward else REVERSE_SHORT
+            index = slot - m + 1
+            length = 1
+            mask = 1 << (index - 1)
+        return Arc(kind, index, self.tails[k], self.heads[k],
+                   length if forward else -length, slot, mask)
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc in the global order, built on first read."""
+        return tuple([self._arc(k) for k in range(len(self.tails))])
 
 
 def build_digraph(matrix: CircularMatrix, *, restricted: bool = False) -> AuxDigraph:
@@ -210,7 +231,7 @@ def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath |
     if sum(cost[k] for k in cycle) >= 0:
         raise CertificateError("the predecessor circuit is not negative")
     cycle.reverse()
-    return ClosedPath([digraph.arcs[k] for k in cycle], n).canonical()
+    return ClosedPath([digraph._arc(k) for k in cycle], n).canonical()
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
     nodes): the circuit has exactly s row arcs, each jumping exactly p
     essential plain nodes, gcd(s, p) = 1, blocks partition the node set, and
     the row arcs connect each block's exit to the entry of the block p
-    places further.
+    places further. A failed check raises CertificateError.
     """
     if matrix.dominating_rows():
         raise BadParameters("block structure needs a matrix without dominating rows")
@@ -292,22 +292,36 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
 
     seen: set[int] = set()
     for blk in blocks:
-        assert not seen & set(blk.members), "blocks must be disjoint"
+        overlap = seen.intersection(blk.members)
+        if overlap:
+            raise CertificateError(f"blocks overlap at column {min(overlap)}")
         seen.update(blk.members)
-    assert seen == set(path.nodes), "blocks must cover exactly the circuit nodes"
+    if seen != path.nodes:
+        raise CertificateError(
+            f"blocks cover columns {sorted(seen)}, the circuit visits {sorted(path.nodes)}")
 
     row_arcs = [a for a in path.arcs if a.kind == FORWARD_ROW]
-    assert len(row_arcs) == s, "one row arc per essential plain node"
-    assert gcd(s, p) == 1
+    if len(row_arcs) != s:
+        raise CertificateError(
+            f"{len(row_arcs)} row arcs for {s} essential plain nodes")
+    if gcd(s, p) != 1:
+        raise CertificateError(
+            f"{s} essential plain nodes and winding {p} are not coprime")
     expected = {
         (blocks[i].exit, blocks[(i + p) % s].entry) for i in range(s)
     }
-    assert {(a.tail, a.head) for a in row_arcs} == expected
+    if {(a.tail, a.head) for a in row_arcs} != expected:
+        raise CertificateError(
+            f"the row arcs do not join each block's exit to the entry "
+            f"of the block {p} places further")
     ess_mask = 0
     for j in ess:
         ess_mask |= 1 << (j - 1)
     for a in row_arcs:
-        assert (a.jump_mask & ess_mask).bit_count() == p
+        cnt = (a.jump_mask & ess_mask).bit_count()
+        if cnt != p:
+            raise CertificateError(
+                f"row arc {a.index} jumps {cnt} essential plain nodes at winding {p}")
     return BlockStructure(tuple(blocks), p, tuple(ess))
 
 

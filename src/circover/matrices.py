@@ -78,8 +78,16 @@ class CircularMatrix:
 
     def support(self, i: int) -> frozenset[int]:
         """Column support of row i (1-based)."""
-        start, length = self.rows[i - 1]
-        return frozenset(norm_col(start + t, self.n) for t in range(length))
+        return self.row_supports[i - 1]
+
+    @cached_property
+    def row_supports(self) -> tuple[frozenset[int], ...]:
+        """Row supports as column sets, in row order, computed once per matrix."""
+        n = self.n
+        return tuple([
+            frozenset([(start - 1 + t) % n + 1 for t in range(length)])
+            for start, length in self.rows
+        ])
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:
@@ -93,13 +101,9 @@ class CircularMatrix:
             out.append((run | run >> n) & full)  # fold the wrap-around bits
         return tuple(out)
 
-    def support_mask(self, i: int) -> int:
-        """Support of row i as a bitmask (bit j-1 set for column j)."""
-        return self.row_masks[i - 1]
-
     def row_vector(self, i: int) -> tuple[int, ...]:
-        sup = self.support(i)
-        return tuple([int(j in sup) for j in range(1, self.n + 1)])
+        mask = self.row_masks[i - 1]
+        return tuple([mask >> j & 1 for j in range(self.n)])
 
     def as_circulant(self) -> Circulant | None:
         """Return the (order, window) identity if the rows are exactly a circulant."""
@@ -376,7 +380,7 @@ def check_weights(matrix: CircularMatrix, weights) -> tuple[Fraction, ...]:
     if len(w) != matrix.n:
         raise BadParameters(f"{len(w)} weights for {matrix.n} columns")
     for v in w:
-        if v < 0:
+        if v.numerator < 0:
             raise NegativeWeight(f"negative weight {v}")
     return w
 

@@ -4,6 +4,11 @@ All arithmetic in the package runs on fractions.Fraction (or plain int).
 JSON carries rationals as strings "p/q" or "p"; bare JSON integers are
 accepted on input too. Floats are rejected everywhere: a float in a point
 file is a user error, not something to silently round.
+
+The common spellings, an ASCII "-p/q" or "-p" with plain digits, are read
+with `int`; every other string goes through `Fraction(str)`, so a string is
+accepted or rejected, with the same value or message, exactly as
+`Fraction(value.strip())` would.
 """
 
 from __future__ import annotations
@@ -23,11 +28,17 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
+            if value.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParameters(f"not a rational: {value!r}") from exc
-    raise BadParameters(f"not a rational: {value!r} (floats are not accepted)")
+    if isinstance(value, float):
+        raise BadParameters(f"not a rational: {value!r} (floats are not accepted)")
+    raise BadParameters(f"not a rational: {value!r}")
 
 
 def format_rational(value) -> str:

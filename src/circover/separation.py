@@ -76,9 +76,9 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
             raise InfeasiblePoint(f"row {i} is short by {Fraction(-s, d)}")
         slack.append(s)
         last.append(start + length - 1 >= n)
-    for j, v in enumerate(x, 1):
+    for j, v in enumerate(dx, 1):
         if v < 0:
-            raise InfeasiblePoint(f"column {j} is negative: {v}")
+            raise InfeasiblePoint(f"column {j} is negative: {x[j - 1]}")
     slack += dx
     last += [False] * (n - 1) + [True]
     g = -prefix[n] % d              # D * mu

@@ -16,6 +16,37 @@ def incidence_matrix(digraph) -> list[list[int]]:
     return rows
 
 
+def eager_digraph(matrix, restricted):
+    """Reference of `digraph.AuxDigraph`: every `Arc` built up front from
+    the row supports, in the global order (forward rows, forward shorts,
+    reverse rows unless restricted, reverse shorts), and the flat views
+    (tails, heads, cost_index) read off those arcs."""
+    from circover import (FORWARD_ROW, FORWARD_SHORT, REVERSE_ROW, REVERSE_SHORT,
+                          Arc, norm_col)
+
+    n, m = matrix.n, matrix.m
+    arcs = []
+    for i in range(1, m + 1):
+        start, length = matrix.rows[i - 1]
+        mask = sum(1 << (j - 1) for j in matrix.support(i))
+        arcs.append(Arc(FORWARD_ROW, i, norm_col(start - 1, n),
+                        norm_col(start + length - 1, n), length, i - 1, mask))
+    for j in range(1, n + 1):
+        arcs.append(Arc(FORWARD_SHORT, j, norm_col(j - 1, n), j, 1,
+                        m + j - 1, 1 << (j - 1)))
+    if not restricted:
+        for fwd in arcs[:m]:
+            arcs.append(Arc(REVERSE_ROW, fwd.index, fwd.head, fwd.tail,
+                            -fwd.length, fwd.slot, fwd.jump_mask))
+    for j in range(1, n + 1):
+        arcs.append(Arc(REVERSE_SHORT, j, j, norm_col(j - 1, n), -1,
+                        m + j - 1, 1 << (j - 1)))
+    tails = [a.tail for a in arcs]
+    heads = [a.head for a in arcs]
+    cost_index = [a.slot if a.is_forward else m + n + a.slot for a in arcs]
+    return tuple(arcs), tails, heads, cost_index
+
+
 def find_arc(digraph, kind: str, index: int):
     """The arc of the given kind for row or column `index`."""
     return next(a for a in digraph.arcs if a.kind == kind and a.index == index)

@@ -299,6 +299,34 @@ def test_float_point_rejected(pentagon_file, capsys):
     assert "float" in err
 
 
+@pytest.mark.parametrize("entry, shown", [
+    ("null", "None"), ("[1]", "[1]"), ('{"a": 1}', "{'a': 1}"),
+], ids=["null", "list", "dict"])
+def test_non_rational_point_entry_rejected(pentagon_file, capsys, entry, shown):
+    """Only a float is told that floats are not accepted."""
+    point = f"[{entry},1,1,1,1]"
+    code, out, err = run(capsys, ["separate", pentagon_file, "--point", point])
+    assert (code, out) == (1, "")
+    assert err == f"error: not a rational: {shown}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1" * 5000, "Exceeds the limit (4300 digits)"),
+    ("[" * 100000, "maximum recursion depth exceeded"),
+], ids=["long integer", "deep nesting"])
+def test_undecodable_json_is_one_error_line(tmp_path, pentagon_file, capsys, text, message):
+    code, out, err = run(capsys, ["separate", pentagon_file, "--point", text])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --point is not valid JSON: ") and message in err
+    assert err.count("\n") == 1
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: invalid JSON in {path}: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_point_outside_relaxation(pentagon_file, capsys):
     code, _, err = run(capsys, ["separate", pentagon_file, "--point", '["0","0","1","1","1"]'])
     assert code == 1

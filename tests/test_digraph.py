@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import networkx as nx
@@ -16,7 +17,7 @@ from circover import (
     circulant_matrix,
     enumerate_circuits,
 )
-from _helpers import determinant, find_arc, incidence_matrix
+from _helpers import determinant, eager_digraph, find_arc, incidence_matrix
 
 
 def three_row_matrix():
@@ -60,6 +61,29 @@ def test_restricted_digraph_drops_reverse_rows_only():
     kinds = {a.kind for a in d.arcs}
     assert kinds == {FORWARD_ROW, FORWARD_SHORT, REVERSE_SHORT}
     assert len(d.arcs) == 3 + 7 + 7
+
+
+def _random_circular_matrices(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 16)
+        pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+        yield circular_matrix(n, rng.sample(pool, rng.randint(1, min(len(pool), 2 * n))))
+
+
+def test_flat_views_and_arcs_match_the_eager_construction():
+    """tails, heads, cost_index and every Arc field agree with the eager
+    reference on every circulant with 3 <= n <= 16 and on 300 seeded random
+    circular matrices, for the full and the restricted digraph."""
+    circulants = [circulant_matrix(n, k) for n in range(3, 17) for k in range(2, n)]
+    for m in circulants + list(_random_circular_matrices(300, 14)):
+        for restricted in (False, True):
+            d = build_digraph(m, restricted=restricted)
+            arcs, tails, heads, cost_index = eager_digraph(m, restricted)
+            assert (d.tails, d.heads, d.cost_index) == (tails, heads, cost_index)
+            assert "arcs" not in d.__dict__
+            assert d.arcs == arcs
+            assert [d._arc(k) for k in range(len(arcs))] == list(arcs)
 
 
 def test_incidence_matrix_columns():

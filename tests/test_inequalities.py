@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -713,3 +714,74 @@ for tampered in [replace(blocks, winding=4), replace(blocks, blocks=plain)]:
     assert len(lines) == 2, out
     assert "essential nodes at winding 4" in lines[0]
     assert "bad-row criterion failed on row 1" in lines[1]
+
+
+# Tamperings of a winding-2 circuit of the circulant (8,3): five forward row
+# arcs and the forward short arc into column 1, so column 1 is a circle and
+# the essential plain nodes are 2, 4, 5, 7 and 8. Each case sets the path's
+# winding and, unless None, the (circles, crosses, essential) that
+# classify_nodes hands to block_decomposition, and names the check that fails.
+_BLOCK_TAMPERINGS = [
+    (2, ({1, 2}, set(), {2, 4, 5, 7, 8}), "blocks overlap at column 2"),
+    (2, (set(), set(), {2, 4, 5, 7, 8}),
+     r"blocks cover columns \[2, 4, 5, 7, 8\], the circuit visits \[1, 2, 4, 5, 7, 8\]"),
+    (2, (set(), set(), {1, 2, 4, 5, 7, 8}), "5 row arcs for 6 essential plain nodes"),
+    (5, None, "5 essential plain nodes and winding 5 are not coprime"),
+    (2, (set(), {1}, {2, 4, 5, 7, 8}),
+     "the row arcs do not join each block's exit to the entry of the block 2 places"),
+    (7, None, "row arc 2 jumps 2 essential plain nodes at winding 7"),
+]
+
+
+def _winding_2_circuit_of_8_3():
+    m = circulant_matrix(8, 3)
+    path = enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits[1]
+    assert classify_nodes(path, 8).essential == {2, 4, 5, 7, 8}
+    return m, path
+
+
+@pytest.mark.parametrize("winding, classes, message", _BLOCK_TAMPERINGS,
+                         ids=["overlap", "cover", "row arc count", "coprime",
+                              "row arc ends", "jump count"])
+def test_block_decomposition_certificates_raise(monkeypatch, winding, classes, message):
+    from circover import inequalities
+    from circover.inequalities import NodeClasses
+
+    m, path = _winding_2_circuit_of_8_3()
+    block_decomposition(m, path)
+    path.winding = winding
+    if classes is not None:
+        circles, crosses, essential = map(frozenset, classes)
+        tampered = NodeClasses(circles, crosses, frozenset(), essential)
+        monkeypatch.setattr(inequalities, "classify_nodes", lambda p, n: tampered)
+    with pytest.raises(CertificateError, match=message):
+        block_decomposition(m, path)
+
+
+def test_block_decomposition_certificates_survive_dash_O():
+    script = f"""
+import circover.inequalities as ineq
+from circover import CertificateError, build_digraph, circulant_matrix, enumerate_circuits
+from circover.inequalities import NodeClasses
+assert False, "asserts must be stripped here"
+m = circulant_matrix(8, 3)
+path = enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits[1]
+honest = ineq.classify_nodes
+for winding, classes, _ in {_BLOCK_TAMPERINGS!r}:
+    path.winding = winding
+    ineq.classify_nodes = honest
+    if classes is not None:
+        circles, crosses, essential = map(frozenset, classes)
+        tampered = NodeClasses(circles, crosses, frozenset(), essential)
+        ineq.classify_nodes = lambda p, n: tampered
+    try:
+        ineq.block_decomposition(m, path)
+    except CertificateError as exc:
+        print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(_BLOCK_TAMPERINGS), out
+    for line, (_, _, message) in zip(lines, _BLOCK_TAMPERINGS):
+        assert re.search(message, line), (message, line)

@@ -40,7 +40,7 @@ def test_supports_of_the_three_row_example():
     assert sorted(m.support(2)) == [2, 3, 4, 5, 6]
     assert sorted(m.support(3)) == [1, 2, 5, 6, 7]
     assert m.row_vector(3) == (1, 1, 0, 0, 1, 1, 1)
-    assert m.support_mask(1) == 0b0000111
+    assert m.row_masks[0] == 0b0000111
 
 
 def test_constructor_validation():
@@ -140,8 +140,9 @@ def test_row_masks_are_the_supports():
         m = circular_matrix(n, sorted(rows))
         for i, mask in enumerate(m.row_masks, 1):
             assert {j for j in range(1, n + 1) if mask >> (j - 1) & 1} == m.support(i)
-            assert m.support_mask(i) == mask
+            assert m.row_vector(i) == tuple([int(j in m.support(i)) for j in range(1, n + 1)])
     assert m.row_masks is m.row_masks  # computed once per matrix
+    assert m.row_supports is m.row_supports
 
 
 def _contract_outcome(contraction, matrix, removed):

@@ -1,6 +1,9 @@
 """Property tests on drawn inputs. Each runs a fixed, derandomized set of
 examples, so the suite stays deterministic."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circover import (
+    BadParameters,
     InfeasiblePoint,
     check_validity,
     circulant_matrix,
@@ -20,9 +24,11 @@ from circover import (
     enumerate_minimal_covers,
     membership,
     optimize,
+    parse_rational,
     separate,
     solve_lp,
 )
+from circover import cli
 from circover.lp import SENSES
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -111,3 +117,62 @@ def test_separate_agrees_with_the_hull_oracle(query):
         assert res.certificate == res.costs.path_cost(res.circuit)
         assert res.certificate == res.inequality.evaluate(x) < 0
         assert check_validity(res.inequality, covers)
+
+
+# digits, signs, slashes, dots, underscores, exponents, spaces and the
+# Arabic-Indic digit three, loose and in the shape "p" or "p/q"
+rational_spellings = st.one_of(
+    st.text(alphabet="0123456789-+/._e \u0663", max_size=10),
+    st.from_regex(r"\A ?[-+]?[0-9_\u0663]{1,4}(/[0-9_\u0663]{1,4})? ?\Z"),
+)
+
+
+@settings(fixed, max_examples=500)
+@given(rational_spellings)
+def test_parse_rational_equals_the_fraction_parser(text):
+    """Every string parses to the value of Fraction(text.strip()), or is
+    rejected with the same message wherever that raises."""
+    try:
+        expected = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(BadParameters) as info:
+            parse_rational(text)
+        assert str(info.value) == f"not a rational: {text!r}"
+    else:
+        got = parse_rational(text)
+        assert type(got) is F and got == expected
+
+
+@pytest.fixture(scope="module")
+def pentagon_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pentagon") / "pentagon.json"
+    path.write_text(json.dumps({"n": 5, "rows": [[s, 2] for s in range(1, 6)]}))
+    return str(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(("0", "1", "1/2", "2/3", "-1", "1/0", " 1 ")),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12,
+)
+five_rationals = st.lists(st.sampled_from((0, 1, 2, "0", "1", "1/2", "2/3", "3/4", " 1/3 ")),
+                          min_size=5, max_size=5)
+
+
+@fixed
+@given(st.one_of(json_values.map(json.dumps), five_rationals.map(json.dumps),
+                 st.text(max_size=12)))
+def test_separate_point_is_an_answer_or_one_error_line(pentagon_file, text):
+    """Any --point text, JSON or not, ends in an answer with exit 0 or in
+    one `error:` line with exit 1, and never in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["separate", pentagon_file, "--point", text])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["verdict"] in ("member", "violated")
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -369,3 +369,18 @@ except CertificateError as exc:
     code, out = run_python("-O", "-c", script)
     assert code == 0
     assert "differs from the circuit cost" in out
+
+
+def test_separate_builds_no_arc_objects_for_a_member():
+    """A member with a fractional coordinate sum runs the full Bellman-Ford
+    kernel and builds no Arc; a violated point builds only its circuit's
+    arcs, equal to those of the full arc list."""
+    m = circulant_matrix(5, 2)
+    d = build_digraph(m)
+    res = separate(m, [1] * 5, ["1", "1", "1", "1", "1/2"], digraph=d)
+    assert res.verdict == "member" and res.costs.gap != 0
+    assert "arcs" not in d.__dict__
+    res = separate(m, [1] * 5, HALF5, digraph=d)
+    assert res.verdict == "violated"
+    assert "arcs" not in d.__dict__
+    assert all(a in d.arcs for a in res.circuit.arcs)
