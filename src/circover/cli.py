@@ -125,7 +125,7 @@ def _cmd_facets(args) -> tuple[dict, int]:
         covers = None
     items = []
     for ineq in enum.inequalities:
-        flag = "unknown" if covers is None else check_facet(ineq, covers, matrix.n)
+        flag = "unknown" if covers is None else check_facet(ineq, covers)
         items.append(inequality_json(ineq, facet=flag))
     payload = {
         "instance": _instance_json(inst),
@@ -153,20 +153,22 @@ def _cmd_verify(args) -> tuple[dict, int]:
             "candidates": cand_items,
         }
         return payload, 2
-    # candidates carry their construction scale; compare normalized
-    cand_keys = {q.normalized().key() for q in enum.inequalities}
-    facet_keys = {q.normalized().key() for q in hull.facets}
-    matched = [q for q in hull.facets if q.normalized().key() in cand_keys]
-    missing = [q for q in hull.facets if q.normalized().key() not in cand_keys]
-    extra = [q for q in enum.inequalities if q.normalized().key() not in facet_keys]
+    # candidates carry their construction scale; compare normalized. Hull
+    # facets are built normalized, so their own keys serve.
+    cand_keys = [q.normalized().key() for q in enum.inequalities]
+    proposed = set(cand_keys)
+    facet_keys = {q.key() for q in hull.facets}
+    missing = [q for q in hull.facets if q.key() not in proposed]
     payload = {
         "instance": _instance_json(inst),
         "b": list(demands),
         "hull_facets": [inequality_json(q, facet=True) for q in hull.facets],
         "candidates": cand_items,
-        "matched": len(matched),
+        "matched": len(hull.facets) - len(missing),
         "missing": [inequality_json(q) for q in missing],
-        "extra_nonfacets": [inequality_json(q) for q in extra],
+        "extra_nonfacets": [
+            item for item, key in zip(cand_items, cand_keys) if key not in facet_keys
+        ],
         "ok": not missing,
         "complete": enum.complete,
     }

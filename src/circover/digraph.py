@@ -87,7 +87,6 @@ class AuxDigraph:
 
     def __init__(self, matrix: CircularMatrix, restricted: bool):
         self.matrix = matrix
-        self.restricted = restricted
         n, m = matrix.n, matrix.m
         row_tails = [start - 1 or n for start, _ in matrix.rows]
         row_heads = [(start + length - 2) % n + 1 for start, length in matrix.rows]

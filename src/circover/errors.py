@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from CircoverError so callers (and the
-CLI) can tell library errors from genuine bugs. AssertionError is reserved
-for internal invariant cross-checks that must never fire on valid inputs.
+CLI) can tell library errors from genuine bugs. Every failed check raises a
+CircoverError subclass, internal cross-checks included (CertificateError):
+the package holds no assert statement, so `python -O` keeps every check.
 """
 
 

@@ -63,7 +63,9 @@ class LinearInequality:
     Inequalities read off circuits, minors and row families keep the
     coefficients exactly as constructed, common factors included; the
     slack-equals-cost certificate depends on that scale. Use normalized()
-    before comparing against a facet list.
+    before comparing against a facet list. A witness holds JSON values only
+    (ints, bools, strings, lists and dicts), so `inequality_json` writes it
+    out as built.
     """
 
     coeffs: tuple[int, ...]

@@ -7,8 +7,6 @@ library promises exact arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import BadParameters
 from .matrices import Instance, circular_matrix
 from .rationals import format_rational
@@ -56,20 +54,8 @@ def inequality_json(ineq, facet=None) -> dict:
     if facet is not None:
         out["facet"] = facet
     if ineq.witness:
-        out["witness"] = _jsonable(ineq.witness)
+        out["witness"] = ineq.witness
     return out
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return value
 
 
 def separation_json(result) -> dict:

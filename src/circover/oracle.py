@@ -6,9 +6,10 @@ it can adjudicate it. Minimal covers come from a full scan of the box
 an odometer that keeps every row sum and the count of short rows up to date
 as columns turn (minimality is checked by single decrements at each cover,
 which is the same as global minimality because feasibility is monotone in
-x). The facet test is an exact affine-rank computation, the full hull comes
-from a plain double description run on the dual cone, and membership is a
-phase-1 LP.
+x). The facet test reads one value a.c per cover for both validity and
+tightness, then takes one exact rank on the support of the inequality; the
+full hull comes from a plain double description run on the dual cone, and
+membership is a phase-1 LP.
 
 The double description runs in Python ints. The base of the n unit
 constraints and the first cover's constraint (1, c) has the closed-form
@@ -83,42 +84,42 @@ def enumerate_minimal_covers(
                 short -= 1
 
 
+def _cover_values(inequality, covers) -> list[int]:
+    """a.c for every cover c; NegativeCoefficient if a has a negative entry."""
+    coeffs = inequality.coeffs
+    if any(c < 0 for c in coeffs):
+        raise NegativeCoefficient(f"negative coefficient in {coeffs}")
+    return [sum([c * v for c, v in zip(coeffs, cover)]) for cover in covers]
+
+
 def check_validity(inequality, covers) -> bool:
     """Does every cover satisfy the inequality? (coefficients must be >= 0)"""
-    if any(c < 0 for c in inequality.coeffs):
-        raise NegativeCoefficient(f"negative coefficient in {inequality.coeffs}")
-    return all(
-        sum(c * v for c, v in zip(inequality.coeffs, cover)) >= inequality.rhs
-        for cover in covers
-    )
+    rhs = inequality.rhs
+    return all(v >= rhs for v in _cover_values(inequality, covers))
 
 
-def check_facet(inequality, covers, n: int) -> bool:
+def check_facet(inequality, covers) -> bool:
     """Exact facet test against the cover list.
 
     The polyhedron conv(covers) + R^n_+ is full-dimensional, so the
-    inequality defines a facet iff it is valid, tight somewhere, and the
-    tight covers together with the unit rays of its zero coefficients span
-    an affine space of dimension n-1.
+    inequality a.x >= a0 defines a facet iff it is valid, tight somewhere,
+    and its face has dimension n-1. That face is the convex hull of the
+    tight covers plus the cone of the unit rays e_j, j in the zero set Z of
+    a. The rays span exactly the Z coordinates, so the face has dimension
+    |Z| + rank(D_S), with D_S the differences of the tight covers read on
+    the support S of a only: a facet iff rank(D_S) = |S| - 1.
     """
-    if not covers:
+    rhs = inequality.rhs
+    values = _cover_values(inequality, covers)
+    if any(v < rhs for v in values):
         return False
-    if not check_validity(inequality, covers):
-        return False
-    tight = [
-        cover for cover in covers
-        if sum(c * v for c, v in zip(inequality.coeffs, cover)) == inequality.rhs
-    ]
+    tight = [cover for cover, v in zip(covers, values) if v == rhs]
     if not tight:
         return False
-    base = tight[0]
-    vectors = [
-        [a - b for a, b in zip(cover, base)] for cover in tight[1:]
-    ]
-    for j, c in enumerate(inequality.coeffs):
-        if c == 0:
-            vectors.append([int(t == j) for t in range(n)])
-    return exact_rank(vectors) == n - 1
+    support = [j for j, c in enumerate(inequality.coeffs) if c]
+    base = [tight[0][j] for j in support]
+    diffs = [[cover[j] - b for j, b in zip(support, base)] for cover in tight[1:]]
+    return exact_rank(diffs) == len(support) - 1
 
 
 def membership(point, covers) -> bool:

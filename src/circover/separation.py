@@ -106,23 +106,17 @@ class SeparationResult:
     costs: CostAssignment
 
 
-def separate(matrix: CircularMatrix, demands, point, *, digraph=None) -> SeparationResult:
+def separate(matrix: CircularMatrix, demands, point) -> SeparationResult:
     """Decide hull membership; on violation return a cutting inequality.
 
     The certificate equals both the inequality's slack at the point and the
     circuit's cost; CertificateError is raised unless they agree exactly and
-    are negative. A given digraph must be the full one of this matrix:
-    BadParameters otherwise, since without the reverse row arcs a violated
-    point could pass as a member.
+    are negative.
     """
-    if digraph is not None and (digraph.restricted or digraph.matrix != matrix):
-        raise BadParameters("separate needs the full digraph of the same matrix")
     costs = assign_costs(matrix, demands, point)
     if costs.gap == 0:
         return SeparationResult("member", None, None, None, costs)
-    if digraph is None:
-        digraph = build_digraph(matrix, restricted=False)
-    cyc = negative_circuit(digraph, costs)
+    cyc = negative_circuit(build_digraph(matrix, restricted=False), costs)
     if cyc is None:
         return SeparationResult("member", None, None, None, costs)
     ineq = circuit_inequality(matrix, demands, cyc)
@@ -167,7 +161,6 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
         top = max(demands, default=0)
         point = tuple([Fraction(top) for _ in range(n)])
         return CutLoopResult(Fraction(0), point, ())
-    digraph = build_digraph(matrix, restricted=False)
     rows = [matrix.row_vector(i) for i in range(1, m + 1)]
     senses = [">="] * m
     rhs = list(demands)
@@ -176,7 +169,7 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
         res = solve_lp(w, rows, senses, rhs)
         if res.status != "optimal":
             raise CertificateError(f"covering relaxation came back {res.status}")
-        sep = separate(matrix, demands, res.point, digraph=digraph)
+        sep = separate(matrix, demands, res.point)
         if sep.verdict == "member":
             steps.append(CutLoopStep(res.point, res.value, None, None))
             return CutLoopResult(res.value, res.point, tuple(steps))

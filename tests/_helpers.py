@@ -232,6 +232,47 @@ def product_minimal_covers(matrix, demands, budget=None):
     return tuple(out)
 
 
+def dense_check_facet(inequality, covers, n):
+    """Reference of `oracle.check_facet`: validity and tightness each from
+    their own pass, then the rank of every tight-cover difference, n long,
+    together with one unit row per zero coefficient, against n - 1."""
+    from circover import check_validity
+    from circover.linalg import exact_rank
+
+    if not covers:
+        return False
+    if not check_validity(inequality, covers):
+        return False
+    tight = [
+        cover for cover in covers
+        if sum(c * v for c, v in zip(inequality.coeffs, cover)) == inequality.rhs
+    ]
+    if not tight:
+        return False
+    base = tight[0]
+    vectors = [[a - b for a, b in zip(cover, base)] for cover in tight[1:]]
+    for j, c in enumerate(inequality.coeffs):
+        if c == 0:
+            vectors.append([int(t == j) for t in range(n)])
+    return exact_rank(vectors) == n - 1
+
+
+def jsonable(value):
+    """Reference of the witness conversion `inequality_json` once made:
+    Fractions to strings, tuples to lists, frozensets to sorted lists."""
+    from circover.rationals import format_rational
+
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
 def search_circuit_cover(nodes, n, k):
     """Reference of `rotation_cover`: a backtracking search over bijections
     of `nodes` onto itself along step arcs (i to i+k or i+k+1, mod n) whose

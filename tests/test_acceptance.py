@@ -77,7 +77,7 @@ def test_acceptance_1_complete_description(acceptance):
                     continue
             except NoEssentialBullets:
                 continue
-            if check_facet(ineq, covers, n):
+            if check_facet(ineq, covers):
                 union.add(ineq.normalized().key())
                 circuit_facets += 1
         if hull != union:
@@ -150,7 +150,7 @@ def test_acceptance_4_rank_facet_condition(acceptance):
         m = grid_matrix(n, k)
         covers = enumerate_minimal_covers(m, [1] * n)
         rank = make_inequality([1] * n, cover_number(n, k), "rank")
-        if check_facet(rank, covers, n) != (n % k != 0):
+        if check_facet(rank, covers) != (n % k != 0):
             wrong.append((n, k))
     elapsed = time.time() - t0
     ok = not wrong

@@ -119,3 +119,15 @@ def test_no_tuple_is_built_from_a_generator():
     modules = sorted(Path(circover.__file__).parent.glob("*.py"))
     assert len(modules) > 10
     assert [hit for path in modules for hit in _generator_tuples(path)] == []
+
+
+def test_no_module_holds_an_assert_statement():
+    """`python -O` strips assert statements, and the `-O` run of the suite
+    sees only those that some test reaches; every check in the package
+    raises a CircoverError subclass instead (see `errors`)."""
+    modules = sorted(Path(circover.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    hits = [f"{path.name}:{node.lineno}" for path in modules
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)]
+    assert hits == []

@@ -1,9 +1,16 @@
+import json
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from _helpers import find_arc, scanned_circulant_minors, unfiltered_circulant_minors
+from _helpers import (
+    find_arc,
+    jsonable,
+    scanned_circulant_minors,
+    unfiltered_circulant_minors,
+)
 from test_cli import run_python
 
 from circover import (
@@ -45,6 +52,7 @@ from circover import (
     row_inequalities,
 )
 from circover import inequalities
+from circover.jsonio import inequality_json
 
 
 def all_row_circuit(matrix, order):
@@ -325,7 +333,7 @@ def test_minor_inequality_7_3():
     assert check_validity(q, covers)
     # ... but here the inequality is the rank facet plus x_1 >= 0, a sum of
     # two valid inequalities, so the oracle rightly denies facethood
-    assert not check_facet(q, covers, 7)
+    assert not check_facet(q, covers)
     # remainder 1 makes the rfi flavor coincide
     q2 = minor_inequalities(m, [1, 4], mode="rfi")
     assert q2.key() == q.key()
@@ -340,7 +348,7 @@ def test_minor_inequality_can_be_a_real_facet():
     q = minor_inequalities(m, [1, 4, 7])
     assert q.witness["facet_condition"] is False
     covers = enumerate_minimal_covers(m, [1] * 9)
-    assert check_facet(q, covers, 9)
+    assert check_facet(q, covers)
 
 
 def test_minor_inequality_10_4():
@@ -785,3 +793,54 @@ for winding, classes, _ in {_BLOCK_TAMPERINGS!r}:
     assert len(lines) == len(_BLOCK_TAMPERINGS), out
     for line, (_, _, message) in zip(lines, _BLOCK_TAMPERINGS):
         assert re.search(message, line), (message, line)
+
+
+def _json_values_only(value) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and _json_values_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_values_only(v) for v in value)
+    return type(value) in (int, bool, str)
+
+
+def test_witnesses_hold_json_values_and_are_written_as_built():
+    """Every witness the library builds holds only ints, bools, strings,
+    lists and dicts, so `inequality_json` writes it unconverted and equals
+    what it wrote when it converted each witness (`_helpers.jsonable`):
+    candidates of both enumerators on circulants and random matrices, every
+    circuit inequality of the full digraph, minor inequalities in both modes
+    and row family inequalities."""
+    rng = random.Random(1115)
+    ineqs = []
+    for n in range(5, 10):
+        for k in range(2, n):
+            m = circulant_matrix(n, k)
+            for alpha in (1, 2):
+                ineqs += enumerate_facet_candidates(m, alpha).inequalities
+            for w in enumerate_circulant_minors(m.as_circulant(), max_count=12).witnesses:
+                ineqs += [minor_inequalities(m, w), minor_inequalities(m, w, mode="rfi")]
+            family = range(1, rng.randint(3, n + 1))    # consecutive rows overlap
+            covers = enumerate_minimal_covers(m, [1] * n)
+            ineqs.append(row_family_inequality(m, family, covers=covers).inequality)
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+        m = circular_matrix(n, rng.sample(pool, rng.randint(2, n)))
+        demands = [rng.randint(0, 2) for _ in range(m.m)]
+        ineqs += enumerate_candidates_general(m, demands).inequalities
+        for path in enumerate_circuits(build_digraph(m), max_count=60).circuits:
+            if path.winding >= 1:
+                ineqs.append(circuit_inequality(m, demands, path))
+        if not m.dominating_rows():
+            ineqs += enumerate_facet_candidates(m, rng.randint(1, 2)).inequalities
+    kinds = set()
+    for q in ineqs:
+        if q.witness is None:
+            continue
+        kinds.add(q.kind)
+        assert _json_values_only(q.witness), (q.kind, q.witness)
+        want = {"coeffs": list(q.coeffs), "rhs": q.rhs, "kind": q.kind,
+                "witness": jsonable(q.witness)}
+        got = inequality_json(q)
+        assert got == want and json.dumps(got) == json.dumps(want)
+    assert kinds == {"boolean", "circuit", "minor", "minor-rfi", "rfi"}, kinds

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from _helpers import fraction_hull_facets, product_minimal_covers
+from _helpers import dense_check_facet, fraction_hull_facets, product_minimal_covers
 
 from circover import (
     BudgetExceeded,
@@ -12,6 +12,8 @@ from circover import (
     circulant_matrix,
     circular_matrix,
     cover_number,
+    enumerate_candidates_general,
+    enumerate_facet_candidates,
     enumerate_minimal_covers,
     hull_facets,
     make_inequality,
@@ -77,21 +79,21 @@ def test_rank_facet_iff_window_does_not_divide(n, k):
     m = circulant_matrix(n, k)
     covers = enumerate_minimal_covers(m, [1] * n)
     rank = make_inequality([1] * n, cover_number(n, k), "rank")
-    assert check_facet(rank, covers, n) == (n % k != 0)
+    assert check_facet(rank, covers) == (n % k != 0)
 
 
 def test_check_facet_details():
     m = circulant_matrix(5, 2)
     covers = enumerate_minimal_covers(m, [1] * 5)
-    assert check_facet(make_inequality([1, 1, 0, 0, 0], 1, "boolean"), covers, 5)
+    assert check_facet(make_inequality([1, 1, 0, 0, 0], 1, "boolean"), covers)
     # valid but never tight
-    assert not check_facet(make_inequality([1, 1, 1, 1, 1], 2, "weak"), covers, 5)
+    assert not check_facet(make_inequality([1, 1, 1, 1, 1], 2, "weak"), covers)
     # invalid
-    assert not check_facet(make_inequality([1, 0, 0, 0, 0], 1, "no"), covers, 5)
+    assert not check_facet(make_inequality([1, 0, 0, 0, 0], 1, "no"), covers)
     # non-negativity bounds of a full-dimensional covering hull are facets
-    assert check_facet(make_inequality([1, 0, 0, 0, 0], 0, "nonneg"), covers, 5)
+    assert check_facet(make_inequality([1, 0, 0, 0, 0], 0, "nonneg"), covers)
     # valid, tight at two covers only: an edge, not a facet
-    assert not check_facet(make_inequality([3, 1, 1, 1, 1], 3, "weak"), covers, 5)
+    assert not check_facet(make_inequality([3, 1, 1, 1, 1], 3, "weak"), covers)
 
 
 def test_membership():
@@ -133,7 +135,7 @@ def test_hull_6_3_has_no_rank_facet():
     assert len(keys) == 12
     assert ((1, 1, 1, 1, 1, 1), 2) not in keys
     for q in h.facets:
-        assert check_facet(q, h.covers, 6)
+        assert check_facet(q, h.covers)
 
 
 def test_hull_facets_are_sorted_and_self_consistent():
@@ -142,7 +144,7 @@ def test_hull_facets_are_sorted_and_self_consistent():
     keys = [(q.coeffs, q.rhs) for q in h.facets]
     assert keys == sorted(keys)
     for q in h.facets:
-        assert check_facet(q, h.covers, 7)
+        assert check_facet(q, h.covers)
     # every cover satisfies every facet, some tightly
     for q in h.facets:
         assert check_validity(q, h.covers)
@@ -201,3 +203,51 @@ def test_hull_facets_match_the_fraction_construction():
         levels.update(demands)
         assert key(hull_facets(m, demands)) == key(fraction_hull_facets(m, demands))
     assert levels == {0, 1, 2, 3}
+
+
+def _facet_verdicts(m, demands, candidates, rng):
+    """check_facet against the dense reference on the candidates, the hull
+    facets and six random inequalities, valid, tight or not (rhs the least
+    cover value, one above it or one below); on valid ones also against
+    membership in the hull. Returns the number of facets found."""
+    hull = hull_facets(m, demands)
+    covers = hull.covers
+    keys = {q.key() for q in hull.facets}
+    ineqs = [*candidates, *hull.facets]
+    for _ in range(6):
+        coeffs = [rng.choice((0, 0, 1, 2, 3)) for _ in range(m.n)]
+        low = min(sum(c * v for c, v in zip(coeffs, cover)) for cover in covers)
+        ineqs.append(make_inequality(coeffs, low + rng.randint(-1, 1), "random", reduce=False))
+    found = 0
+    for q in ineqs:
+        got = check_facet(q, covers)
+        assert got == dense_check_facet(q, covers, m.n), (q, demands)
+        if check_validity(q, covers):
+            assert got == (q.normalized().key() in keys), (q, demands)
+        found += got
+    return found
+
+
+def test_check_facet_equals_the_dense_rank_test():
+    """The rank test on the support against the rank of the tight-cover
+    differences plus the unit rays of the zero coefficients: every circulant
+    with n <= 9 at demand levels 1 and 2, and 200 random circular matrices
+    with demands 0-2."""
+    rng = random.Random(1502)
+    found = 0
+    for n in range(3, 10):
+        for k in range(2, n):
+            m = circulant_matrix(n, k)
+            for b in (1, 2):
+                cands = enumerate_facet_candidates(m, b).inequalities
+                found += _facet_verdicts(m, [b] * n, cands, rng)
+    levels = set()
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+        m = circular_matrix(n, rng.sample(pool, rng.randint(1, min(len(pool), 2 * n))))
+        demands = [rng.randint(0, 2) for _ in range(m.m)]
+        levels.update(demands)
+        cands = enumerate_candidates_general(m, demands).inequalities
+        found += _facet_verdicts(m, demands, cands, rng)
+    assert levels == {0, 1, 2} and found > 1000, found

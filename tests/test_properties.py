@@ -176,3 +176,80 @@ def test_separate_point_is_an_answer_or_one_error_line(pentagon_file, text):
     else:
         assert code == 1 and out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# values an instance field may hold instead of a well-formed one
+odd_values = st.sampled_from((None, True, False, 0, -1, 2.0, "3", "1/2", [], {}, [[]]))
+
+
+@st.composite
+def instance_objects(draw):
+    """The JSON of an instance file: one time in eight arbitrary JSON, else
+    an object shaped like an instance. Each of its fields is well formed
+    three times in four (n 3-7, distinct rows [start, length] of length 2
+    to n-1, demands 0-3, rational weights, lengths matching) and malformed
+    otherwise, and one time in ten a key is left out."""
+    if draw(st.sampled_from(range(8))) == 7:
+        return draw(json_values)
+    good = st.sampled_from((True, True, True, False))
+    n = draw(st.integers(3, 7) if draw(good) else odd_values)
+    size = n if type(n) is int and n > 0 else 3
+    pool = [(s, length) for s in range(1, size + 1) for length in range(2, size)]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=size, unique=True)
+                .map(lambda rs: [list(r) for r in rs]) if draw(good) else
+                st.lists(st.lists(st.integers(-1, 8), max_size=3) | odd_values, max_size=4)
+                | odd_values)
+    obj = {"n": n, "rows": rows}
+    m = len(rows) if type(rows) is list else 3
+    if draw(st.booleans()):
+        obj["b"] = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m) if draw(good)
+                        else st.lists(st.integers(-1, 3) | odd_values, max_size=m + 1)
+                        | odd_values)
+    if draw(st.booleans()):
+        weight = st.sampled_from((0, 1, 2, "0", "1/2", "3/2", "-1", " 2 ", "x"))
+        obj["w"] = draw(st.lists(weight, min_size=size, max_size=size) if draw(good)
+                        else st.lists(weight | odd_values, max_size=size + 1) | odd_values)
+    if draw(st.sampled_from(range(10))) == 9:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return obj
+
+
+# every verb, the enumerating ones capped so each run stays small
+INSTANCE_VERBS = {
+    "solve": [],
+    "separate": None,       # the point is built from the drawn n
+    "cut-loop": [],
+    "facets": ["--max-circuits", "30", "--budget", "729"],
+    "facets --alpha 2": ["--alpha", "2", "--max-circuits", "30", "--budget", "729"],
+    "verify": ["--max-circuits", "30", "--budget", "729"],
+    "verify --alpha 2": ["--alpha", "2", "--max-circuits", "30", "--budget", "729"],
+    "minors": ["--max-circuits", "30"],
+}
+
+
+@pytest.fixture(scope="module")
+def instance_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("instance") / "instance.json"
+
+
+@pytest.mark.parametrize("verb", INSTANCE_VERBS)
+@fixed
+@given(data=instance_objects())
+def test_any_instance_file_is_an_answer_or_one_error_line(instance_file, verb, data):
+    """Any JSON as the instance file of any verb exits 0 or 2 with a JSON
+    answer and nothing on stderr, or 1 with one `error:` line and nothing
+    on stdout; it never ends in a traceback."""
+    instance_file.write_text(json.dumps(data))
+    args = INSTANCE_VERBS[verb]
+    if args is None:
+        n = data.get("n") if type(data) is dict else None
+        args = ["--point", json.dumps(["1/2"] * (n if type(n) is int and n > 0 else 3))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([verb.split()[0], str(instance_file), *args])
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 2) and err.getvalue() == ""
+        assert isinstance(json.loads(out.getvalue()), dict)

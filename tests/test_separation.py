@@ -326,20 +326,6 @@ def test_assign_costs_matches_the_fraction_definition():
     assert wrapped > 100 and 30 < errors < 270, (wrapped, errors)
 
 
-@pytest.mark.parametrize("digraph", [
-    lambda: build_digraph(circulant_matrix(5, 2), restricted=True),
-    lambda: build_digraph(circulant_matrix(5, 3)),
-], ids=["restricted", "other matrix"])
-def test_separate_rejects_a_foreign_digraph(digraph):
-    with pytest.raises(BadParameters, match="full digraph"):
-        separate(circulant_matrix(5, 2), [1] * 5, HALF5, digraph=digraph())
-
-
-def test_separate_accepts_the_full_digraph_of_an_equal_matrix():
-    d = build_digraph(circular_matrix(5, [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]))
-    assert separate(circulant_matrix(5, 2), [1] * 5, HALF5, digraph=d).certificate == F(-1, 2)
-
-
 def test_certificate_mismatch_raises(monkeypatch):
     """A circuit inequality whose slack differs from the circuit cost is a
     CertificateError, never a reported cut."""
@@ -371,16 +357,22 @@ except CertificateError as exc:
     assert "differs from the circuit cost" in out
 
 
-def test_separate_builds_no_arc_objects_for_a_member():
+def test_separate_builds_no_arc_objects_for_a_member(monkeypatch):
     """A member with a fractional coordinate sum runs the full Bellman-Ford
     kernel and builds no Arc; a violated point builds only its circuit's
     arcs, equal to those of the full arc list."""
+    module = sys.modules["circover.separation"]
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_digraph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(module, "build_digraph", capture)
     m = circulant_matrix(5, 2)
-    d = build_digraph(m)
-    res = separate(m, [1] * 5, ["1", "1", "1", "1", "1/2"], digraph=d)
+    res = separate(m, [1] * 5, ["1", "1", "1", "1", "1/2"])
     assert res.verdict == "member" and res.costs.gap != 0
-    assert "arcs" not in d.__dict__
-    res = separate(m, [1] * 5, HALF5, digraph=d)
+    res = separate(m, [1] * 5, HALF5)
     assert res.verdict == "violated"
-    assert "arcs" not in d.__dict__
-    assert all(a in d.arcs for a in res.circuit.arcs)
+    assert len(built) == 2 and not any("arcs" in d.__dict__ for d in built)
+    assert all(a in built[1].arcs for a in res.circuit.arcs)
