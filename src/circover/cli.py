@@ -37,7 +37,6 @@ from .errors import (
 from .inequalities import (
     enumerate_circulant_minors,
     enumerate_facet_candidates,
-    enumerate_candidates_general,
     extract_minor,
 )
 from .jsonio import (
@@ -90,15 +89,6 @@ def _cap(value, flag):
     return value
 
 
-def _candidates(matrix, demands, max_circuits):
-    levels = set(demands)
-    if len(levels) == 1 and demands and demands[0] >= 1:
-        return enumerate_facet_candidates(
-            matrix, demands[0], max_circuits=max_circuits
-        )
-    return enumerate_candidates_general(matrix, demands, max_circuits=max_circuits)
-
-
 def _cmd_solve(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
     return optimization_json(optimize(inst.matrix, inst.demands, inst.weights)), 0
@@ -118,7 +108,9 @@ def _cmd_facets(args) -> tuple[dict, int]:
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
     budget = _cap(args.budget, "--budget")
-    enum = _candidates(matrix, demands, _cap(args.max_circuits, "--max-circuits"))
+    enum = enumerate_facet_candidates(
+        matrix, demands, max_circuits=_cap(args.max_circuits, "--max-circuits")
+    )
     try:
         covers = enumerate_minimal_covers(matrix, demands, budget)
     except BudgetExceeded:
@@ -142,7 +134,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
     budget = _cap(args.budget, "--budget")
-    enum = _candidates(matrix, demands, _cap(args.max_circuits, "--max-circuits"))
+    enum = enumerate_facet_candidates(
+        matrix, demands, max_circuits=_cap(args.max_circuits, "--max-circuits")
+    )
     cand_items = [inequality_json(q) for q in enum.inequalities]
     try:
         hull = hull_facets(matrix, demands, budget)

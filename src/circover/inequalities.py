@@ -11,6 +11,9 @@ With homogeneous demands alpha per row the reverse-row-free digraph
 suffices, and on a circuit the coefficients collapse to two values: r+1 on
 crosses (columns whose backward short arc lies on the circuit), r elsewhere,
 with right-hand side r*ceil(alpha*s/p) for s forward row arcs.
+`enumerate_facet_candidates` takes any demand vector: one level alpha >= 1
+on a matrix without dominating rows gets that two-valued family, every
+other instance the circuit inequalities of the full digraph.
 
 The block structure of a circuit (runs of circles or crosses hanging off
 each essential plain node) certifies a circulant minor of order s and window
@@ -47,12 +50,14 @@ from .matrices import (
     CircularMatrix,
     Circulant,
     SupportMatrix,
+    check_demands,
     circulant_isomorphic,
     circulant_matrix,
     contract,
     cover_number,
     norm_col,
 )
+from .optimize import optimize
 from .rationals import parse_rational_vector
 
 
@@ -437,8 +442,7 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
         if not 1 <= j <= matrix.n:
             raise BadParameters(f"column {j} outside 1..{matrix.n}")
         removed_set.add(j)
-    match = circulant_isomorphic(contract(matrix, removed_set)) \
-        if removed_set else circulant_isomorphic(matrix)
+    match = circulant_isomorphic(contract(matrix, removed_set))
     if match is None:
         raise NotCirculantMinor(f"deleting {sorted(removed_set)} leaves no circulant")
     nprime, kprime = match.order, match.window
@@ -676,56 +680,65 @@ class CandidateEnumeration:
     circuits_seen: int
 
 
-def _dedup(ineqs) -> tuple[LinearInequality, ...]:
+def _candidates(matrix, demands, tau, enum, rule) -> CandidateEnumeration:
+    """Non-negativity, the rows, the full-support inequality at tau, then
+    rule(path) for every enumerated circuit (None drops it); the first
+    inequality of each (coeffs, rhs) key stays."""
+    cands = [
+        *nonnegativity(matrix.n),
+        *row_inequalities(matrix, demands),
+        make_inequality([1] * matrix.n, tau, "rank"),
+    ]
+    for path in enum.circuits:
+        ineq = rule(path)
+        if ineq is not None:
+            cands.append(ineq)
     out = {}
-    for q in ineqs:
+    for q in cands:
         out.setdefault(q.key(), q)
-    return tuple(out.values())
+    return CandidateEnumeration(tuple(out.values()), enum.complete, len(enum.circuits))
 
 
 def enumerate_facet_candidates(
-    matrix: CircularMatrix, alpha: int = 1, *, max_circuits: int | None = None
+    matrix: CircularMatrix, demands, *, max_circuits: int | None = None
 ) -> CandidateEnumeration:
-    """Candidate facet list for demands alpha per row.
+    """Candidate facet list of the covering polyhedron for any demand vector.
 
     Non-negativity and row inequalities, the full-support inequality at the
-    exact cover number, and circuit inequalities from the class matching the
-    instance: on circulants, circuits without forward short arcs; on
-    general matrices, bad-row-free circuits for alpha = 1 and all circuits
-    of the reverse-row-free digraph for alpha >= 2. Cross-free circuits
-    only reproduce (scaled, weaker) full-support inequalities, so they are
-    dropped in favor of the exact one.
+    exact cover number, and circuit inequalities. When every row demands
+    the same alpha >= 1 and no row dominates another, the circuits come
+    from the reverse-row-free digraph in their two-valued form: on
+    circulants, circuits without forward short arcs; on general matrices,
+    bad-row-free circuits for alpha = 1 and all circuits for alpha >= 2.
+    Cross-free circuits only reproduce (scaled, weaker) full-support
+    inequalities, so they are dropped in favor of the exact one. Every
+    other demand vector or matrix gets `enumerate_candidates_general`.
     """
-    if not isinstance(alpha, int) or alpha < 1:
-        raise BadParameters(f"demand level must be a positive int, got {alpha!r}")
-    if matrix.dominating_rows():
-        raise BadParameters("facet candidates need a matrix without dominating rows")
+    demands = check_demands(matrix, demands)
+    alpha = min(demands, default=0)
+    if alpha < 1 or demands.count(alpha) != matrix.m or matrix.dominating_rows():
+        return enumerate_candidates_general(matrix, demands, max_circuits=max_circuits)
     circ = matrix.as_circulant()
-    digraph = build_digraph(matrix, restricted=True)
     forbid = frozenset({FORWARD_SHORT}) if circ else frozenset()
     enum = enumerate_circuits(
-        digraph, min_winding=2, forbid_kinds=forbid, max_count=max_circuits
+        build_digraph(matrix, restricted=True),
+        min_winding=2, forbid_kinds=forbid, max_count=max_circuits,
     )
-    cands: list[LinearInequality] = []
-    cands.extend(nonnegativity(matrix.n))
-    cands.extend(row_inequalities(matrix, (alpha,) * matrix.m))
     if circ and alpha == 1:
         tau = cover_number(circ.order, circ.window)
     else:
-        from .optimize import optimize
-        tau = optimize(matrix, (alpha,) * matrix.m, (1,) * matrix.n).beta
-    cands.append(make_inequality([1] * matrix.n, tau, "rank"))
-    for path in enum.circuits:
-        classes = classify_nodes(path, matrix.n)
-        if not classes.crosses:
-            continue
-        s = len(path.row_indices(forward=True))
-        if (alpha * s) % path.winding == 0:
-            continue
+        tau = optimize(matrix, demands, (1,) * matrix.n).beta
+
+    def rule(path):
+        if not classify_nodes(path, matrix.n).crosses:
+            return None
+        if (alpha * len(path.row_indices(forward=True))) % path.winding == 0:
+            return None
         if alpha == 1 and circ is None and bad_arcs(matrix, path):
-            continue
-        cands.append(homogeneous_circuit_inequality(matrix, path, alpha))
-    return CandidateEnumeration(_dedup(cands), enum.complete, len(enum.circuits))
+            return None
+        return homogeneous_circuit_inequality(matrix, path, alpha)
+
+    return _candidates(matrix, demands, tau, enum, rule)
 
 
 def enumerate_candidates_general(
@@ -737,18 +750,17 @@ def enumerate_candidates_general(
     p not dividing the net demand t, p <= t-1) plus the polyhedron rows,
     non-negativity, and the exact full-support inequality.
     """
-    digraph = build_digraph(matrix, restricted=False)
-    enum = enumerate_circuits(digraph, min_winding=2, max_count=max_circuits)
-    cands: list[LinearInequality] = []
-    cands.extend(nonnegativity(matrix.n))
-    cands.extend(row_inequalities(matrix, demands))
-    from .optimize import optimize
+    demands = check_demands(matrix, demands)
+    enum = enumerate_circuits(
+        build_digraph(matrix, restricted=False), min_winding=2, max_count=max_circuits
+    )
     tau = optimize(matrix, demands, (1,) * matrix.n).beta
-    cands.append(make_inequality([1] * matrix.n, tau, "rank"))
-    for path in enum.circuits:
+
+    def rule(path):
         ineq = circuit_inequality(matrix, demands, path)
         w = ineq.witness
         if w["redundant"] or not 2 <= w["winding"] <= w["net_demand"] - 1:
-            continue
-        cands.append(ineq)
-    return CandidateEnumeration(_dedup(cands), enum.complete, len(enum.circuits))
+            return None
+        return ineq
+
+    return _candidates(matrix, demands, tau, enum, rule)

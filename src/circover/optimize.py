@@ -132,14 +132,13 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     return OptimizationResult(best.value, point, beta, slices)
 
 
-def domination_solve(neighborhoods, weights=None, variant: str = "mwdsp", *,
-                     fold: int = 2, demands=None) -> OptimizationResult:
+def domination_solve(neighborhoods, weights=None, demands=None) -> OptimizationResult:
     """Solve a domination problem on a circular-interval neighborhood model.
 
-    variant "mwdsp": every vertex dominated at least once (min weight
-    dominating set, fractional relaxation closed to its integer hull).
-    variant "k-domination": every vertex dominated at least `fold` times.
-    variant "l-domination": per-vertex demands (list, one per vertex).
+    Vertex v must be dominated demands[v-1] times: all ones (the default)
+    is the minimum weight dominating set, [k] * n is k-domination, and any
+    other vector is its l-domination. The fractional relaxation is closed
+    to its integer hull.
 
     Twin vertices (identical closed neighborhoods) would duplicate rows, so
     identical neighborhoods are grouped first and the group keeps its
@@ -148,26 +147,14 @@ def domination_solve(neighborhoods, weights=None, variant: str = "mwdsp", *,
     n = len(neighborhoods)
     if weights is None:
         weights = (1,) * n
-    if variant == "mwdsp":
-        per_vertex = [1] * n
-    elif variant == "k-domination":
-        if not isinstance(fold, int) or fold < 1:
-            raise BadParameters(f"fold must be a positive int, got {fold!r}")
-        per_vertex = [fold] * n
-    elif variant == "l-domination":
-        if demands is None or len(demands) != n:
-            raise BadParameters("l-domination needs one demand per vertex")
-        per_vertex = list(demands)
-    else:
-        raise BadParameters(f"unknown variant {variant!r}")
+    if demands is None:
+        demands = (1,) * n
+    elif len(demands) != n:
+        raise BadParameters(f"{len(demands)} demands for {n} vertices")
     grouped: dict[tuple[int, int], int] = {}
-    order = []
     for v in range(1, n + 1):
         row = interval_row(neighborhoods[v - 1], n, must_contain=v)
-        if row not in grouped:
-            order.append(row)
-            grouped[row] = per_vertex[v - 1]
-        else:
-            grouped[row] = max(grouped[row], per_vertex[v - 1])
-    matrix = circular_matrix(n, order)
-    return optimize(matrix, [grouped[row] for row in order], weights)
+        d = demands[v - 1]
+        grouped[row] = max(grouped[row], d) if row in grouped else d
+    matrix = circular_matrix(n, list(grouped))
+    return optimize(matrix, list(grouped.values()), weights)

@@ -106,7 +106,7 @@ def test_acceptance_2_uniform_demand_hulls(acceptance):
             for alpha in (2, 3):
                 pairs += 1
                 hull = {q.normalized().key() for q in hull_facets(m, [alpha] * n).facets}
-                cand = enumerate_facet_candidates(m, alpha)
+                cand = enumerate_facet_candidates(m, [alpha] * m.m)
                 assert cand.complete
                 have = {q.normalized().key() for q in cand.inequalities}
                 gap = hull - have

@@ -14,6 +14,8 @@ from circover import (
     assign_costs,
     circulant_matrix,
     cut_loop,
+    enumerate_candidates_general,
+    enumerate_facet_candidates,
     enumerate_minimal_covers,
     optimize,
     separate,
@@ -32,6 +34,9 @@ ENTRY_POINTS = {
     "separate": ("bx", lambda b, w, x: separate(PENTAGON, b, x)),
     "assign_costs": ("bx", lambda b, w, x: assign_costs(PENTAGON, b, x)),
     "enumerate_minimal_covers": ("b", lambda b, w, x: enumerate_minimal_covers(PENTAGON, b)),
+    "enumerate_facet_candidates": ("b", lambda b, w, x: enumerate_facet_candidates(PENTAGON, b)),
+    "enumerate_candidates_general":
+        ("b", lambda b, w, x: enumerate_candidates_general(PENTAGON, b)),
 }
 
 BAD_INPUTS = {

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import circover
-from circover import cli
+from circover import circular_matrix, cli
 
 
 PENTAGON = {"n": 5, "rows": [[1, 2], [2, 2], [3, 2], [4, 2], [5, 2]]}
@@ -164,6 +165,39 @@ def test_minors_rejects_dominating_rows(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: minors need a matrix without dominating rows\n"
+
+
+def test_facets_and_verify_accept_dominating_rows(tmp_path, capsys):
+    # row [1, 3] contains row [1, 2], and row [4, 3] contains row [5, 2]
+    path = tmp_path / "dominated.json"
+    path.write_text(json.dumps({"n": 6, "rows": [[1, 2], [1, 3], [3, 2], [4, 3], [5, 2]]}))
+    code, out, err = run(capsys, ["facets", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["complete"] is True
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ok"] is True
+
+
+def test_verify_on_random_matrices_with_dominating_rows(tmp_path, capsys):
+    """60 seeded circular matrices with n 5-8, some row containing another,
+    and one demand level 1 or 2 on every row: each candidate list holds
+    every hull facet."""
+    rng = random.Random(1606)
+    path = tmp_path / "dominated.json"
+    checked = 0
+    while checked < 60:
+        n = rng.randint(5, 8)
+        pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+        rows = rng.sample(pool, rng.randint(3, n))
+        if not circular_matrix(n, rows).dominating_rows():
+            continue
+        doc = {"n": n, "rows": [list(r) for r in rows], "b": [rng.randint(1, 2)] * len(rows)}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert (code, err) == (0, ""), doc
+        assert json.loads(out)["ok"] is True, doc
+        checked += 1
 
 
 def test_cut_loop(pentagon_file, capsys):

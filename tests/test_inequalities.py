@@ -487,7 +487,7 @@ def test_enumerate_circulant_minors_cap_below_one_raises():
 
 def test_facet_candidates_5_2_equal_the_hull():
     m = circulant_matrix(5, 2)
-    enum = enumerate_facet_candidates(m)
+    enum = enumerate_facet_candidates(m, [1] * m.m)
     assert enum.complete
     hull = hull_facets(m, [1] * 5)
     assert {q.key() for q in enum.inequalities} == {q.key() for q in hull.facets}
@@ -495,7 +495,7 @@ def test_facet_candidates_5_2_equal_the_hull():
 
 def test_facet_candidates_alpha_two():
     m = circulant_matrix(5, 2)
-    enum = enumerate_facet_candidates(m, 2)
+    enum = enumerate_facet_candidates(m, [2] * m.m)
     assert enum.complete
     covers = enumerate_minimal_covers(m, [2] * 5)
     for q in enum.inequalities:
@@ -504,10 +504,18 @@ def test_facet_candidates_alpha_two():
     assert ((1, 1, 1, 1, 1), 5) in keys  # exact cover number at demand 2
 
 
-def test_facet_candidates_reject_dominating_rows():
+def test_facet_candidates_with_dominating_rows_are_the_general_enumeration():
+    # row (1, 3) contains row (1, 2): the two-valued circuit family does not
+    # apply, so uniform demands get the full-digraph enumeration
     m = circular_matrix(6, [(1, 2), (1, 3), (4, 2)])
-    with pytest.raises(BadParameters):
-        enumerate_facet_candidates(m)
+    for alpha in (1, 2):
+        demands = [alpha] * m.m
+        enum = enumerate_facet_candidates(m, demands)
+        general = enumerate_candidates_general(m, demands)
+        assert enum.complete and enum.circuits_seen == general.circuits_seen
+        assert [(q.key(), q.kind, q.witness) for q in enum.inequalities] == [
+            (q.key(), q.kind, q.witness) for q in general.inequalities
+        ]
 
 
 def test_general_candidates_cover_the_hull_of_mixed_demands():
@@ -816,7 +824,7 @@ def test_witnesses_hold_json_values_and_are_written_as_built():
         for k in range(2, n):
             m = circulant_matrix(n, k)
             for alpha in (1, 2):
-                ineqs += enumerate_facet_candidates(m, alpha).inequalities
+                ineqs += enumerate_facet_candidates(m, [alpha] * m.m).inequalities
             for w in enumerate_circulant_minors(m.as_circulant(), max_count=12).witnesses:
                 ineqs += [minor_inequalities(m, w), minor_inequalities(m, w, mode="rfi")]
             family = range(1, rng.randint(3, n + 1))    # consecutive rows overlap
@@ -832,7 +840,7 @@ def test_witnesses_hold_json_values_and_are_written_as_built():
             if path.winding >= 1:
                 ineqs.append(circuit_inequality(m, demands, path))
         if not m.dominating_rows():
-            ineqs += enumerate_facet_candidates(m, rng.randint(1, 2)).inequalities
+            ineqs += enumerate_facet_candidates(m, [rng.randint(1, 2)] * m.m).inequalities
     kinds = set()
     for q in ineqs:
         if q.witness is None:

@@ -177,7 +177,7 @@ def test_domination_on_webs():
 
 
 def test_k_domination_matches_uniform_demand():
-    by_variant = domination_solve(web_neighborhoods(7, 1), variant="k-domination", fold=2)
+    by_variant = domination_solve(web_neighborhoods(7, 1), demands=[2] * 7)
     direct = optimize(circulant_matrix(7, 3), [2] * 7, [1] * 7)
     assert by_variant.value == direct.value == 5
     assert by_variant.point == direct.point
@@ -187,7 +187,6 @@ def test_l_domination_with_twin_vertices():
     # vertices 1 and 2 share a closed neighborhood; the tighter demand wins
     res = domination_solve(
         [[1, 2], [1, 2], [3, 4], [3, 4]],
-        variant="l-domination",
         demands=[1, 2, 1, 1],
     )
     assert res.value == 3
@@ -202,8 +201,6 @@ def test_weighted_domination():
 
 def test_domination_input_errors():
     with pytest.raises(BadParameters):
-        domination_solve(web_neighborhoods(7, 1), variant="total")
-    with pytest.raises(BadParameters):
-        domination_solve(web_neighborhoods(7, 1), variant="l-domination")
+        domination_solve(web_neighborhoods(7, 1), demands=[1] * 6)
     with pytest.raises(NotInterval):
         domination_solve([[1, 3], [2, 3], [3, 4], [4, 5], [5, 1]])

@@ -239,7 +239,7 @@ def test_check_facet_equals_the_dense_rank_test():
         for k in range(2, n):
             m = circulant_matrix(n, k)
             for b in (1, 2):
-                cands = enumerate_facet_candidates(m, b).inequalities
+                cands = enumerate_facet_candidates(m, [b] * m.m).inequalities
                 found += _facet_verdicts(m, [b] * n, cands, rng)
     levels = set()
     for _ in range(200):

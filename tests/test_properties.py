@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from circover import (
     BadParameters,
     InfeasiblePoint,
+    build_digraph,
     check_validity,
     circulant_matrix,
     circular_matrix,
     cut_loop,
+    enumerate_circuits,
     enumerate_minimal_covers,
     membership,
     optimize,
@@ -117,6 +119,31 @@ def test_separate_agrees_with_the_hull_oracle(query):
         assert res.certificate == res.costs.path_cost(res.circuit)
         assert res.certificate == res.inequality.evaluate(x) < 0
         assert check_validity(res.inequality, covers)
+
+
+@st.composite
+def circular_matrices(draw):
+    """A circular matrix with n 3-7 and 1-n distinct rows."""
+    n = draw(st.integers(3, 7))
+    pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+    return circular_matrix(n, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=n,
+                                            unique=True)))
+
+
+@fixed
+@given(circular_matrices())
+def test_circuit_counts_equal_networkx(m):
+    """On both digraphs of the matrix, enumerate_circuits lists as many
+    distinct circuits as networkx.simple_cycles finds once every arc is
+    subdivided, so parallel and antiparallel arcs count apart."""
+    pytest.importorskip("networkx")
+    from test_digraph import _nx_circuit_count
+
+    for restricted in (False, True):
+        d = build_digraph(m, restricted=restricted)
+        enum = enumerate_circuits(d)
+        assert enum.complete
+        assert len(set(enum.circuits)) == len(enum.circuits) == _nx_circuit_count(d)
 
 
 # digits, signs, slashes, dots, underscores, exponents, spaces and the
