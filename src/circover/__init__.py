@@ -35,7 +35,6 @@ from .rationals import (
     parse_rational_vector,
 )
 from .matrices import (
-    Circulant,
     CirculantMatch,
     CircularMatrix,
     Instance,

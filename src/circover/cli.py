@@ -26,19 +26,8 @@ import json
 import sys
 from pathlib import Path
 
-from .digraph import build_digraph, enumerate_circuits
-from .errors import (
-    BadParameters,
-    BudgetExceeded,
-    CircoverError,
-    IterationLimit,
-    NoEssentialBullets,
-)
-from .inequalities import (
-    enumerate_circulant_minors,
-    enumerate_facet_candidates,
-    extract_minor,
-)
+from .errors import BadParameters, BudgetExceeded, CircoverError, IterationLimit
+from .inequalities import enumerate_circulant_minors, enumerate_facet_candidates
 from .jsonio import (
     inequality_json,
     load_instance,
@@ -181,36 +170,15 @@ def _witness_json(w) -> dict:
 
 def _cmd_minors(args) -> tuple[dict, int]:
     inst = load_instance(_read_json(args.instance))
-    matrix = inst.matrix
-    max_count = _cap(args.max_circuits, "--max-circuits")
-    circ = matrix.as_circulant()
-    if circ is not None:
-        enum = enumerate_circulant_minors(circ, max_count=max_count)
-        witnesses, complete = list(enum.witnesses), enum.complete
-    else:
-        if matrix.dominating_rows():
-            raise BadParameters("minors need a matrix without dominating rows")
-        digraph = build_digraph(matrix, restricted=True)
-        cenum = enumerate_circuits(digraph, min_winding=2, max_count=max_count)
-        seen: dict[tuple, object] = {}
-        for path in cenum.circuits:
-            try:
-                w = extract_minor(matrix, path)
-            except NoEssentialBullets:
-                continue
-            prev = seen.get(w.removed_columns)
-            if prev is None or (w.exact and not prev.exact):
-                seen[w.removed_columns] = w
-        witnesses = sorted(
-            seen.values(), key=lambda w: (len(w.removed_columns), w.removed_columns)
-        )
-        complete = cenum.complete
+    enum = enumerate_circulant_minors(
+        inst.matrix, max_count=_cap(args.max_circuits, "--max-circuits")
+    )
     payload = {
         "instance": _instance_json(inst),
-        "minors": [_witness_json(w) for w in witnesses],
-        "complete": complete,
+        "minors": [_witness_json(w) for w in enum.witnesses],
+        "complete": enum.complete,
     }
-    return payload, 0 if complete else 2
+    return payload, 0 if enum.complete else 2
 
 
 def _cmd_cut_loop(args) -> tuple[dict, int]:

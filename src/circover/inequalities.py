@@ -48,11 +48,9 @@ from .errors import (
 )
 from .matrices import (
     CircularMatrix,
-    Circulant,
     SupportMatrix,
     check_demands,
     circulant_isomorphic,
-    circulant_matrix,
     contract,
     cover_number,
     norm_col,
@@ -432,8 +430,8 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
     "rfi": r+1 / r with r = order - window*floor(order/window) and
     right-hand side r*ceil(order/window).
     """
-    circ = matrix.as_circulant()
-    if circ is None:
+    k = matrix.circulant_window()
+    if k is None:
         raise NotCirculantMinor("the parent matrix is not a circulant")
     if isinstance(removed, MinorWitness):
         removed = removed.removed_columns
@@ -451,7 +449,6 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
             f"deleting {len(removed_set)} of {matrix.n} columns left a circulant "
             f"of order {nprime}"
         )
-    k = circ.window
     doubled = {
         j for j in removed_set if norm_col(j - (k + 1), matrix.n) in removed_set
     }
@@ -621,9 +618,14 @@ def _rotation_sets(n: int, k: int, m: int, r: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_circulant_minors(
-    circ: Circulant, *, max_count: int | None = None
+    matrix: CircularMatrix, *, max_count: int | None = None
 ) -> MinorEnumeration:
-    """All column sets whose deletion leaves a circulant minor (window >= 2).
+    """Column sets whose deletion leaves a circulant minor (window >= 2).
+
+    On a circulant (n, k) the list is every such set, generated directly
+    (see below). Any other matrix, which must have no dominating rows
+    (BadParameters otherwise), gets the minors its restricted circuits of
+    winding >= 2 certify through `extract_minor` (`_circuit_minors`).
 
     A set qualifies when its nodes split into disjoint circuits of the step
     digraph (arcs i to i+k and i+k+1, mod n) sharing one (short, long)
@@ -640,15 +642,18 @@ def enumerate_circulant_minors(
     within k of it, every later node k or k+1 past the node r places back,
     and closes with the wrap-around gaps. Output order: by size, then
     lexicographic in the sorted removed columns; max_count cuts that list.
-    Every witness is certified by contracting the columns and matching the
-    result to the promised circulant; a mismatch raises CertificateError.
+    Every witness is certified by contracting the columns of `matrix` and
+    matching the result to the promised circulant; a mismatch raises
+    CertificateError.
 
     A max_count below 1 raises BadParameters.
     """
     if max_count is not None and max_count < 1:
         raise BadParameters(f"max_count must be at least 1, got {max_count}")
-    n, k = circ.order, circ.window
-    parent = circulant_matrix(n, k)
+    k = matrix.circulant_window()
+    if k is None:
+        return _circuit_minors(matrix, max_count)
+    n = matrix.n
     witnesses = []
     for size in range(1, n - 2):
         found = []
@@ -657,7 +662,7 @@ def enumerate_circulant_minors(
                 found.extend((nodes, k - r) for nodes in _rotation_sets(n, k, size, r))
         found.sort()
         for nodes, window in found:
-            match = circulant_isomorphic(contract(parent, nodes))
+            match = circulant_isomorphic(contract(matrix, nodes))
             if match is None or (match.order, match.window) != (n - size, window):
                 raise CertificateError(
                     f"deleting columns {list(nodes)} does not leave the circulant "
@@ -667,6 +672,34 @@ def enumerate_circulant_minors(
             if max_count is not None and len(witnesses) >= max_count:
                 return MinorEnumeration(tuple(witnesses), False)
     return MinorEnumeration(tuple(witnesses), True)
+
+
+def _circuit_minors(matrix: CircularMatrix, max_count: int | None) -> MinorEnumeration:
+    """The minors certified by the restricted circuits of winding >= 2.
+
+    Circuits without an essential plain node are skipped. Each removed set
+    is listed once, by size and then by its columns, with an exact witness
+    when some circuit gives one. max_count caps the circuits, and the
+    enumeration is complete when the cap was not hit.
+    """
+    if matrix.dominating_rows():
+        raise BadParameters("minors need a matrix without dominating rows")
+    enum = enumerate_circuits(
+        build_digraph(matrix, restricted=True), min_winding=2, max_count=max_count
+    )
+    seen: dict[tuple[int, ...], MinorWitness] = {}
+    for path in enum.circuits:
+        try:
+            w = extract_minor(matrix, path)
+        except NoEssentialBullets:
+            continue
+        prev = seen.get(w.removed_columns)
+        if prev is None or (w.exact and not prev.exact):
+            seen[w.removed_columns] = w
+    witnesses = sorted(
+        seen.values(), key=lambda w: (len(w.removed_columns), w.removed_columns)
+    )
+    return MinorEnumeration(tuple(witnesses), enum.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +751,14 @@ def enumerate_facet_candidates(
     alpha = min(demands, default=0)
     if alpha < 1 or demands.count(alpha) != matrix.m or matrix.dominating_rows():
         return enumerate_candidates_general(matrix, demands, max_circuits=max_circuits)
-    circ = matrix.as_circulant()
-    forbid = frozenset({FORWARD_SHORT}) if circ else frozenset()
+    window = matrix.circulant_window()
+    forbid = frozenset({FORWARD_SHORT}) if window else frozenset()
     enum = enumerate_circuits(
         build_digraph(matrix, restricted=True),
         min_winding=2, forbid_kinds=forbid, max_count=max_circuits,
     )
-    if circ and alpha == 1:
-        tau = cover_number(circ.order, circ.window)
+    if window and alpha == 1:
+        tau = cover_number(matrix.n, window)
     else:
         tau = optimize(matrix, demands, (1,) * matrix.n).beta
 
@@ -734,7 +767,7 @@ def enumerate_facet_candidates(
             return None
         if (alpha * len(path.row_indices(forward=True))) % path.winding == 0:
             return None
-        if alpha == 1 and circ is None and bad_arcs(matrix, path):
+        if alpha == 1 and window is None and bad_arcs(matrix, path):
             return None
         return homogeneous_circuit_inequality(matrix, path, alpha)
 

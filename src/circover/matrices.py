@@ -44,22 +44,6 @@ def norm_col(j: int, n: int) -> int:
     return (j - 1) % n + 1
 
 
-@dataclass(frozen=True)
-class Circulant:
-    """Identifier (order, window) of the circulant with rows {i..i+window-1}."""
-
-    order: int
-    window: int
-
-    def __post_init__(self):
-        if self.order < 3:
-            raise BoundViolation(f"circulant order must be >= 3, got {self.order}")
-        if not 2 <= self.window <= self.order - 1:
-            raise BoundViolation(
-                f"circulant window must lie in [2, order-1], got {self.window}"
-            )
-
-
 def cover_number(order: int, window: int) -> int:
     """Minimum cover size of the circulant (order, window): ceil(order/window)."""
     return -(-order // window)
@@ -105,19 +89,16 @@ class CircularMatrix:
         mask = self.row_masks[i - 1]
         return tuple([mask >> j & 1 for j in range(self.n)])
 
-    def as_circulant(self) -> Circulant | None:
-        """Return the (order, window) identity if the rows are exactly a circulant."""
+    def circulant_window(self) -> int | None:
+        """The window k if the rows are exactly the circulant (n, k), else None."""
         if self.m != self.n:
             return None
         lengths = {k for _, k in self.rows}
         if len(lengths) != 1:
             return None
-        window = lengths.pop()
         if sorted(start for start, _ in self.rows) != list(range(1, self.n + 1)):
             return None
-        if not 2 <= window <= self.n - 1:
-            return None
-        return Circulant(self.n, window)
+        return lengths.pop()
 
     @cached_property
     def _dominating(self) -> tuple[int, ...]:
@@ -160,7 +141,7 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
 
 
 def circulant_matrix(order: int, window: int) -> CircularMatrix:
-    Circulant(order, window)  # bounds check
+    """The circulant (order, window); `circular_matrix` checks the bounds."""
     return circular_matrix(order, [(i, window) for i in range(1, order + 1)])
 
 
@@ -246,20 +227,12 @@ class CirculantMatch:
     row_order: tuple[int, ...]
 
 
-def _as_supports(m) -> tuple[tuple[int, ...], tuple[frozenset[int], ...]]:
-    if isinstance(m, SupportMatrix):
-        return m.columns, m.rows
-    if isinstance(m, CircularMatrix):
-        cols = tuple(range(1, m.n + 1))
-        return cols, tuple([m.support(i) for i in range(1, m.m + 1)])
-    raise BadParameters(f"expected a matrix, got {type(m).__name__}")
-
-
-def circulant_isomorphic(m) -> CirculantMatch | None:
+def circulant_isomorphic(m: SupportMatrix) -> CirculantMatch | None:
     """Decide whether row/column permutations turn m into a circulant.
 
-    Works on a SupportMatrix (typically a contraction) or a CircularMatrix.
-    Returns a CirculantMatch with the permutation witness, or None.
+    m is a SupportMatrix, typically a contraction (`contract(matrix, ())`
+    for a whole circular matrix). Returns a CirculantMatch with the
+    permutation witness, or None.
 
     In the circulant (s, window) with window <= s-2, two columns share
     window-1 rows exactly when they are cyclically adjacent. So the walk
@@ -269,7 +242,7 @@ def circulant_isomorphic(m) -> CirculantMatch | None:
     The order is the least arrangement that works (for window = s-1, where
     any order does, the sorted one), so the witness is deterministic.
     """
-    columns, supports = _as_supports(m)
+    columns, supports = m.columns, m.rows
     s = len(supports)
     if s != len(columns) or s < 3:
         return None

@@ -140,21 +140,20 @@ def domination_solve(neighborhoods, weights=None, demands=None) -> OptimizationR
     other vector is its l-domination. The fractional relaxation is closed
     to its integer hull.
 
-    Twin vertices (identical closed neighborhoods) would duplicate rows, so
-    identical neighborhoods are grouped first and the group keeps its
-    largest demand.
+    Each vertex's demand is checked as a row demand. Twin vertices
+    (identical closed neighborhoods) would then duplicate rows, so identical
+    neighborhoods are grouped and the group keeps its largest demand.
     """
     n = len(neighborhoods)
     if weights is None:
         weights = (1,) * n
     if demands is None:
         demands = (1,) * n
-    elif len(demands) != n:
-        raise BadParameters(f"{len(demands)} demands for {n} vertices")
+    rows = [interval_row(neighborhoods[v - 1], n, must_contain=v) for v in range(1, n + 1)]
+    # one row per vertex, twins repeated: this matrix only checks the demands
+    demands = check_demands(CircularMatrix(n, tuple(rows)), demands)
     grouped: dict[tuple[int, int], int] = {}
-    for v in range(1, n + 1):
-        row = interval_row(neighborhoods[v - 1], n, must_contain=v)
-        d = demands[v - 1]
-        grouped[row] = max(grouped[row], d) if row in grouped else d
+    for row, d in zip(rows, demands):
+        grouped[row] = max(grouped.get(row, d), d)
     matrix = circular_matrix(n, list(grouped))
     return optimize(matrix, list(grouped.values()), weights)

@@ -342,9 +342,9 @@ def search_circulant_isomorphic(m):
     then a backtracking search that anchors the smallest column and tries
     extensions in ascending column order, so its witness is the least
     arrangement whose windows are the supports."""
-    from circover.matrices import CirculantMatch, _as_supports
+    from circover.matrices import CirculantMatch
 
-    columns, supports = _as_supports(m)
+    columns, supports = m.columns, m.rows
     s = len(supports)
     if s != len(columns) or s < 3:
         return None
@@ -478,7 +478,7 @@ def _certified_witness(parent, nodes, window):
     return MinorWitness(tuple(nodes), n - len(nodes), window, (), True)
 
 
-def scanned_circulant_minors(circ, max_count=None):
+def scanned_circulant_minors(parent, max_count=None):
     """Reference of `inequalities.enumerate_circulant_minors`: every column
     subset, by size and then lexicographically, through a bitmask test that
     each node has a step successor and predecessor in the set, then the
@@ -486,10 +486,8 @@ def scanned_circulant_minors(circ, max_count=None):
     from itertools import combinations
 
     from circover import MinorEnumeration
-    from circover.matrices import circulant_matrix
 
-    n, k = circ.order, circ.window
-    parent = circulant_matrix(n, k)
+    n, k = parent.n, parent.circulant_window()
     bits = [1 << j for j in range(n)]
     witnesses = []
     for size in range(1, n - 2):
@@ -514,17 +512,15 @@ def scanned_circulant_minors(circ, max_count=None):
     return MinorEnumeration(tuple(witnesses), True)
 
 
-def unfiltered_circulant_minors(circ, max_count=None):
+def unfiltered_circulant_minors(parent, max_count=None):
     """Reference of `inequalities.enumerate_circulant_minors`: the
     backtracking cover search on every column subset, with no closure
     pre-filter."""
     from itertools import combinations
 
     from circover import MinorEnumeration
-    from circover.matrices import circulant_matrix
 
-    n, k = circ.order, circ.window
-    parent = circulant_matrix(n, k)
+    n, k = parent.n, parent.circulant_window()
     witnesses = []
     for size in range(1, n - 2):
         for nodes in combinations(range(1, n + 1), size):

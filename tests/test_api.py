@@ -14,6 +14,7 @@ from circover import (
     assign_costs,
     circulant_matrix,
     cut_loop,
+    domination_solve,
     enumerate_candidates_general,
     enumerate_facet_candidates,
     enumerate_minimal_covers,
@@ -23,6 +24,8 @@ from circover import (
 )
 
 PENTAGON = circulant_matrix(5, 2)
+# vertices 1, 2 and 3, 4 are twins, which domination_solve groups
+TWINS = [[1, 2], [1, 2], [3, 4], [3, 4]]
 GOOD = {"b": [1] * 5, "w": [1] * 5, "x": [F(1, 2)] * 5}
 
 # entry point -> (the inputs it reads, the call)
@@ -37,6 +40,9 @@ ENTRY_POINTS = {
     "enumerate_facet_candidates": ("b", lambda b, w, x: enumerate_facet_candidates(PENTAGON, b)),
     "enumerate_candidates_general":
         ("b", lambda b, w, x: enumerate_candidates_general(PENTAGON, b)),
+    # four vertices: each vector loses its last entry, so a bad entry lands
+    # on a twin and a short vector stays short
+    "domination_solve": ("bw", lambda b, w, x: domination_solve(TWINS, w[:-1], b[:-1])),
 }
 
 BAD_INPUTS = {

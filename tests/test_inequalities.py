@@ -18,7 +18,6 @@ from circover import (
     REVERSE_SHORT,
     BadParameters,
     CertificateError,
-    Circulant,
     ClosedPath,
     NoEssentialBullets,
     NonpositiveWinding,
@@ -445,7 +444,7 @@ def test_row_family_heavy_columns_get_zero():
 
 
 def test_enumerate_circulant_minors_8_3():
-    enum = enumerate_circulant_minors(Circulant(8, 3))
+    enum = enumerate_circulant_minors(circulant_matrix(8, 3))
     assert enum.complete
     got = {(w.removed_columns, w.order, w.window) for w in enum.witnesses}
     assert got == {
@@ -455,7 +454,7 @@ def test_enumerate_circulant_minors_8_3():
 
 
 def test_enumerate_circulant_minors_10_4_contains_deeper_ones():
-    enum = enumerate_circulant_minors(Circulant(10, 4))
+    enum = enumerate_circulant_minors(circulant_matrix(10, 4))
     assert enum.complete
     got = {(w.removed_columns, w.order, w.window) for w in enum.witnesses}
     assert ((1, 6), 8, 3) in got
@@ -467,13 +466,13 @@ def test_enumerate_circulant_minors_10_4_contains_deeper_ones():
 
 
 def test_enumerate_circulant_minors_none_for_7_2():
-    enum = enumerate_circulant_minors(Circulant(7, 2))
+    enum = enumerate_circulant_minors(circulant_matrix(7, 2))
     assert enum.complete
     assert enum.witnesses == ()
 
 
 def test_enumerate_circulant_minors_cap():
-    enum = enumerate_circulant_minors(Circulant(10, 4), max_count=2)
+    enum = enumerate_circulant_minors(circulant_matrix(10, 4), max_count=2)
     assert not enum.complete
     assert len(enum.witnesses) == 2
 
@@ -481,8 +480,80 @@ def test_enumerate_circulant_minors_cap():
 def test_enumerate_circulant_minors_cap_below_one_raises():
     for cap in (0, -1):
         with pytest.raises(BadParameters, match="max_count"):
-            enumerate_circulant_minors(Circulant(10, 4), max_count=cap)
-    assert len(enumerate_circulant_minors(Circulant(10, 4), max_count=1).witnesses) == 1
+            enumerate_circulant_minors(circulant_matrix(10, 4), max_count=cap)
+    assert len(enumerate_circulant_minors(circulant_matrix(10, 4), max_count=1).witnesses) == 1
+
+
+def _antichain_matrices(seed, count):
+    """Seeded non-circulant circular matrices without dominating rows, n
+    6-10: a circulant with one or two rows dropped and up to two rows of
+    any length added."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 10)
+        k = rng.randint(2, n - 2)
+        rows = {(i, k) for i in range(1, n + 1)}
+        for _ in range(rng.randint(1, 2)):
+            rows.discard(rng.choice(sorted(rows)))
+        for _ in range(rng.randint(0, 2)):
+            rows.add((rng.randint(1, n), rng.randint(2, n - 1)))
+        m = circular_matrix(n, sorted(rows))
+        if not m.dominating_rows() and m.circulant_window() is None:
+            out.append(m)
+    return out
+
+
+def _minor_circuits(m):
+    return enumerate_circuits(build_digraph(m, restricted=True), min_winding=2).circuits
+
+
+def test_minors_of_other_matrices_are_those_their_circuits_certify():
+    """Off the circulants, each removed set that some restricted circuit of
+    winding >= 2 certifies is listed once, in (size, columns) order, exact
+    when any of its circuits is; every exact witness contracts to the
+    circulant it promises."""
+    listed = exact = 0
+    for m in _antichain_matrices(1717, 40):
+        certified = {}
+        for path in _minor_circuits(m):
+            try:
+                w = extract_minor(m, path)
+            except NoEssentialBullets:
+                continue
+            certified[w.removed_columns] = certified.get(w.removed_columns, False) or w.exact
+        enum = enumerate_circulant_minors(m)
+        assert enum.complete
+        removed = [w.removed_columns for w in enum.witnesses]
+        assert removed == sorted(certified, key=lambda r: (len(r), r)), m
+        for w in enum.witnesses:
+            assert w.exact == certified[w.removed_columns]
+            if w.exact:
+                match = circulant_isomorphic(contract(m, w.removed_columns))
+                assert match is not None and (match.order, match.window) == (w.order, w.window)
+        listed += len(removed)
+        exact += sum(w.exact for w in enum.witnesses)
+    assert listed >= 500 and exact >= 200, (listed, exact)
+
+
+def test_minors_of_other_matrices_are_incomplete_exactly_at_the_circuit_cap():
+    capped = 0
+    for m in _antichain_matrices(1718, 15):
+        total = len(_minor_circuits(m))
+        full = {w.removed_columns for w in enumerate_circulant_minors(m).witnesses}
+        for cap in sorted({1, 2, total, total + 1} - {0}):
+            enum = enumerate_circulant_minors(m, max_count=cap)
+            assert enum.complete == (total < cap), (m, cap)
+            assert {w.removed_columns for w in enum.witnesses} <= full
+            capped += not enum.complete
+    assert capped >= 30, capped
+
+
+def test_minors_reject_dominating_rows():
+    m = circular_matrix(6, [(1, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
+    for cap in (None, 1):
+        with pytest.raises(BadParameters, match="minors need a matrix without dominating rows"):
+            enumerate_circulant_minors(m, max_count=cap)
 
 
 def test_facet_candidates_5_2_equal_the_hull():
@@ -540,7 +611,7 @@ def _assert_minors_match(reference, orders, *, uncapped_window_n_minus_1=True):
     found = 0
     for n in orders:
         for k in range(2, n):
-            circ = Circulant(n, k)
+            circ = circulant_matrix(n, k)
             full = None
             if k < n - 1 or uncapped_window_n_minus_1:
                 full = reference(circ)
@@ -579,13 +650,13 @@ def test_circulant_minors_match_the_subset_scan_at_orders_14_to_16():
 
 def _wrong_match(matrix):
     match = circulant_isomorphic(matrix)
-    return None if match is None else Circulant(match.order, match.window + 1)
+    return None if match is None else replace(match, window=match.window + 1)
 
 
 def test_minor_cross_check_raises(monkeypatch):
     monkeypatch.setattr(inequalities, "circulant_isomorphic", _wrong_match)
     with pytest.raises(CertificateError, match="does not leave the circulant"):
-        enumerate_circulant_minors(Circulant(8, 3))
+        enumerate_circulant_minors(circulant_matrix(8, 3))
 
 
 def _wrong_from_call(k):
@@ -601,7 +672,7 @@ def _wrong_from_call(k):
 
 def _wrong_order(matrix):
     match = circulant_isomorphic(matrix)
-    return None if match is None else Circulant(match.order + 1, match.window)
+    return None if match is None else replace(match, order=match.order + 1)
 
 
 def _order_5_circuit_of_7_3():
@@ -627,7 +698,8 @@ def test_minor_checks_raise(monkeypatch, fake, call, message):
 def test_minor_checks_survive_dash_O():
     script = """
 import sys
-from circover import (CertificateError, Circulant, build_digraph, circulant_matrix,
+from dataclasses import replace
+from circover import (CertificateError, build_digraph, circulant_matrix,
                       enumerate_circuits, extract_minor, minor_inequalities)
 assert False, "asserts must be stripped here"
 module = sys.modules["circover.inequalities"]
@@ -641,12 +713,12 @@ def wrong_from_call(k):
     def fake(matrix):
         calls.append(matrix)
         match = true_match(matrix)
-        return match if len(calls) < k else Circulant(match.order, match.window + 1)
+        return match if len(calls) < k else replace(match, window=match.window + 1)
     return fake
 
 def wrong_order(matrix):
     match = true_match(matrix)
-    return Circulant(match.order + 1, match.window)
+    return replace(match, order=match.order + 1)
 
 for fake, call in [
     (wrong_from_call(1), lambda: extract_minor(m, path)),
@@ -671,12 +743,12 @@ for fake, call in [
 def test_minor_certificate_survives_dash_O():
     script = """
 import sys
-from circover import CertificateError, Circulant, enumerate_circulant_minors
+from circover import CertificateError, circulant_matrix, enumerate_circulant_minors
 assert False, "asserts must be stripped here"
 module = sys.modules["circover.inequalities"]
 module.circulant_isomorphic = lambda matrix: None
 try:
-    enumerate_circulant_minors(Circulant(8, 3))
+    enumerate_circulant_minors(circulant_matrix(8, 3))
 except CertificateError as exc:
     print(exc)
 """
@@ -825,7 +897,7 @@ def test_witnesses_hold_json_values_and_are_written_as_built():
             m = circulant_matrix(n, k)
             for alpha in (1, 2):
                 ineqs += enumerate_facet_candidates(m, [alpha] * m.m).inequalities
-            for w in enumerate_circulant_minors(m.as_circulant(), max_count=12).witnesses:
+            for w in enumerate_circulant_minors(m, max_count=12).witnesses:
                 ineqs += [minor_inequalities(m, w), minor_inequalities(m, w, mode="rfi")]
             family = range(1, rng.randint(3, n + 1))    # consecutive rows overlap
             covers = enumerate_minimal_covers(m, [1] * n)

@@ -199,6 +199,14 @@ def test_weighted_domination():
     assert res.point[6] == 1
 
 
+def test_domination_checks_every_vertex_demand_before_grouping_twins():
+    twins = [[1, 2], [1, 2], [3, 4], [3, 4]]
+    assert domination_solve(twins, demands=[1, 1, 1, 1]).value == 2
+    for demands in ([-1, 1, 1, 1], [0.5, 1, 1, 1], [1, True, 1, 1]):
+        with pytest.raises(BadParameters):
+            domination_solve(twins, demands=demands)
+
+
 def test_domination_input_errors():
     with pytest.raises(BadParameters):
         domination_solve(web_neighborhoods(7, 1), demands=[1] * 6)

@@ -11,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from _helpers import fraction_solve_lp
+from test_acceptance import _brute_force_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,10 +38,10 @@ fixed = settings(derandomize=True, database=None, deadline=None, max_examples=10
 
 
 @st.composite
-def covering_instances(draw):
-    """(matrix, demands, weights): a circular matrix with n 3-8 and 1-n
+def covering_instances(draw, max_n=8):
+    """(matrix, demands, weights): a circular matrix with n 3-max_n and 1-n
     distinct rows, demands 0-2 and non-negative weights, zeros included."""
-    n = draw(st.integers(3, 8))
+    n = draw(st.integers(3, max_n))
     pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
     rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=n, unique=True))
     demands = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
@@ -53,6 +54,15 @@ def covering_instances(draw):
 @given(covering_instances())
 def test_cut_loop_value_equals_the_optimum(instance):
     assert cut_loop(*instance).value == optimize(*instance).value
+
+
+@fixed
+@given(covering_instances(max_n=6))
+def test_optimize_equals_box_enumeration(instance):
+    """The optimal value, the smallest optimal coordinate sum and the
+    lexmin optimal point equal acceptance 7's brute-force reference."""
+    res = optimize(*instance)
+    assert (res.value, res.beta, res.point) == _brute_force_key(*instance)
 
 
 entries = st.one_of(st.sampled_from((0, 0, 1, -1, 2, -3)),
