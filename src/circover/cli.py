@@ -29,6 +29,7 @@ from pathlib import Path
 from .errors import BadParameters, BudgetExceeded, CircoverError, IterationLimit
 from .inequalities import enumerate_circulant_minors, enumerate_facet_candidates
 from .jsonio import (
+    _dumps_indented,
     inequality_json,
     load_instance,
     optimization_json,
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload, code = _HANDLERS[args.verb](args)
-        text = json.dumps(payload, indent=2)
+        text = _dumps_indented(payload)
         if args.output:
             Path(args.output).write_text(text + "\n")
         else:

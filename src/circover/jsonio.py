@@ -12,6 +12,39 @@ from .matrices import Instance, circular_matrix
 from .rationals import format_rational
 
 
+def _dumps_indented(payload) -> str:
+    """`json.dumps(payload, indent=2)` for str, int, bool, None, lists,
+    tuples and dicts with str keys, without the pure-Python encoder that
+    `indent` selects. Floats and other keys raise TypeError (the C string
+    encoder rejects a key that is not a str)."""
+    # imported here so that `import circover` does not load json
+    from json.encoder import encode_basestring_ascii as quote
+
+    def write(value, indent: str) -> str:  # `indent` opens the value's line
+        if isinstance(value, str):
+            return quote(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = indent + "  "
+        # plain ints, written in place, are most entries (coefficients, covers)
+        if isinstance(value, (list, tuple)):
+            items = [int.__repr__(v) if type(v) is int else write(v, inner) for v in value]
+            brackets = "[]"
+        elif isinstance(value, dict):
+            items = [quote(key) + ": " + (int.__repr__(v) if type(v) is int else write(v, inner))
+                     for key, v in value.items()]
+            brackets = "{}"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not items:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+    return write(payload, "\n")
+
+
 def load_instance(data) -> Instance:
     """Decode an instance object; Instance itself validates b and w."""
     if not isinstance(data, dict):

@@ -1,27 +1,28 @@
-"""Ground-truth oracle: brute force over the integer box.
+"""Ground-truth oracle: minimal covers by search, hull by double description.
 
-Everything here is deliberately independent of the structural machinery so
-it can adjudicate it. Minimal covers come from a full scan of the box
-[0, max(b)]^n in the lexicographic order of `itertools.product`, walked as
-an odometer that keeps every row sum and the count of short rows up to date
-as columns turn (minimality is checked by single decrements at each cover,
-which is the same as global minimality because feasibility is monotone in
-x). The facet test reads one value a.c per cover for both validity and
-tightness, then takes one exact rank on the support of the inequality; the
-full hull comes from a plain double description run on the dual cone, and
-membership is a phase-1 LP.
+Everything here reads only the row supports, independent of the structural
+machinery, so that it can adjudicate it. Minimal covers come from a
+depth-first search of the box [0, max(b)]^n, columns in order and values
+increasing, so they come out in lexicographic order. Each row keeps its sum
+and its count of unassigned columns. A branch is cut when a row can no
+longer reach its demand with max(b) on its unassigned columns, or when a
+positive column has every row above demand (sums only grow, so no extension
+is minimal). Every leaf is then minimal: single decrements decide it, since
+feasibility is monotone in x. The facet test reads one value a.c per cover
+for validity and tightness, then one exact rank on the inequality's
+support; membership is a phase-1 LP.
 
-The double description runs in Python ints. The base of the n unit
-constraints and the first cover's constraint (1, c) has the closed-form
-inverse with columns (-c_j, e_j), then (1, 0, ..., 0): these are the start
-rays, already primitive. A new ray is a gcd-reduced int combination of two
-rays, zero exactly where both are and on the new constraint, since both
-weights are positive and both rays meet every earlier constraint with >= 0.
+The hull is a double description on the dual cone, in Python ints. The base
+of the n unit constraints and the first cover's constraint (1, c) has the
+closed-form inverse with columns (-c_j, e_j), then (1, 0, ..., 0): these
+are the start rays, already primitive. A new ray is a gcd-reduced int
+combination of two rays, zero exactly where both are and on the new
+constraint, since both weights are positive and both rays meet every
+earlier constraint with >= 0.
 
-The box scan is guarded by a budget in box points, default (3+1)^9: enough
-for every instance with n <= 9 and demands up to 3, the intended desk scale.
-The budget counts the whole box, which the odometer still visits point by
-point.
+The search is guarded by a budget in box points, default (3+1)^9: every
+instance with n <= 9 and demands up to 3, the intended desk scale. It
+counts the whole box, though the search visits a few nodes per cover.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BudgetExceeded, CertificateError, NegativeCoefficient
+from .errors import BadParameters, BudgetExceeded, CertificateError, NegativeCoefficient
 from .linalg import exact_rank
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands
@@ -47,46 +48,67 @@ def enumerate_minimal_covers(
     n = matrix.n
     maxb = max(demands, default=0)
     if (maxb + 1) ** n > budget:
-        raise BudgetExceeded(
-            f"box of {(maxb + 1) ** n} points exceeds budget {budget}"
-        )
-    cols_rows: list[list[int]] = [[] for _ in range(n)]
-    for ridx in range(matrix.m):
-        for j in matrix.support(ridx + 1):
-            cols_rows[j - 1].append(ridx)
-    # odometer over the box in `itertools.product` order: the last column
-    # turns fastest, and a step touches only the rows of the columns it moves
-    x = [0] * n
+        raise BudgetExceeded(f"box of {(maxb + 1) ** n} points exceeds budget {budget}")
+    row_cols = [sorted([j - 1 for j in matrix.support(i)]) for i in range(1, matrix.m + 1)]
+    # per column j, each of its rows r with the least sum that still lets r
+    # reach its demand, max(b) going on each of r's columns after j
+    reach: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for r, cols in enumerate(row_cols):
+        for later, j in enumerate(reversed(cols)):
+            reach[j].append((r, demands[r] - later * maxb))
     sums = [0] * matrix.m
-    short = sum(1 for b in demands if b > 0)
+    open_rows = [len(rows) for rows in reach]  # rows with sum <= demand
+    x = [0] * n
     out = []
+
+    def shift(j, delta):
+        """x_j += delta; True if a positive column has no open row left."""
+        x[j] += delta
+        redundant = False
+        for r, _ in reach[j]:
+            s = sums[r]
+            t = sums[r] = s + delta
+            d = demands[r]
+            if (s <= d) != (t <= d):
+                step = 1 if t <= d else -1
+                for c in row_cols[r]:
+                    open_rows[c] += step
+                    if not open_rows[c] and x[c]:
+                        redundant = True
+        return redundant
+
+    j, descend = 0, True  # a loop, not recursion: all-zero demands allow any n
     while True:
-        if not short and all(
-            not x[j] or any(sums[r] <= demands[r] for r in cols_rows[j])
-            for j in range(n)
-        ):
-            out.append(tuple(x))
-        j = n - 1
-        while j >= 0 and x[j] == maxb:
-            x[j] = 0
-            for r in cols_rows[j]:
-                s = sums[r]
-                sums[r] = s - maxb
-                if s >= demands[r] > s - maxb:
-                    short += 1
-            j -= 1
-        if j < 0:
+        if descend:
+            if j == n:
+                out.append(tuple(x))
+                j, descend = j - 1, False
+                continue
+            need = 0  # the least x_j that leaves each row of j reachable
+            for r, t in reach[j]:
+                if t - sums[r] > need:
+                    need = t - sums[r]
+            if not need or need <= maxb and open_rows[j] and not shift(j, need):
+                j += 1
+                continue
+        elif x[j] < maxb and open_rows[j] and not shift(j, 1):
+            j, descend = j + 1, True
+            continue
+        shift(j, -x[j])  # column j has no value left: clear it, go on in j - 1
+        if not j:
             return tuple(out)
-        x[j] += 1
-        for r in cols_rows[j]:
-            sums[r] += 1
-            if sums[r] == demands[r]:
-                short -= 1
+        j, descend = j - 1, False
+
+
+def _check_length(vector, covers) -> None:
+    if covers and len(vector) != len(covers[0]):
+        raise BadParameters(f"{len(vector)} entries for covers of {len(covers[0])} columns")
 
 
 def _cover_values(inequality, covers) -> list[int]:
     """a.c for every cover c; NegativeCoefficient if a has a negative entry."""
     coeffs = inequality.coeffs
+    _check_length(coeffs, covers)
     if any(c < 0 for c in coeffs):
         raise NegativeCoefficient(f"negative coefficient in {coeffs}")
     return [sum([c * v for c, v in zip(coeffs, cover)]) for cover in covers]
@@ -127,16 +149,9 @@ def membership(point, covers) -> bool:
     if not covers:
         return False
     x = parse_rational_vector(point)
-    n = len(x)
-    k = len(covers)
-    rows = [[1] * k]
-    senses = ["=="]
-    rhs = [1]
-    for j in range(n):
-        rows.append([cover[j] for cover in covers])
-        senses.append("<=")
-        rhs.append(x[j])
-    res = solve_lp([0] * k, rows, senses, rhs)
+    _check_length(x, covers)
+    rows = [[1] * len(covers)] + [list(column) for column in zip(*covers)]
+    res = solve_lp([0] * len(covers), rows, ["=="] + ["<="] * len(x), [1, *x])
     return res.status == "optimal"
 
 
@@ -178,14 +193,9 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
         h = (1, *cover)
         vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
         if all(v >= 0 for v in vals):
-            masks = [
-                m | ((v == 0) << t) for m, v in zip(masks, vals)
-            ]
+            masks = [m | ((v == 0) << t) for m, v in zip(masks, vals)]
             continue
-        keep_rays = []
-        keep_masks = []
-        pos = []
-        neg = []
+        keep_rays, keep_masks, pos, neg = [], [], [], []
         for r, v, m in zip(rays, vals, masks):
             if v > 0:
                 pos.append((r, v, m))
@@ -199,21 +209,15 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
         for rp, vp, mp in pos:
             for rn, vn, mn in neg:
                 common = mp & mn
-                adjacent = True
                 for r2, m2 in zip(rays, masks):
-                    if r2 is rp or r2 is rn:
-                        continue
-                    if common & m2 == common:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = [vp * b - vn * a for a, b in zip(rp, rn)]
-                g = gcd(*combo)
-                keep_rays.append(tuple([v // g for v in combo]))
-                keep_masks.append(common | 1 << t)
-        rays = keep_rays
-        masks = keep_masks
+                    if common & m2 == common and r2 is not rp and r2 is not rn:
+                        break  # a third ray is zero wherever both are: not adjacent
+                else:
+                    combo = [vp * b - vn * a for a, b in zip(rp, rn)]
+                    g = gcd(*combo)
+                    keep_rays.append(tuple([v // g for v in combo]))
+                    keep_masks.append(common | 1 << t)
+        rays, masks = keep_rays, keep_masks
 
     facets = []
     for vec in rays:

@@ -12,12 +12,16 @@ from circover import (
     CircoverError,
     Instance,
     assign_costs,
+    check_facet,
+    check_validity,
     circulant_matrix,
     cut_loop,
     domination_solve,
     enumerate_candidates_general,
     enumerate_facet_candidates,
     enumerate_minimal_covers,
+    make_inequality,
+    membership,
     optimize,
     separate,
     solve_slice,
@@ -26,23 +30,29 @@ from circover import (
 PENTAGON = circulant_matrix(5, 2)
 # vertices 1, 2 and 3, 4 are twins, which domination_solve groups
 TWINS = [[1, 2], [1, 2], [3, 4], [3, 4]]
-GOOD = {"b": [1] * 5, "w": [1] * 5, "x": [F(1, 2)] * 5}
+COVERS = enumerate_minimal_covers(PENTAGON, [1] * 5)
+# a: the coefficients of an inequality a.x >= 2 read against the covers
+GOOD = {"b": [1] * 5, "w": [1] * 5, "x": [F(1, 2)] * 5, "a": [1] * 5}
 
 # entry point -> (the inputs it reads, the call)
 ENTRY_POINTS = {
-    "Instance": ("bw", lambda b, w, x: Instance(PENTAGON, b, w)),
-    "optimize": ("bw", lambda b, w, x: optimize(PENTAGON, b, w)),
-    "solve_slice": ("bw", lambda b, w, x: solve_slice(PENTAGON, b, w, 3)),
-    "cut_loop": ("bw", lambda b, w, x: cut_loop(PENTAGON, b, w)),
-    "separate": ("bx", lambda b, w, x: separate(PENTAGON, b, x)),
-    "assign_costs": ("bx", lambda b, w, x: assign_costs(PENTAGON, b, x)),
-    "enumerate_minimal_covers": ("b", lambda b, w, x: enumerate_minimal_covers(PENTAGON, b)),
-    "enumerate_facet_candidates": ("b", lambda b, w, x: enumerate_facet_candidates(PENTAGON, b)),
+    "Instance": ("bw", lambda b, w, x, a: Instance(PENTAGON, b, w)),
+    "optimize": ("bw", lambda b, w, x, a: optimize(PENTAGON, b, w)),
+    "solve_slice": ("bw", lambda b, w, x, a: solve_slice(PENTAGON, b, w, 3)),
+    "cut_loop": ("bw", lambda b, w, x, a: cut_loop(PENTAGON, b, w)),
+    "separate": ("bx", lambda b, w, x, a: separate(PENTAGON, b, x)),
+    "assign_costs": ("bx", lambda b, w, x, a: assign_costs(PENTAGON, b, x)),
+    "enumerate_minimal_covers": ("b", lambda b, w, x, a: enumerate_minimal_covers(PENTAGON, b)),
+    "enumerate_facet_candidates": ("b", lambda b, w, x, a: enumerate_facet_candidates(PENTAGON, b)),
     "enumerate_candidates_general":
-        ("b", lambda b, w, x: enumerate_candidates_general(PENTAGON, b)),
+        ("b", lambda b, w, x, a: enumerate_candidates_general(PENTAGON, b)),
     # four vertices: each vector loses its last entry, so a bad entry lands
     # on a twin and a short vector stays short
-    "domination_solve": ("bw", lambda b, w, x: domination_solve(TWINS, w[:-1], b[:-1])),
+    "domination_solve": ("bw", lambda b, w, x, a: domination_solve(TWINS, w[:-1], b[:-1])),
+    "membership": ("x", lambda b, w, x, a: membership(x, COVERS)),
+    "check_validity":
+        ("a", lambda b, w, x, a: check_validity(make_inequality(a, 2, "test"), COVERS)),
+    "check_facet": ("a", lambda b, w, x, a: check_facet(make_inequality(a, 2, "test"), COVERS)),
 }
 
 BAD_INPUTS = {
@@ -53,6 +63,10 @@ BAD_INPUTS = {
     "short demands": ("b", [1] * 4),
     "short weights": ("w", [1] * 4),
     "short point": ("x", [F(1, 2)] * 4),
+    "one-entry point": ("x", ["1"]),
+    "long point": ("x", [F(1, 2)] * 6),
+    "short coefficients": ("a", [1] * 4),
+    "long coefficients": ("a", [1] * 6),
     "float point coordinate": ("x", [0.5] * 5),
 }
 
@@ -71,6 +85,11 @@ def test_every_entry_point_rejects_bad_input(entry, case):
     args = dict(GOOD, **{field: value})
     with pytest.raises(CircoverError):
         call(**args)
+
+
+def test_every_entry_point_accepts_good_input():
+    for _, call in ENTRY_POINTS.values():
+        call(**GOOD)
 
 
 def test_star_import_binds_no_module_and_all_resolves():

@@ -12,6 +12,7 @@ import pytest
 
 import circover
 from circover import circular_matrix, cli
+from circover.jsonio import _dumps_indented
 
 
 PENTAGON = {"n": 5, "rows": [[1, 2], [2, 2], [3, 2], [4, 2], [5, 2]]}
@@ -132,6 +133,31 @@ def test_verify_budget_exhaustion(pentagon_file, capsys):
     data = json.loads(out)
     assert "error" in data
     assert "candidates" in data
+
+
+# circulant (8,3) without row 7: a non-circulant matrix with no dominating rows
+NON_CIRCULANT = {"n": 8, "rows": [[1, 3], [2, 3], [3, 3], [4, 3], [5, 3], [6, 3], [8, 3]],
+                 "w": ["1", "2", "1", "1", "3/2", "1", "1", "2"]}
+
+
+@pytest.mark.parametrize("verb", ["solve", "separate", "facets", "verify", "minors", "cut-loop"])
+@pytest.mark.parametrize("instance", [PENTAGON, NON_CIRCULANT], ids=["pentagon", "non-circulant"])
+def test_stdout_is_what_json_dumps_writes(verb, instance, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    args = [verb, str(path)]
+    if verb == "separate":
+        args += ["--point", json.dumps(["1/2"] * instance["n"])]
+    code, out, err = run(capsys, args)
+    assert code == 0 and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [0.5, [1, 2.0], {"a": {"b": float("nan")}}, {1: "a"},
+                                   {None: 1}, [{"a": {(1,): 2}}]])
+def test_indented_writer_rejects_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        _dumps_indented(value)
 
 
 def test_minors_circulant(tmp_path, capsys):

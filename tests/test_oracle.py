@@ -150,11 +150,31 @@ def test_hull_facets_are_sorted_and_self_consistent():
         assert check_validity(q, h.covers)
 
 
-def test_minimal_covers_match_the_product_scan():
-    """The odometer against the `itertools.product` scan it replaced, on
-    random circular matrices with demands 0-3 (zeros and columns in no row
-    included): the same covers in the same order, and the same
+def _assert_covers_match_the_product_scan(m, demands):
+    """The same covers in the same order as the reference, and the same
     BudgetExceeded one point below the box."""
+    want = product_minimal_covers(m, demands)
+    assert enumerate_minimal_covers(m, demands) == want
+    box = (max(demands) + 1) ** m.n
+    assert enumerate_minimal_covers(m, demands, box) == want
+    with pytest.raises(BudgetExceeded) as got:
+        enumerate_minimal_covers(m, demands, box - 1)
+    with pytest.raises(BudgetExceeded) as expected:
+        product_minimal_covers(m, demands, box - 1)
+    assert str(got.value) == str(expected.value)
+
+
+def test_minimal_covers_match_the_product_scan():
+    """The depth-first cover search against the `itertools.product` scan of
+    the whole box: every unit circulant with n <= 12 at b = 1 and n <= 9 at
+    b = 2, and random circular matrices with demands 0-3 (zeros and columns
+    in no row included)."""
+    for n in range(3, 13):
+        for k in range(2, n):
+            m = circulant_matrix(n, k)
+            _assert_covers_match_the_product_scan(m, [1] * n)
+            if n <= 9:
+                _assert_covers_match_the_product_scan(m, [2] * n)
     rng = random.Random(1753)
     seen_zero = seen_empty_column = 0
     for _ in range(120):
@@ -167,15 +187,15 @@ def test_minimal_covers_match_the_product_scan():
         seen_empty_column += any(
             all(j not in m.support(i) for i in range(1, m.m + 1)) for j in range(1, n + 1)
         )
-        assert enumerate_minimal_covers(m, demands) == product_minimal_covers(m, demands)
-        box = (max(demands) + 1) ** n
-        assert enumerate_minimal_covers(m, demands, box) == product_minimal_covers(m, demands)
-        with pytest.raises(BudgetExceeded) as got:
-            enumerate_minimal_covers(m, demands, box - 1)
-        with pytest.raises(BudgetExceeded) as want:
-            product_minimal_covers(m, demands, box - 1)
-        assert str(got.value) == str(want.value)
+        _assert_covers_match_the_product_scan(m, demands)
     assert seen_zero >= 30 and seen_empty_column >= 5, (seen_zero, seen_empty_column)
+
+
+def test_zero_demands_cover_with_zero_at_any_n():
+    """A box of one point fits any budget, so n is unbounded here: the
+    search must not recurse per column."""
+    m = circulant_matrix(3000, 2)
+    assert enumerate_minimal_covers(m, [0] * 3000) == ((0,) * 3000,)
 
 
 def test_hull_facets_match_the_fraction_construction():

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 
 from _helpers import fraction_solve_lp
 from test_acceptance import _brute_force_key
+from test_oracle import _assert_covers_match_the_product_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from circover import (
     solve_lp,
 )
 from circover import cli
+from circover.jsonio import _dumps_indented
 from circover.lp import SENSES
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -290,3 +292,38 @@ def test_any_instance_file_is_an_answer_or_one_error_line(instance_file, verb, d
     else:
         assert code in (0, 2) and err.getvalue() == ""
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+@st.composite
+def cover_instances(draw):
+    """(matrix, demands): n 3-9, 1-2n distinct rows, demands 0-3 with the
+    box (max b + 1)^n at most 4096 points."""
+    n = draw(st.integers(3, 9))
+    top = max(d for d in range(4) if (d + 1) ** n <= 4096)
+    pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * n, unique=True))
+    demands = draw(st.lists(st.integers(0, top), min_size=len(rows), max_size=len(rows)))
+    return circular_matrix(n, rows), demands
+
+
+@fixed
+@given(cover_instances())
+def test_cover_search_equals_the_product_scan(instance):
+    _assert_covers_match_the_product_scan(*instance)
+
+
+# any string: control characters and lone surrogates included
+any_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+float_free_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | any_text
+    | st.sampled_from((10 ** 40, -(10 ** 40) - 1, 2 ** 64, -(2 ** 63))),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(fixed, max_examples=500)
+@given(float_free_json)
+def test_indented_writer_equals_json_dumps(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
