@@ -18,8 +18,8 @@ the matrix rows: the tails, the heads and the cost index of every arc in
 the global order (forward arcs read cost `slot`, reverse arcs `m+n+slot`).
 `Arc` objects come from one constructor that reads them back from those
 lists: `arcs` builds all of them on first read, for circuit enumeration and
-the polyhedra callers, and the Bellman-Ford kernel builds only the arcs of
-the circuit it returns. A membership query builds none.
+the polyhedra callers, and `find_negative_circuit` builds only the arcs of
+the circuit the kernel returns. A membership query builds none.
 
 A closed path is a chained arc sequence returning to its start; arcs may
 repeat (closed walks are legal inputs to winding computations). A circuit is a
@@ -30,18 +30,25 @@ order (forward rows, forward shorts, reverse rows, reverse shorts, each by
 index); `enumerate_circuits` builds that per-node adjacency from the arc
 list when it runs, so the digraph holds no adjacency map of its own.
 
-Negative circuits are found by one integer Bellman-Ford kernel,
-`find_negative_circuit`. Every node starts at distance 0 (a virtual source),
-and each round relaxes the arcs in the fixed global arc order, updating
-distances in place. The kernel stops at the first round that changes
-nothing (no negative circuit), and otherwise the first arc that still
-improves in round n triggers a walk back along the predecessor arcs. That
-walk must close a circuit of the predecessor graph, whose cost is negative;
-the circuit is returned rotated to start at its smallest node. Costs are
-plain ints. Callers with rational costs multiply them by a common
-denominator first; scaling every cost by one positive integer keeps every
-comparison of path costs, so the sweep and the returned circuit are the
-same as over the rational costs.
+The package has one integer Bellman-Ford kernel, `bellman_ford`, on flat
+int lists: a node bound n, the tails, the heads and the costs of the arcs.
+Every node starts at distance 0 (a virtual source), and each round relaxes
+the arcs in index order, updating distances in place. The kernel stops at
+the first round that changes nothing and returns the distances, a
+potential that proves there is no negative cycle. Otherwise the first arc
+that still improves in round n triggers a walk back along the predecessor
+arcs. That walk must close a cycle of the predecessor graph, whose cost is
+negative; its arc indices come back in path order. Costs are plain ints.
+
+It has two callers. `find_negative_circuit` runs it on this digraph in the
+fixed global arc order, with n the number of columns, for separation, and
+returns the circuit as `Arc`s rotated to start at its smallest node.
+Callers with rational costs multiply them by a common denominator first;
+scaling every cost by one positive integer keeps every comparison of path
+costs, so the sweep and the returned circuit are the same as over the
+rational costs. `optimize.solve_slice` runs it on the difference graph of
+a slice, nodes 0..n, to decide whether the slice is empty and to cancel
+the negative cycles of its min-cost flow.
 """
 
 from __future__ import annotations
@@ -187,17 +194,20 @@ class ClosedPath:
         return [a.descriptor() for a in self.arcs]
 
 
-def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath | None:
-    """A simple circuit of negative total cost, or None if none exists.
+def bellman_ford(n: int, tails, heads, costs) -> tuple[list[int] | None, list[int]]:
+    """(negative cycle, distances) of the digraph whose arc k runs from
+    tails[k] to heads[k] at integer cost costs[k].
 
-    forward[s] and reverse[s] are the integer costs of the forward and the
-    reverse arc of slot s. Deterministic: fixed sweep order, first improving
-    arc in round n wins, and the circuit starts at its smallest node.
+    Nodes are labelled in 0..n and at most n labels carry arcs, so n rounds
+    decide. Every node starts at distance 0 and the arcs are relaxed in
+    index order, in place. The first round without a change returns
+    (None, distances), a potential with dist[head] <= dist[tail] + cost on
+    every arc. Otherwise the first arc still improving in round n triggers
+    a walk back along the predecessor arcs, and the cycle it closes comes
+    back as its arc indices in path order, with the distances of that
+    moment.
     """
-    n = digraph.n
-    slot_costs = tuple(forward) + tuple(reverse)
-    cost = [slot_costs[k] for k in digraph.cost_index]
-    sweep = list(zip(range(len(cost)), digraph.tails, digraph.heads, cost))
+    sweep = list(zip(range(len(costs)), tails, heads, costs))
     dist = [0] * (n + 1)
     pred = [-1] * (n + 1)
     last = n - 1
@@ -214,10 +224,10 @@ def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath |
                     trigger = k
                     break
         if not changed:
-            return None
+            return None, dist
     # walk predecessors from the improved head; a cycle must appear
     seen: dict[int, int] = {}
-    node = digraph.heads[trigger]
+    node = heads[trigger]
     chain: list[int] = []
     while node not in seen:
         seen[node] = len(chain)
@@ -225,12 +235,27 @@ def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath |
         if k < 0:
             raise CertificateError(f"node {node} improved without a predecessor arc")
         chain.append(k)
-        node = digraph.tails[k]
+        node = tails[k]
     cycle = chain[seen[node]:]
-    if sum(cost[k] for k in cycle) >= 0:
+    if sum([costs[k] for k in cycle]) >= 0:
         raise CertificateError("the predecessor circuit is not negative")
     cycle.reverse()
-    return ClosedPath([digraph._arc(k) for k in cycle], n).canonical()
+    return cycle, dist
+
+
+def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath | None:
+    """A simple circuit of negative total cost, or None if none exists.
+
+    forward[s] and reverse[s] are the integer costs of the forward and the
+    reverse arc of slot s. Deterministic: fixed sweep order, first improving
+    arc in round n wins, and the circuit starts at its smallest node.
+    """
+    slot_costs = tuple(forward) + tuple(reverse)
+    cost = [slot_costs[k] for k in digraph.cost_index]
+    cycle, _ = bellman_ford(digraph.n, digraph.tails, digraph.heads, cost)
+    if cycle is None:
+        return None
+    return ClosedPath([digraph._arc(k) for k in cycle], digraph.n).canonical()
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,31 @@
 """Exact optimization over the integer covering hull.
 
 The hull is the convex closure of its slices at fixed coordinate sums, and
-each slice is an integral polytope: substituting prefix sums
-y_j = x_1 + ... + x_j (so x_j = y_j - y_{j-1}, y_n pinned to the sum) turns
-every circular row into a consecutive difference pattern, and the resulting
-constraint matrix together with y >= 0 is totally unimodular. So the slice
-LPs pivot in integers, and every LP vertex is checked to be integral.
+each slice is an integral polytope. Substituting prefix sums
+y_j = x_1 + ... + x_j (so x_j = y_j - y_{j-1}, y_0 = 0 and y_n pinned to
+the sum beta) turns every circular row into a difference constraint
+y_v >= y_u + l: a plain row (start s, end e <= n) gives y_e >= y_{s-1} + b,
+a wrapping row y_{e-n} >= y_{s-1} + b - beta, each column y_j >= y_{j-1},
+and the pins y_n >= y_0 + beta and y_0 >= y_n - beta. These are the arcs
+u -> v of length l of the slice graph on the nodes 0..n.
+
+The slice is empty exactly when that graph has a cycle of positive length,
+a negative cycle of the `digraph.bellman_ford` kernel under the costs -l.
+Otherwise the minimum of w . x = sum_j C_j y_j, with C_0 = -w_1,
+C_j = w_j - w_{j+1} and C_n = w_n, is by LP duality the maximum of
+sum_a l_a f_a over the flows f >= 0 with net inflow C_j at every node, an
+uncapacitated min-cost flow (Ahuja, Magnanti & Orlin, Network Flows, 1993;
+Bartholdi, Orlin & Ratliff, Oper. Res. 1980, for circular ones), solved
+in the int-scaled weights by cycle cancelling on the same kernel. Its final
+distances d give the primal point y_j = d_0 - d_j, and the answer is
+certified in ints: y meets every arc, y_0 = 0, y_n = beta, the flow is
+non-negative and conserves, and both sides are equal. No simplex runs for
+a slice.
 
 Ties: the smallest optimal sum wins, then the lexicographically smallest
-optimal integer point (one more LP, with digit-perturbed costs).
+optimal integer point: one LP over the slice's difference system at that
+sum, with digit-perturbed costs. That system is totally unimodular, so the
+LP pivots in integers, and its vertex is checked to be integral.
 """
 
 from __future__ import annotations
@@ -17,6 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digraph import bellman_ford
 from .errors import BadParameters, CertificateError
 from .lp import solve_lp
 from .matrices import (
@@ -69,21 +87,100 @@ class SliceSolution:
     point: tuple[int, ...]
 
 
+def _slice_graph(matrix: CircularMatrix, demands, beta: int):
+    """(tails, heads, lengths) of the slice graph: the column arcs first,
+    then one arc per row, then the two pins."""
+    n = matrix.n
+    tails, heads, lengths = list(range(n)), list(range(1, n + 1)), [0] * n
+    for (start, length), b in zip(matrix.rows, demands):
+        end = start + length - 1
+        tails.append(start - 1)
+        if end <= n:
+            heads.append(end)
+            lengths.append(b)
+        else:
+            heads.append(end - n)
+            lengths.append(b - beta)
+    tails += [0, n]
+    heads += [n, 0]
+    lengths += [beta, -beta]
+    return tails, heads, lengths
+
+
+def _slice_flow(graph, weights) -> tuple[list[int], list[int]] | None:
+    """(flow, y) optimal for the int weights, or None if the slice is empty.
+
+    The flow starts as weights[j-1] on column arc j. Each negative cycle of
+    its residual graph is cancelled by the least flow among the arcs it runs
+    against, and once none is left y is read off the kernel's distances.
+    """
+    tails, heads, lengths = graph
+    n = len(weights)
+    costs = [-v for v in lengths]
+    if bellman_ford(n + 1, tails, heads, costs)[0] is not None:
+        return None
+    arcs = len(tails)
+    flow = list(weights) + [0] * (arcs - n)
+    while True:
+        # residual graph: every arc, then the reverse of every arc with flow
+        used = [a for a in range(arcs) if flow[a]]
+        cycle, dist = bellman_ford(
+            n + 1,
+            tails + [heads[a] for a in used],
+            heads + [tails[a] for a in used],
+            costs + [lengths[a] for a in used],
+        )
+        if cycle is None:
+            return flow, [dist[0] - d for d in dist[:n + 1]]
+        # the slice is not empty, so the cycle runs against some flow
+        delta = min([flow[used[k - arcs]] for k in cycle if k >= arcs])
+        for k in cycle:
+            if k < arcs:
+                flow[k] += delta
+            else:
+                flow[used[k - arcs]] -= delta
+
+
 def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSolution | None:
     """Exact minimum of weights . x over the slice at coordinate sum beta.
 
-    Returns None when the slice is empty. The witness point is an integral
-    vertex (checked, not rounded).
+    Returns None when the slice is empty. The witness point is an optimal
+    integral point, certified by a flow of equal cost.
     """
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)
     if not isinstance(beta, int) or isinstance(beta, bool):
         raise BadParameters(f"the coordinate sum must be an int, got {beta!r}")
-    # a positive scale keeps every pivot choice, hence the vertex
-    xi = _slice_vertex(matrix, demands, scaled_to_integers(w)[1], beta)
-    if xi is None:
+    n = matrix.n
+    scale, c = scaled_to_integers(w)
+    graph = _slice_graph(matrix, demands, beta)
+    found = _slice_flow(graph, c)
+    if found is None:
         return None
-    return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)
+    flow, y = found
+    if y[0] != 0 or y[n] != beta:
+        raise CertificateError(f"slice potential {y} does not run from 0 to {beta}")
+    net = [0] * (n + 1)
+    for tail, head, length, f in zip(*graph, flow):
+        if y[head] - y[tail] < length:
+            raise CertificateError(f"slice potential {y} violates arc {tail} -> {head}")
+        if f < 0:
+            raise CertificateError(f"negative slice flow on arc {tail} -> {head}")
+        net[head] += f
+        net[tail] -= f
+    inflow = [-c[0]] + [c[j - 1] - c[j] for j in range(1, n)] + [c[n - 1]]
+    if net != inflow:
+        raise CertificateError(f"slice flow {flow} does not conserve")
+    cost = sum([length * f for length, f in zip(graph[2], flow)])
+    if sum([s * v for s, v in zip(inflow, y)]) != cost:
+        raise CertificateError(f"slice flow {flow} and potential {y} differ in cost")
+    xi = tuple([y[j] - y[j - 1] for j in range(1, n + 1)])
+    for i in range(1, matrix.m + 1):
+        if sum([xi[j - 1] for j in matrix.support(i)]) < demands[i - 1]:
+            raise CertificateError(f"slice point {xi} leaves row {i} uncovered")
+    if sum(xi) != beta:
+        raise CertificateError(f"slice point {xi} does not sum to {beta}")
+    return SliceSolution(beta, Fraction(sum([cv * v for cv, v in zip(c, xi)]), scale), xi)
 
 
 @dataclass(frozen=True)

@@ -191,7 +191,7 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
 
     for t, cover in enumerate(covers[1:], n + 1):
         h = (1, *cover)
-        vals = [sum(a * b for a, b in zip(h, r)) for r in rays]
+        vals = [sum([a * b for a, b in zip(h, r)]) for r in rays]
         if all(v >= 0 for v in vals):
             masks = [m | ((v == 0) << t) for m, v in zip(masks, vals)]
             continue

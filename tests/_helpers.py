@@ -793,3 +793,21 @@ def recording(log):
         log.append((prow, pcol, [[Fraction(v, d) for v in row] for row in [*tab, cost]]))
         return d
     return record
+
+
+def lp_solve_slice(matrix, demands, weights, beta):
+    """Reference of `optimize.solve_slice`: the certified integral vertex of
+    the slice LP over the prefix sums, from `solve_lp`, or None when the
+    slice is empty."""
+    from circover import SliceSolution
+    from circover.matrices import check_demands, check_weights
+    from circover.optimize import _slice_vertex
+    from circover.rationals import scaled_to_integers
+
+    demands = check_demands(matrix, demands)
+    w = check_weights(matrix, weights)
+    # a positive scale keeps every pivot choice, hence the vertex
+    xi = _slice_vertex(matrix, demands, scaled_to_integers(w)[1], beta)
+    if xi is None:
+        return None
+    return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)

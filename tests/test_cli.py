@@ -439,15 +439,42 @@ def test_certificates_survive_dash_O():
     script = """
 import sys
 from fractions import Fraction
-from circover import CertificateError, LPResult, circulant_matrix, solve_slice
+from circover import CertificateError, LPResult, circulant_matrix, optimize
 assert False, "asserts must be stripped here"
 half = LPResult("optimal", Fraction(1, 2), (Fraction(1, 2),) * 4)
 sys.modules["circover.optimize"].solve_lp = lambda *args, **kwargs: half
 try:
-    solve_slice(circulant_matrix(5, 2), [1] * 5, [1] * 5, 3)
+    optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
 except CertificateError as exc:
     print(exc)
 """
     code, out = run_python("-O", "-c", script)
     assert code == 0
     assert out.startswith("non-integral slice vertex")
+
+
+def test_slice_certificates_survive_dash_O():
+    """The flow certificate of `test_tampered_slice_certificate_raises`,
+    each flow and potential entry moved by one, under -O."""
+    script = """
+import sys
+from circover import CertificateError, circulant_matrix, solve_slice
+assert False, "asserts must be stripped here"
+module = sys.modules["circover.optimize"]
+m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
+flow, y = module._slice_flow(module._slice_graph(m, b, 3), w)
+refused = 0
+for cert in (flow, y):
+    for at in range(len(cert)):
+        for delta in (1, -1):
+            cert[at] += delta
+            tampered = (list(flow), list(y))
+            cert[at] -= delta
+            module._slice_flow = lambda *args: tampered
+            try:
+                solve_slice(m, b, w, 3)
+            except CertificateError:
+                refused += 1
+print(refused)
+"""
+    assert run_python("-O", "-c", script) == (0, "36\n")

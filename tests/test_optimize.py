@@ -1,10 +1,12 @@
 """Exact optimization over the covering relaxation, plus domination front ends."""
 
+import random
 import sys
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from _helpers import lp_solve_slice
 
 from circover import (
     BadParameters,
@@ -51,6 +53,39 @@ def test_slice_below_cover_number_is_infeasible():
     assert solve_slice(m, [1] * 5, [1] * 5, 0) is None
 
 
+def _assert_slice_matches_the_lp(matrix, demands, weights):
+    """At every sum 0..top+1, the flow slice and the LP reference agree on
+    emptiness and value, and the flow's point covers, sums to the slice's
+    sum and is worth the value."""
+    top = matrix.n * max(demands, default=0)
+    for beta in range(top + 2):
+        got = solve_slice(matrix, demands, weights, beta)
+        ref = lp_solve_slice(matrix, demands, weights, beta)
+        assert (got is None) == (ref is None), (matrix, demands, weights, beta)
+        if got is None:
+            continue
+        assert got.value == ref.value, (matrix, demands, weights, beta)
+        x = got.point
+        assert sum(x) == beta and min(x) >= 0
+        assert all(sum(x[j - 1] for j in matrix.support(i)) >= d
+                   for i, d in enumerate(demands, 1))
+        assert sum(F(wv) * v for wv, v in zip(weights, x)) == got.value
+
+
+def test_slices_equal_the_lp_reference():
+    """300 seeded matrices, n 2-8, with rows of every length 1..n (so
+    wrapping and full-length rows), demands 0-3, and zero, int and
+    rational weights."""
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        rows = tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, n + 2)))
+        demands = [rng.randint(0, 3) for _ in rows]
+        weights = [rng.choice((0, 0, 1, 2, 7, F(1, 2), F(5, 3), F(2, 7))) for _ in range(n)]
+        _assert_slice_matches_the_lp(CircularMatrix(n, rows), demands, weights)
+    _assert_slice_matches_the_lp(circulant_matrix(7, 3), [2] * 7, [0] * 7)
+
+
 def test_slice_rejects_fractional_sum():
     m = circulant_matrix(5, 2)
     with pytest.raises(BadParameters):
@@ -79,8 +114,9 @@ def test_unit_pentagon_details():
 
 
 def test_pentagon_lp_count(monkeypatch):
-    """Four slice LPs for the bisections plus one lexmin LP (the full scan
-    with one lexmin LP per coordinate made 6 + 4)."""
+    """One LP, the lexmin LP: the four slices the bisections probe are
+    min-cost flows (LP slices made 4 + 1, the full scan with one lexmin LP
+    per coordinate 6 + 4)."""
     module = sys.modules["circover.optimize"]  # the package attribute is the function
     calls = []
 
@@ -91,18 +127,35 @@ def test_pentagon_lp_count(monkeypatch):
     monkeypatch.setattr(module, "solve_lp", counting)
     res = optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
     assert (res.value, res.point, res.beta) == (3, (0, 1, 0, 1, 1), 3)
-    assert len(calls) == 5
+    assert len(calls) == 1
 
 
 def test_fractional_slice_vertex_raises(monkeypatch):
-    """A non-integral LP vertex is a CertificateError, never truncated."""
+    """A non-integral lexmin LP vertex is a CertificateError, never truncated."""
     module = sys.modules["circover.optimize"]
     half = LPResult("optimal", F(1, 2), (F(1, 2),) * 4)
     monkeypatch.setattr(module, "solve_lp", lambda *args, **kwargs: half)
     with pytest.raises(CertificateError, match="non-integral"):
-        solve_slice(circulant_matrix(5, 2), [1] * 5, [1] * 5, 3)
-    with pytest.raises(CertificateError):
         optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
+
+
+def test_tampered_slice_certificate_raises(monkeypatch):
+    """Each flow entry and each potential entry moved by one is refused.
+    Every inflow C_j (-w_1, w_j - w_{j+1}, w_n) is nonzero here, so a
+    potential moved on one node is infeasible or costs more than the flow."""
+    module = sys.modules["circover.optimize"]
+    m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
+    flow, y = module._slice_flow(module._slice_graph(m, b, 3), w)
+    assert solve_slice(m, b, w, 3).value == 4
+    for cert in (flow, y):
+        for at in range(len(cert)):
+            for delta in (1, -1):
+                cert[at] += delta
+                tampered = (list(flow), list(y))
+                cert[at] -= delta
+                monkeypatch.setattr(module, "_slice_flow", lambda *args: tampered)
+                with pytest.raises(CertificateError):
+                    solve_slice(m, b, w, 3)
 
 
 def test_weighted_pentagon():

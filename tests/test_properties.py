@@ -12,12 +12,14 @@ pytest.importorskip("hypothesis")
 
 from _helpers import fraction_solve_lp
 from test_acceptance import _brute_force_key
+from test_optimize import _assert_slice_matches_the_lp
 from test_oracle import _assert_covers_match_the_product_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circover import (
     BadParameters,
+    CircularMatrix,
     InfeasiblePoint,
     build_digraph,
     check_validity,
@@ -310,6 +312,26 @@ def cover_instances(draw):
 @given(cover_instances())
 def test_cover_search_equals_the_product_scan(instance):
     _assert_covers_match_the_product_scan(*instance)
+
+
+@st.composite
+def slice_instances(draw):
+    """(matrix, demands, weights): n 2-7 and 1-(n+2) rows of any start and
+    any length 1..n, so wrapping and full-length rows too, demands 0-3,
+    and zero, int and rational weights."""
+    n = draw(st.integers(2, 7))
+    row = st.tuples(st.integers(1, n), st.integers(1, n))
+    rows = draw(st.lists(row, min_size=1, max_size=n + 2))
+    demands = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    weights = draw(st.lists(st.sampled_from((0, 0, 1, 4, F(1, 2), F(7, 3))),
+                            min_size=n, max_size=n))
+    return CircularMatrix(n, tuple(rows)), demands, weights
+
+
+@fixed
+@given(slice_instances())
+def test_slices_equal_the_lp_slices(instance):
+    _assert_slice_matches_the_lp(*instance)
 
 
 # any string: control characters and lone surrogates included
