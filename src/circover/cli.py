@@ -79,13 +79,11 @@ def _cap(value, flag):
     return value
 
 
-def _cmd_solve(args) -> tuple[dict, int]:
-    inst = load_instance(_read_json(args.instance))
+def _cmd_solve(inst, args) -> tuple[dict, int]:
     return optimization_json(optimize(inst.matrix, inst.demands, inst.weights)), 0
 
 
-def _cmd_separate(args) -> tuple[dict, int]:
-    inst = load_instance(_read_json(args.instance))
+def _cmd_separate(inst, args) -> tuple[dict, int]:
     try:
         point = json.loads(args.point)
     except (ValueError, RecursionError) as exc:
@@ -93,8 +91,7 @@ def _cmd_separate(args) -> tuple[dict, int]:
     return separation_json(separate(inst.matrix, inst.demands, point)), 0
 
 
-def _cmd_facets(args) -> tuple[dict, int]:
-    inst = load_instance(_read_json(args.instance))
+def _cmd_facets(inst, args) -> tuple[dict, int]:
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
     budget = _cap(args.budget, "--budget")
@@ -119,8 +116,7 @@ def _cmd_facets(args) -> tuple[dict, int]:
     return payload, 0 if enum.complete else 2
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
-    inst = load_instance(_read_json(args.instance))
+def _cmd_verify(inst, args) -> tuple[dict, int]:
     matrix = inst.matrix
     demands = _pick_demands(inst, args.alpha)
     budget = _cap(args.budget, "--budget")
@@ -169,8 +165,7 @@ def _witness_json(w) -> dict:
     }
 
 
-def _cmd_minors(args) -> tuple[dict, int]:
-    inst = load_instance(_read_json(args.instance))
+def _cmd_minors(inst, args) -> tuple[dict, int]:
     enum = enumerate_circulant_minors(
         inst.matrix, max_count=_cap(args.max_circuits, "--max-circuits")
     )
@@ -182,8 +177,7 @@ def _cmd_minors(args) -> tuple[dict, int]:
     return payload, 0 if enum.complete else 2
 
 
-def _cmd_cut_loop(args) -> tuple[dict, int]:
-    inst = load_instance(_read_json(args.instance))
+def _cmd_cut_loop(inst, args) -> tuple[dict, int]:
     try:
         res = cut_loop(
             inst.matrix, inst.demands, inst.weights,
@@ -279,7 +273,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload, code = _HANDLERS[args.verb](args)
+        inst = load_instance(_read_json(args.instance))
+        payload, code = _HANDLERS[args.verb](inst, args)
         text = _dumps_indented(payload)
         if args.output:
             Path(args.output).write_text(text + "\n")

@@ -13,13 +13,14 @@ row per column): a row arc with index i sits at slot i-1, a short arc for
 column j at slot m+j-1. Forward and reverse arcs of the same slot are
 antiparallel twins.
 
-`AuxDigraph` holds the digraph as three flat int lists built straight from
-the matrix rows: the tails, the heads and the cost index of every arc in
-the global order (forward arcs read cost `slot`, reverse arcs `m+n+slot`).
-`Arc` objects come from one constructor that reads them back from those
-lists: `arcs` builds all of them on first read, for circuit enumeration and
-the polyhedra callers, and `find_negative_circuit` builds only the arcs of
-the circuit the kernel returns. A membership query builds none.
+`AuxDigraph` holds the tails and heads of every arc as two flat int lists
+built straight from the matrix rows, in the global order: the forward
+arcs by slot, then the reverse arcs by slot (from slot m when
+restricted), so the arc costs are the slot costs concatenated. `Arc`
+objects are built on read: `arcs` builds all of them, for circuit
+enumeration and the polyhedra callers, and `separation.negative_circuit`
+only those of the circuit the kernel returns. A membership query builds
+none.
 
 A closed path is a chained arc sequence returning to its start; arcs may
 repeat (closed walks are legal inputs to winding computations). A circuit is a
@@ -40,15 +41,15 @@ that still improves in round n triggers a walk back along the predecessor
 arcs. That walk must close a cycle of the predecessor graph, whose cost is
 negative; its arc indices come back in path order. Costs are plain ints.
 
-It has two callers. `find_negative_circuit` runs it on this digraph in the
-fixed global arc order, with n the number of columns, for separation, and
-returns the circuit as `Arc`s rotated to start at its smallest node.
-Callers with rational costs multiply them by a common denominator first;
-scaling every cost by one positive integer keeps every comparison of path
-costs, so the sweep and the returned circuit are the same as over the
-rational costs. `optimize.solve_slice` runs it on the difference graph of
-a slice, nodes 0..n, to decide whether the slice is empty and to cancel
-the negative cycles of its min-cost flow.
+It has two callers. `separation.negative_circuit` runs it on this digraph
+in the fixed global arc order, with n the number of columns, and returns
+the circuit as `Arc`s rotated to start at its smallest node. Callers with
+rational costs multiply them by a common denominator first; scaling every
+cost by one positive integer keeps every comparison of path costs, so the
+sweep and the returned circuit are the same as over the rational costs.
+`optimize` runs it on the difference graph of a slice, nodes 0..n, to
+decide whether the slice is empty and to cancel the negative cycles of
+its min-cost flow.
 """
 
 from __future__ import annotations
@@ -88,13 +89,13 @@ class Arc:
 
 class AuxDigraph:
     """The digraph as flat int views in the fixed global arc order: arc k
-    runs from tails[k] to heads[k], and its cost sits at cost_index[k] in
-    the forward slot costs followed by the reverse ones. The views come
-    straight from the matrix rows; `Arc` objects are built on read."""
+    runs from tails[k] to heads[k]. The views come straight from the matrix
+    rows; `Arc` objects are built on read."""
 
     def __init__(self, matrix: CircularMatrix, restricted: bool):
         self.matrix = matrix
-        n, m = matrix.n, matrix.m
+        self.restricted = restricted
+        n = matrix.n
         row_tails = [start - 1 or n for start, _ in matrix.rows]
         row_heads = [(start + length - 2) % n + 1 for start, length in matrix.rows]
         cols = list(range(1, n + 1))
@@ -102,11 +103,9 @@ class AuxDigraph:
         if restricted:
             self.tails = row_tails + prev + cols
             self.heads = row_heads + cols + prev
-            self.cost_index = list(range(m + n)) + list(range(2 * m + n, 2 * (m + n)))
         else:
             self.tails = row_tails + prev + row_heads + cols
             self.heads = row_heads + cols + row_tails + prev
-            self.cost_index = list(range(2 * (m + n)))
 
     @property
     def n(self) -> int:
@@ -115,9 +114,8 @@ class AuxDigraph:
     def _arc(self, k: int) -> Arc:
         """Arc k of the global order, read back from the flat views."""
         n, m = self.matrix.n, self.matrix.m
-        c = self.cost_index[k]
-        forward = c < m + n
-        slot = c if forward else c - m - n
+        forward = k < m + n
+        slot = k if forward else k - n if self.restricted else k - m - n
         if slot < m:
             kind = FORWARD_ROW if forward else REVERSE_ROW
             index = slot + 1
@@ -241,21 +239,6 @@ def bellman_ford(n: int, tails, heads, costs) -> tuple[list[int] | None, list[in
         raise CertificateError("the predecessor circuit is not negative")
     cycle.reverse()
     return cycle, dist
-
-
-def find_negative_circuit(digraph: AuxDigraph, forward, reverse) -> ClosedPath | None:
-    """A simple circuit of negative total cost, or None if none exists.
-
-    forward[s] and reverse[s] are the integer costs of the forward and the
-    reverse arc of slot s. Deterministic: fixed sweep order, first improving
-    arc in round n wins, and the circuit starts at its smallest node.
-    """
-    slot_costs = tuple(forward) + tuple(reverse)
-    cost = [slot_costs[k] for k in digraph.cost_index]
-    cycle, _ = bellman_ford(digraph.n, digraph.tails, digraph.heads, cost)
-    if cycle is None:
-        return None
-    return ClosedPath([digraph._arc(k) for k in cycle], digraph.n).canonical()
 
 
 @dataclass(frozen=True)

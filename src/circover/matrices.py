@@ -114,13 +114,20 @@ class CircularMatrix:
         return self._dominating
 
 
+def _check_int(value, what: str) -> None:
+    """BadParameters unless value is exactly an int, so not a bool."""
+    if type(value) is not int:
+        raise BadParameters(f"{what} must be an integer, got {value!r}")
+
+
 def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
     """Validated constructor.
 
     Raises BoundViolation for n < 3, a start outside 1..n, or a length
     outside [2, n-1]; DuplicateRow when two rows coincide; BadParameters for
-    an empty row list.
+    an empty row list, or an n, start or length that is not an int.
     """
+    _check_int(n, "n")
     if n < 3:
         raise BoundViolation(f"need n >= 3 columns, got {n}")
     if not rows:
@@ -128,6 +135,8 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
     seen = set()
     normed = []
     for start, length in rows:
+        if type(start) is not int or type(length) is not int:
+            raise BadParameters(f"a row must be two integers, got {(start, length)!r}")
         if not 1 <= start <= n:
             raise BoundViolation(f"row start {start} outside 1..{n}")
         if not 2 <= length <= n - 1:
@@ -142,6 +151,7 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
 
 def circulant_matrix(order: int, window: int) -> CircularMatrix:
     """The circulant (order, window); `circular_matrix` checks the bounds."""
+    _check_int(order, "n")
     return circular_matrix(order, [(i, window) for i in range(1, order + 1)])
 
 
@@ -289,10 +299,12 @@ def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) 
 
     Raises BoundViolation for nodes outside 1..n or a size outside [2, n-1],
     NotInterval when the set is not contiguous on the cycle or misses
-    `must_contain`.
+    `must_contain`, BadParameters for an n or a node that is not an int.
     """
+    _check_int(n, "n")
     found = set()
     for j in nodes:
+        _check_int(j, "a node")
         if not 1 <= j <= n:
             raise BoundViolation(f"node {j} outside 1..{n}")
         found.add(j)
@@ -328,7 +340,10 @@ def neighborhood_matrix(neighborhoods: Sequence[Iterable[int]]) -> CircularMatri
 
 
 def web_neighborhoods(n: int, radius: int) -> list[list[int]]:
-    """Closed neighborhoods of the web graph on n nodes (distance <= radius)."""
+    """Closed neighborhoods of the web graph on n nodes (distance <= radius);
+    BadParameters for an n or radius that is not an int."""
+    _check_int(n, "n")
+    _check_int(radius, "the web radius")
     if radius < 1 or 2 * radius + 1 > n - 1:
         raise BoundViolation(f"web radius {radius} does not fit on {n} nodes")
     return [

@@ -23,9 +23,9 @@ non-negative and conserves, and both sides are equal. No simplex runs for
 a slice.
 
 Ties: the smallest optimal sum wins, then the lexicographically smallest
-optimal integer point: one LP over the slice's difference system at that
-sum, with digit-perturbed costs. That system is totally unimodular, so the
-LP pivots in integers, and its vertex is checked to be integral.
+optimal integer point: one LP at that sum, with digit-perturbed costs, over
+the slice graph's row and column arcs. That system is totally unimodular,
+so the LP pivots in integers, and its vertex passes the flow point's check.
 """
 
 from __future__ import annotations
@@ -45,39 +45,6 @@ from .matrices import (
     interval_row,
 )
 from .rationals import scaled_to_integers
-
-
-def _slice_system(matrix: CircularMatrix, demands, beta: int):
-    """Constraint rows over the n-1 prefix variables, one per stacked row."""
-    n = matrix.n
-    stacked = [(matrix.support(i), demands[i - 1]) for i in range(1, matrix.m + 1)]
-    stacked += [(frozenset([j]), 0) for j in range(1, n + 1)]
-    rows = [[int(j in sup) - int(j + 1 in sup) for j in range(1, n)] for sup, _ in stacked]
-    rhs = [d - beta * int(n in sup) for sup, d in stacked]
-    return rows, rhs
-
-
-def _slice_vertex(matrix, demands, costs, beta) -> tuple[int, ...] | None:
-    """The certified integral LP vertex minimizing costs . x over a slice."""
-    n = matrix.n
-    rows, rhs = _slice_system(matrix, demands, beta)
-    objective = [costs[j] - costs[j + 1] for j in range(n - 1)]
-    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
-    if res.status == "infeasible":
-        return None
-    if res.status != "optimal":
-        raise CertificateError(f"the slice at sum {beta} is unbounded")
-    y = list(res.point) + [Fraction(beta)]
-    x = [y[0]] + [y[j] - y[j - 1] for j in range(1, n)]
-    if any(v.denominator != 1 or v < 0 for v in x):
-        raise CertificateError(f"non-integral slice vertex {x}")
-    xi = tuple([int(v) for v in x])
-    for i in range(1, matrix.m + 1):
-        if sum(xi[j - 1] for j in matrix.support(i)) < demands[i - 1]:
-            raise CertificateError(f"slice vertex {xi} leaves row {i} uncovered")
-    if sum(xi) != beta:
-        raise CertificateError(f"slice vertex {xi} does not sum to {beta}")
-    return xi
 
 
 @dataclass(frozen=True)
@@ -141,6 +108,21 @@ def _slice_flow(graph, weights) -> tuple[list[int], list[int]] | None:
                 flow[used[k - arcs]] -= delta
 
 
+def _slice_point(matrix: CircularMatrix, demands, y, beta: int) -> tuple[int, ...]:
+    """The point x_j = y_j - y_{j-1} of the prefix sums y_0..y_n, checked to
+    be non-negative and integral, to cover every row and to sum to beta."""
+    x = [y[j] - y[j - 1] for j in range(1, len(y))]
+    if any(v.denominator != 1 or v < 0 for v in x):
+        raise CertificateError(f"non-integral slice vertex {x}")
+    xi = tuple([int(v) for v in x])
+    for i, b in enumerate(demands, 1):
+        if sum([xi[j - 1] for j in matrix.support(i)]) < b:
+            raise CertificateError(f"slice point {xi} leaves row {i} uncovered")
+    if sum(xi) != beta:
+        raise CertificateError(f"slice point {xi} does not sum to {beta}")
+    return xi
+
+
 def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSolution | None:
     """Exact minimum of weights . x over the slice at coordinate sum beta.
 
@@ -174,13 +156,28 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSol
     cost = sum([length * f for length, f in zip(graph[2], flow)])
     if sum([s * v for s, v in zip(inflow, y)]) != cost:
         raise CertificateError(f"slice flow {flow} and potential {y} differ in cost")
-    xi = tuple([y[j] - y[j - 1] for j in range(1, n + 1)])
-    for i in range(1, matrix.m + 1):
-        if sum([xi[j - 1] for j in matrix.support(i)]) < demands[i - 1]:
-            raise CertificateError(f"slice point {xi} leaves row {i} uncovered")
-    if sum(xi) != beta:
-        raise CertificateError(f"slice point {xi} does not sum to {beta}")
+    xi = _slice_point(matrix, demands, y, beta)
     return SliceSolution(beta, Fraction(sum([cv * v for cv, v in zip(c, xi)]), scale), xi)
+
+
+def _lexmin_vertex(matrix: CircularMatrix, demands, costs, beta: int) -> tuple[int, ...]:
+    """The certified LP vertex minimizing costs . x over the slice at sum beta."""
+    n = matrix.n
+    tails, heads, lengths = _slice_graph(matrix, demands, beta)
+    rows, rhs = [], []
+    # the row arcs, then the column arcs: y_v - y_u >= l over y_1..y_{n-1},
+    # with y_0 = 0 and y_n = beta moved to the right-hand side
+    for a in [*range(n, n + matrix.m), *range(n)]:
+        row = [0] * (n + 1)
+        row[heads[a]] += 1
+        row[tails[a]] -= 1
+        rows.append(row[1:n])
+        rhs.append(lengths[a] - beta * row[n])
+    objective = [costs[j] - costs[j + 1] for j in range(n - 1)]
+    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
+    if res.status != "optimal":
+        raise CertificateError(f"the lexmin LP at sum {beta} came back {res.status}")
+    return _slice_point(matrix, demands, [0, *res.point, beta], beta)
 
 
 @dataclass(frozen=True)
@@ -220,10 +217,8 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     # ties; the slice is integral, so this LP's optimal vertex is the lexmin point
     n, base = matrix.n, beta + 1
     costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(scaled_to_integers(w)[1])]
-    point = _slice_vertex(matrix, demands, costs, beta)
-    if best is None or point is None or best.value != sum(
-        (wv * v for wv, v in zip(w, point)), Fraction(0)
-    ):
+    point = _lexmin_vertex(matrix, demands, costs, beta)
+    if best is None or best.value != sum((wv * v for wv, v in zip(w, point)), Fraction(0)):
         raise CertificateError(f"no certified lexmin optimum at sum {beta}")
     slices = tuple([(b, s.value if s else None) for b, s in sorted(probed.items())])
     return OptimizationResult(best.value, point, beta, slices)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .digraph import AuxDigraph, ClosedPath, build_digraph, find_negative_circuit
+from .digraph import AuxDigraph, ClosedPath, bellman_ford, build_digraph
 from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
@@ -91,10 +91,19 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
 def negative_circuit(digraph: AuxDigraph, costs: CostAssignment) -> ClosedPath | None:
     """A simple circuit of negative total cost, or None if none exists.
 
-    Runs `digraph.find_negative_circuit` on the costs scaled by D^2, which
-    returns the same circuit as the sweep over the Fraction costs.
+    The digraph's arcs are the forward slots, then the reverse ones (from
+    slot m on when restricted, which drops the reverse row arcs), so the
+    scaled costs go to `digraph.bellman_ford` as they are. Scaling by D^2
+    keeps the sweep over the Fraction costs: the first arc still improving
+    in round n wins, and the circuit starts at its smallest node.
     """
-    return find_negative_circuit(digraph, costs.scaled_forward, costs.scaled_reverse)
+    forward, reverse = costs.scaled_forward, costs.scaled_reverse
+    if digraph.restricted:
+        reverse = reverse[digraph.matrix.m:]
+    cycle, _ = bellman_ford(digraph.n, digraph.tails, digraph.heads, forward + reverse)
+    if cycle is None:
+        return None
+    return ClosedPath([digraph._arc(k) for k in cycle], digraph.n).canonical()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ def eager_digraph(matrix, restricted):
     """Reference of `digraph.AuxDigraph`: every `Arc` built up front from
     the row supports, in the global order (forward rows, forward shorts,
     reverse rows unless restricted, reverse shorts), and the flat views
-    (tails, heads, cost_index) read off those arcs."""
+    (tails, heads) read off those arcs."""
     from circover import (FORWARD_ROW, FORWARD_SHORT, REVERSE_ROW, REVERSE_SHORT,
                           Arc, norm_col)
 
@@ -43,8 +43,7 @@ def eager_digraph(matrix, restricted):
                         m + j - 1, 1 << (j - 1)))
     tails = [a.tail for a in arcs]
     heads = [a.head for a in arcs]
-    cost_index = [a.slot if a.is_forward else m + n + a.slot for a in arcs]
-    return tuple(arcs), tails, heads, cost_index
+    return tuple(arcs), tails, heads
 
 
 def find_arc(digraph, kind: str, index: int):
@@ -113,7 +112,7 @@ def fraction_costs(matrix, demands, point):
 
 def fraction_negative_circuit(digraph, forward, reverse):
     """Reference Bellman-Ford over Fraction costs, the sweep the integer
-    kernel `digraph.find_negative_circuit` must reproduce arc for arc.
+    kernel `separation.negative_circuit` must reproduce arc for arc.
 
     Every node starts at distance 0, arcs are relaxed in `digraph.arcs`
     order with in-place updates, the first round without a change ends the
@@ -795,19 +794,38 @@ def recording(log):
     return record
 
 
+def _slice_system(matrix, demands, beta):
+    """Reference encoding of a slice LP: one >= row over the prefix sums
+    y_1..y_{n-1} per stacked row (the matrix rows, then one unit row per
+    column), read off the row supports, with y_0 = 0 and y_n = beta on the
+    right-hand side. The lexmin LP of `optimize` must have these rows."""
+    n = matrix.n
+    stacked = [(matrix.support(i), demands[i - 1]) for i in range(1, matrix.m + 1)]
+    stacked += [(frozenset([j]), 0) for j in range(1, n + 1)]
+    rows = [[int(j in sup) - int(j + 1 in sup) for j in range(1, n)] for sup, _ in stacked]
+    rhs = [d - beta * int(n in sup) for sup, d in stacked]
+    return rows, rhs
+
+
 def lp_solve_slice(matrix, demands, weights, beta):
     """Reference of `optimize.solve_slice`: the certified integral vertex of
-    the slice LP over the prefix sums, from `solve_lp`, or None when the
-    slice is empty."""
-    from circover import SliceSolution
+    the slice LP of `_slice_system`, from `solve_lp`, or None when the slice
+    is empty."""
+    from circover import SliceSolution, solve_lp
     from circover.matrices import check_demands, check_weights
-    from circover.optimize import _slice_vertex
+    from circover.optimize import _slice_point
     from circover.rationals import scaled_to_integers
 
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)
     # a positive scale keeps every pivot choice, hence the vertex
-    xi = _slice_vertex(matrix, demands, scaled_to_integers(w)[1], beta)
-    if xi is None:
+    c = scaled_to_integers(w)[1]
+    rows, rhs = _slice_system(matrix, demands, beta)
+    objective = [c[j] - c[j + 1] for j in range(matrix.n - 1)]
+    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
+    if res.status == "infeasible":
         return None
+    if res.status != "optimal":
+        raise AssertionError(f"the slice LP at sum {beta} came back {res.status}")
+    xi = _slice_point(matrix, demands, [0, *res.point, beta], beta)
     return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)

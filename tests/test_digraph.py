@@ -72,15 +72,15 @@ def _random_circular_matrices(count, seed):
 
 
 def test_flat_views_and_arcs_match_the_eager_construction():
-    """tails, heads, cost_index and every Arc field agree with the eager
+    """tails, heads and every Arc field agree with the eager
     reference on every circulant with 3 <= n <= 16 and on 300 seeded random
     circular matrices, for the full and the restricted digraph."""
     circulants = [circulant_matrix(n, k) for n in range(3, 17) for k in range(2, n)]
     for m in circulants + list(_random_circular_matrices(300, 14)):
         for restricted in (False, True):
             d = build_digraph(m, restricted=restricted)
-            arcs, tails, heads, cost_index = eager_digraph(m, restricted)
-            assert (d.tails, d.heads, d.cost_index) == (tails, heads, cost_index)
+            arcs, tails, heads = eager_digraph(m, restricted)
+            assert (d.tails, d.heads) == (tails, heads)
             assert "arcs" not in d.__dict__
             assert d.arcs == arcs
             assert [d._arc(k) for k in range(len(arcs))] == list(arcs)

@@ -55,6 +55,14 @@ def test_constructor_validation():
         circular_matrix(5, [(2, 3), (2, 3)])
     with pytest.raises(BadParameters):
         circular_matrix(5, [])
+    # a float, str or bool where an int belongs, not a matrix carrying it
+    for n, rows in [(5, [(1.0, 2), (3, 2)]), (5, [(1, 2), (3, 2.0)]), (5.0, [(1, 2)]),
+                    (5, [(True, 2)]), (5, [(1, "2")])]:
+        with pytest.raises(BadParameters):
+            circular_matrix(n, rows)
+    for order, window in [(5.0, 2), (5, 2.0)]:
+        with pytest.raises(BadParameters):
+            circulant_matrix(order, window)
 
 
 def test_circulant_bounds_and_cover_number():
@@ -274,6 +282,9 @@ def test_interval_row():
         interval_row([2], 6)
     with pytest.raises(BoundViolation):
         interval_row(list(range(1, 7)), 6)
+    for nodes, n in [(["1", "2"], 5), ([1, 2], 5.0), ([1, True], 5)]:
+        with pytest.raises(BadParameters):
+            interval_row(nodes, n)
 
 
 def test_neighborhood_matrix_and_web():
@@ -283,6 +294,9 @@ def test_neighborhood_matrix_and_web():
     assert m.circulant_window() == 3
     with pytest.raises(BoundViolation):
         web_neighborhoods(6, 3)
+    for n, radius in [(7.0, 1), (7, True), (7, 1.0)]:
+        with pytest.raises(BadParameters):
+            web_neighborhoods(n, radius)
     with pytest.raises(NotInterval):
         # vertex 1 missing from its own closed neighborhood
         neighborhood_matrix([[2, 3], [1, 2, 3], [2, 3, 4], [3, 4, 1]])

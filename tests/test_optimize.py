@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from _helpers import lp_solve_slice
+from _helpers import _slice_system, lp_solve_slice
 
 from circover import (
     BadParameters,
@@ -84,6 +84,40 @@ def test_slices_equal_the_lp_reference():
         weights = [rng.choice((0, 0, 1, 2, 7, F(1, 2), F(5, 3), F(2, 7))) for _ in range(n)]
         _assert_slice_matches_the_lp(CircularMatrix(n, rows), demands, weights)
     _assert_slice_matches_the_lp(circulant_matrix(7, 3), [2] * 7, [0] * 7)
+
+
+class _Captured(Exception):
+    """Raised in place of the lexmin LP, carrying its arguments."""
+
+
+def _capture(*args):
+    raise _Captured(*args)
+
+
+def test_lexmin_lp_rows_are_the_reference_slice_system(monkeypatch):
+    """The lexmin LP read off the slice graph has the rows and right-hand
+    sides of the support-based reference `_slice_system`, row for row, on
+    300 seeded matrices with rows of every length 1..n (so wrapping and
+    full-length rows) and demands 0-3, at every sum 0..top."""
+    module = sys.modules["circover.optimize"]
+    monkeypatch.setattr(module, "solve_lp", _capture)
+    rng = random.Random(20)
+    wrapping = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        rows = tuple((rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, n + 2)))
+        wrapping += any(start + length - 1 > n for start, length in rows)
+        matrix = CircularMatrix(n, rows)
+        demands = [rng.randint(0, 3) for _ in rows]
+        costs = [rng.randint(0, 50) for _ in range(n)]
+        for beta in range(n * max(demands) + 1):
+            with pytest.raises(_Captured) as got:
+                module._lexmin_vertex(matrix, demands, costs, beta)
+            objective, lp_rows, senses, rhs = got.value.args
+            assert (lp_rows, rhs) == _slice_system(matrix, demands, beta), (matrix, demands, beta)
+            assert senses == [">="] * len(rhs)
+            assert objective == [costs[j] - costs[j + 1] for j in range(n - 1)]
+    assert wrapping >= 150, wrapping
 
 
 def test_slice_rejects_fractional_sum():

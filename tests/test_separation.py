@@ -294,6 +294,23 @@ def test_kernel_replays_the_fraction_sweep():
     assert verdicts["violated"] >= 100 and verdicts["member"] >= 60, verdicts
 
 
+def test_restricted_digraph_replays_the_fraction_sweep():
+    """On the restricted digraph, whose costs skip the reverse row slots,
+    the integer kernel also returns the circuit (or None) of the Fraction
+    Bellman-Ford, at the 150 violated points of seeded circulants in a
+    stream of `_replay_cases`."""
+    rng = random.Random(20)
+    violated = 0
+    for m, demands, x in _replay_cases(rng, 300)[::2]:
+        costs = assign_costs(m, demands, x)
+        _, _, forward, reverse = fraction_costs(m, demands, x)
+        d = build_digraph(m, restricted=True)
+        got = negative_circuit(d, costs)
+        assert got == fraction_negative_circuit(d, forward, reverse), (m, x)
+        violated += got is not None
+    assert violated == 150, violated
+
+
 def test_assign_costs_matches_the_fraction_definition():
     """Field by field against the Fraction definition, on random matrices
     (rows wrapping past column n included) and points that are sometimes
