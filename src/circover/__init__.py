@@ -35,14 +35,11 @@ from .rationals import (
     parse_rational_vector,
 )
 from .matrices import (
-    CirculantMatch,
     CircularMatrix,
     Instance,
-    SupportMatrix,
     circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
-    contract,
     cover_number,
     interval_row,
     neighborhood_matrix,

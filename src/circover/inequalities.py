@@ -48,10 +48,9 @@ from .errors import (
 )
 from .matrices import (
     CircularMatrix,
-    SupportMatrix,
     check_demands,
     circulant_isomorphic,
-    contract,
+    circular_matrix,
     cover_number,
     norm_col,
 )
@@ -383,10 +382,10 @@ class MinorWitness:
 def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     """Read the circulant minor certified by a circuit (winding >= 2).
 
-    The circuit's rows restricted to its essential plain nodes always form a
-    circulant of order s and window p; the witness is exact when no bad row
-    exists, and then the full contraction is that circulant too. Either
-    match failing raises CertificateError.
+    The circuit's s rows restricted to its s essential plain nodes always
+    form the circulant (s, p), one row per window; the witness is exact when
+    no bad row exists, and then the minor of the whole matrix is that
+    circulant too. Either match failing raises CertificateError.
     """
     blocks = block_decomposition(matrix, path)
     p = blocks.winding
@@ -396,27 +395,22 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     ess_set = set(ess)
     s = len(ess)
     rows = tuple(sorted(path.row_indices(forward=True)))
-    sub = SupportMatrix(
-        columns=tuple(ess),
-        rows=tuple([matrix.support(i) & ess_set for i in rows]),
-        row_origins=tuple([(i,) for i in rows]),
-    )
-    match = circulant_isomorphic(sub)
-    if match is None or (match.order, match.window) != (s, p):
+    removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
+    # s rows whose restrictions include all s windows give one row per window
+    if len(rows) != s or circulant_isomorphic(
+        circular_matrix(matrix.n, [matrix.rows[i - 1] for i in rows]), removed
+    ) != (s, p):
         raise CertificateError(
             f"the circuit's rows on its {s} essential columns are not the "
             f"circulant ({s}, {p})"
         )
     bad = bad_arcs(matrix, path, blocks)
     exact = not bad
-    removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
-    if exact:
-        full = circulant_isomorphic(contract(matrix, removed))
-        if full is None or (full.order, full.window) != (s, p):
-            raise CertificateError(
-                f"deleting columns {list(removed)} does not leave the circulant "
-                f"({s}, {p}) the circuit promises"
-            )
+    if exact and circulant_isomorphic(matrix, removed) != (s, p):
+        raise CertificateError(
+            f"deleting columns {list(removed)} does not leave the circulant "
+            f"({s}, {p}) the circuit promises"
+        )
     return MinorWitness(removed, s, p, rows, exact)
 
 
@@ -440,10 +434,10 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
         if not 1 <= j <= matrix.n:
             raise BadParameters(f"column {j} outside 1..{matrix.n}")
         removed_set.add(j)
-    match = circulant_isomorphic(contract(matrix, removed_set))
+    match = circulant_isomorphic(matrix, removed_set)
     if match is None:
         raise NotCirculantMinor(f"deleting {sorted(removed_set)} leaves no circulant")
-    nprime, kprime = match.order, match.window
+    nprime, kprime = match
     if nprime != matrix.n - len(removed_set):
         raise CertificateError(
             f"deleting {len(removed_set)} of {matrix.n} columns left a circulant "
@@ -642,9 +636,9 @@ def enumerate_circulant_minors(
     within k of it, every later node k or k+1 past the node r places back,
     and closes with the wrap-around gaps. Output order: by size, then
     lexicographic in the sorted removed columns; max_count cuts that list.
-    Every witness is certified by contracting the columns of `matrix` and
-    matching the result to the promised circulant; a mismatch raises
-    CertificateError.
+    Every witness is certified by `circulant_isomorphic` on `matrix`: the
+    columns' deletion must leave the promised circulant, and a mismatch
+    raises CertificateError.
 
     A max_count below 1 raises BadParameters.
     """
@@ -662,8 +656,7 @@ def enumerate_circulant_minors(
                 found.extend((nodes, k - r) for nodes in _rotation_sets(n, k, size, r))
         found.sort()
         for nodes, window in found:
-            match = circulant_isomorphic(contract(matrix, nodes))
-            if match is None or (match.order, match.window) != (n - size, window):
+            if circulant_isomorphic(matrix, nodes) != (n - size, window):
                 raise CertificateError(
                     f"deleting columns {list(nodes)} does not leave the circulant "
                     f"({n - size}, {window}) its step cover promises"

@@ -15,10 +15,9 @@ circulant here and identified by (order, window) = (n, k).
 
 Column deletion plus the removal of dominated structure gives minors: after
 deleting a column set the surviving structure is the set of minimal distinct
-row supports (each support remembered once, together with every original row
-that carried it). Keeping only minimal supports is what makes the minor a
-clutter again; deleting "all rows that dominate another one" literally would
-erase both copies of a duplicated support.
+row supports, each support counted once. Keeping only minimal supports is
+what makes the minor a clutter again; deleting "all rows that dominate
+another one" literally would erase both copies of a duplicated support.
 """
 
 from __future__ import annotations
@@ -125,7 +124,8 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
 
     Raises BoundViolation for n < 3, a start outside 1..n, or a length
     outside [2, n-1]; DuplicateRow when two rows coincide; BadParameters for
-    an empty row list, or an n, start or length that is not an int.
+    an empty row list, a row that is not a pair (tuple or list), or an n,
+    start or length that is not an int.
     """
     _check_int(n, "n")
     if n < 3:
@@ -134,9 +134,11 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
         raise BadParameters("a circular matrix needs at least one row")
     seen = set()
     normed = []
-    for start, length in rows:
-        if type(start) is not int or type(length) is not int:
-            raise BadParameters(f"a row must be two integers, got {(start, length)!r}")
+    for row in rows:
+        if (not isinstance(row, (tuple, list)) or len(row) != 2
+                or type(row[0]) is not int or type(row[1]) is not int):
+            raise BadParameters(f"a row must be two integers, got {row!r}")
+        start, length = row
         if not 1 <= start <= n:
             raise BoundViolation(f"row start {start} outside 1..{n}")
         if not 2 <= length <= n - 1:
@@ -155,143 +157,38 @@ def circulant_matrix(order: int, window: int) -> CircularMatrix:
     return circular_matrix(order, [(i, window) for i in range(1, order + 1)])
 
 
-@dataclass(frozen=True)
-class SupportMatrix:
-    """A minor: surviving columns plus minimal distinct row supports.
+def circulant_isomorphic(matrix: CircularMatrix, removed: Iterable[int]) -> tuple[int, int] | None:
+    """(order, window) when deleting the columns in `removed` leaves a
+    circulant minor of `matrix` (its minimal distinct row supports, up to
+    row and column permutations), else None.
 
-    row_origins[r] lists the 1-based rows of the parent matrix whose
-    restricted support equals rows[r].
-    """
+    Deleting columns keeps the s survivors in cyclic order, and each row
+    restricted to them is a cyclic interval of survivors. Let p be the least
+    size of a restricted row. Every restricted row then contains a window
+    of p consecutive survivors, and every restricted row of size p is one;
+    so the minor is the circulant (s, p) exactly when 2 <= p <= s-1 and
+    the restricted rows of size p are s distinct sets, that is all s
+    windows. The check runs on the bitmasks of `matrix.row_masks`.
 
-    columns: tuple[int, ...]
-    rows: tuple[frozenset[int], ...]
-    row_origins: tuple[tuple[int, ...], ...]
-
-
-def contract(matrix: CircularMatrix, removed: Iterable[int]) -> SupportMatrix:
-    """Delete the columns in `removed`, keep minimal distinct supports.
-
-    removed may be empty (then only dominated/duplicated supports go away).
-    Raises EmptyColumnSet if every column would be deleted, BoundViolation
-    for a column outside 1..n.
-
-    The supports are compared as bitmasks of `matrix.row_masks`; frozensets
-    are built only for the minimal ones returned, listed by size and then by
-    their sorted columns.
+    removed may be empty. Raises BadParameters for a column that is not an
+    int, BoundViolation for a column outside 1..n, EmptyColumnSet if every
+    column would be deleted.
     """
     n = matrix.n
     gone = 0
     for j in removed:
+        _check_int(j, "a removed column")
         if not 1 <= j <= n:
             raise BoundViolation(f"column {j} outside 1..{n}")
         gone |= 1 << (j - 1)
     if gone == (1 << n) - 1:
         raise EmptyColumnSet("cannot delete every column")
-    kept = tuple([j for j in range(1, n + 1) if not gone >> (j - 1) & 1])
-
-    by_support: dict[int, list[int]] = {}
-    for i, mask in enumerate(matrix.row_masks, 1):
-        by_support.setdefault(mask & ~gone, []).append(i)
-
-    # a strict subset has fewer columns, so in size order each support
-    # need only be tested against the minimal ones of smaller size
-    minimal: list[int] = []
-    smaller: tuple[int, ...] = ()
-    size = 0
-    for sup in sorted(by_support, key=int.bit_count):
-        if sup.bit_count() != size:
-            size = sup.bit_count()
-            smaller = tuple(minimal)
-        for sub in smaller:
-            if sub & sup == sub:
-                break
-        else:
-            minimal.append(sup)
-    # lists, not tuple(generator): that tuple is over-allocated, then
-    # resized, and the churn raised peak RSS across many contractions
-    keyed = []
-    for sup in minimal:
-        cols = [j for j in kept if sup >> (j - 1) & 1]
-        keyed.append((len(cols), cols, sup))
-    keyed.sort()
-    return SupportMatrix(
-        columns=kept,
-        rows=tuple([frozenset(cols) for _, cols, _ in keyed]),
-        row_origins=tuple([tuple(by_support[sup]) for _, _, sup in keyed]),
-    )
-
-
-@dataclass(frozen=True)
-class CirculantMatch:
-    """Witness that a support matrix is a circulant up to permutations.
-
-    column_order is a cyclic arrangement of the columns; window i (0-based,
-    wrapping) of length `window` equals the support of row row_order[i].
-    Both permutations use the caller's labels (original column names,
-    1-based row positions of the support matrix).
-    """
-
-    order: int
-    window: int
-    column_order: tuple[int, ...]
-    row_order: tuple[int, ...]
-
-
-def circulant_isomorphic(m: SupportMatrix) -> CirculantMatch | None:
-    """Decide whether row/column permutations turn m into a circulant.
-
-    m is a SupportMatrix, typically a contraction (`contract(matrix, ())`
-    for a whole circular matrix). Returns a CirculantMatch with the
-    permutation witness, or None.
-
-    In the circulant (s, window) with window <= s-2, two columns share
-    window-1 rows exactly when they are cyclically adjacent. So the walk
-    starts at the smallest column and keeps appending the smallest unused
-    column sharing window-1 rows with the last one placed, and m is a
-    circulant exactly when the s windows of that order are its supports.
-    The order is the least arrangement that works (for window = s-1, where
-    any order does, the sorted one), so the witness is deterministic.
-    """
-    columns, supports = m.columns, m.rows
-    s = len(supports)
-    if s != len(columns) or s < 3:
+    s = n - gone.bit_count()
+    sizes = [sup.bit_count() for sup in {row & ~gone for row in matrix.row_masks}]
+    p = min(sizes)
+    if not 2 <= p <= s - 1 or sizes.count(p) != s:
         return None
-    sizes = {len(sup) for sup in supports}
-    if len(sizes) != 1:
-        return None
-    window = sizes.pop()
-    if not 2 <= window <= s - 1:
-        return None
-    support_set = set(supports)
-    if len(support_set) != s:
-        return None
-    # each column must lie in exactly `window` rows; bit r of rows_at[c]
-    # is set when row r contains column c
-    rows_at = dict.fromkeys(columns, 0)
-    for r, sup in enumerate(supports):
-        for c in sup:
-            if c not in rows_at:
-                return None
-            rows_at[c] |= 1 << r
-    if any(mask.bit_count() != window for mask in rows_at.values()):
-        return None
-
-    unused = sorted(columns)
-    order = [unused.pop(0)]
-    while unused:
-        last = rows_at[order[-1]]
-        nxt = next(
-            (c for c in unused if (rows_at[c] & last).bit_count() == window - 1), None
-        )
-        if nxt is None:
-            return None
-        order.append(nxt)
-        unused.remove(nxt)
-    windows = [frozenset(order[(t + d) % s] for d in range(window)) for t in range(s)]
-    if set(windows) != support_set:
-        return None
-    row_of = {sup: idx + 1 for idx, sup in enumerate(supports)}
-    return CirculantMatch(s, window, tuple(order), tuple([row_of[w] for w in windows]))
+    return s, p
 
 
 def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Helpers used only by the test suites."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -336,13 +337,95 @@ def search_circuit_cover(nodes, n, k):
     return search(0)
 
 
+@dataclass(frozen=True)
+class SupportMatrix:
+    """A minor: surviving columns plus minimal distinct row supports.
+
+    row_origins[r] lists the 1-based rows of the parent matrix whose
+    restricted support equals rows[r].
+    """
+
+    columns: tuple[int, ...]
+    rows: tuple[frozenset[int], ...]
+    row_origins: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class CirculantMatch:
+    """Witness that a support matrix is a circulant up to permutations.
+
+    column_order is a cyclic arrangement of the columns; window i (0-based,
+    wrapping) of length `window` equals the support of row row_order[i].
+    Both permutations use the caller's labels (original column names,
+    1-based row positions of the support matrix).
+    """
+
+    order: int
+    window: int
+    column_order: tuple[int, ...]
+    row_order: tuple[int, ...]
+
+
+def walk_circulant_isomorphic(m):
+    """Reference of `matrices.circulant_isomorphic` on a SupportMatrix (for
+    example `frozenset_contract(matrix, removed)`): a CirculantMatch with
+    the permutation witness, or None.
+
+    In the circulant (s, window) with window <= s-2, two columns share
+    window-1 rows exactly when they are cyclically adjacent. So the walk
+    starts at the smallest column and keeps appending the smallest unused
+    column sharing window-1 rows with the last one placed, and m is a
+    circulant exactly when the s windows of that order are its supports.
+    The order is the least arrangement that works (for window = s-1, where
+    any order does, the sorted one), so the witness is deterministic.
+    """
+    columns, supports = m.columns, m.rows
+    s = len(supports)
+    if s != len(columns) or s < 3:
+        return None
+    sizes = {len(sup) for sup in supports}
+    if len(sizes) != 1:
+        return None
+    window = sizes.pop()
+    if not 2 <= window <= s - 1:
+        return None
+    support_set = set(supports)
+    if len(support_set) != s:
+        return None
+    # each column must lie in exactly `window` rows; bit r of rows_at[c]
+    # is set when row r contains column c
+    rows_at = dict.fromkeys(columns, 0)
+    for r, sup in enumerate(supports):
+        for c in sup:
+            if c not in rows_at:
+                return None
+            rows_at[c] |= 1 << r
+    if any(mask.bit_count() != window for mask in rows_at.values()):
+        return None
+
+    unused = sorted(columns)
+    order = [unused.pop(0)]
+    while unused:
+        last = rows_at[order[-1]]
+        nxt = next(
+            (c for c in unused if (rows_at[c] & last).bit_count() == window - 1), None
+        )
+        if nxt is None:
+            return None
+        order.append(nxt)
+        unused.remove(nxt)
+    windows = [frozenset(order[(t + d) % s] for d in range(window)) for t in range(s)]
+    if set(windows) != support_set:
+        return None
+    row_of = {sup: idx + 1 for idx, sup in enumerate(supports)}
+    return CirculantMatch(s, window, tuple(order), tuple(row_of[w] for w in windows))
+
+
 def search_circulant_isomorphic(m):
-    """Reference of `matrices.circulant_isomorphic`: the same pre-checks,
-    then a backtracking search that anchors the smallest column and tries
+    """Reference of `walk_circulant_isomorphic`: the same pre-checks, then a
+    backtracking search that anchors the smallest column and tries
     extensions in ascending column order, so its witness is the least
     arrangement whose windows are the supports."""
-    from circover.matrices import CirculantMatch
-
     columns, supports = m.columns, m.rows
     s = len(supports)
     if s != len(columns) or s < 3:
@@ -408,11 +491,13 @@ def search_circulant_isomorphic(m):
 
 
 def frozenset_contract(matrix, removed):
-    """Reference of `matrices.contract` on frozensets: each row's support
-    minus the removed columns, duplicates merged, every support with a
-    strict subset among the others dropped, the rest listed by size and
-    then by their sorted columns."""
-    from circover import BoundViolation, EmptyColumnSet, SupportMatrix
+    """The minor left by deleting the columns in `removed`, on frozensets:
+    each row's support minus the removed columns, duplicates merged, every
+    support with a strict subset among the others dropped, the rest listed
+    by size and then by their sorted columns. Raises BoundViolation and
+    EmptyColumnSet as `matrices.circulant_isomorphic` does, but takes a
+    column of any numeric type."""
+    from circover import BoundViolation, EmptyColumnSet
 
     gone = set()
     for j in removed:
@@ -465,10 +550,9 @@ def _certified_witness(parent, nodes, window):
     """The exact MinorWitness for deleting `nodes`, after checking with the
     reference contraction that the minor is the circulant promised."""
     from circover import MinorWitness
-    from circover.matrices import circulant_isomorphic
 
     n = parent.n
-    match = circulant_isomorphic(frozenset_contract(parent, nodes))
+    match = walk_circulant_isomorphic(frozenset_contract(parent, nodes))
     if match is None or (match.order, match.window) != (n - len(nodes), window):
         raise AssertionError(
             f"deleting {nodes} from {parent} leaves {match}, "

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
+from _helpers import frozenset_contract, walk_circulant_isomorphic
+
 from circover import (
     InfeasiblePoint,
     NoEssentialBullets,
@@ -21,11 +23,9 @@ from circover import (
     check_facet,
     check_validity,
     circuit_inequality,
-    circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
     classify_nodes,
-    contract,
     cover_number,
     enumerate_circuits,
     enumerate_circulant_minors,
@@ -414,8 +414,8 @@ def test_acceptance_8_structural_invariants(acceptance):
                     if witness.order != s or witness.window != p:
                         violations.append(("minor shape", n, k, path))
                     if witness.exact:
-                        match = circulant_isomorphic(
-                            contract(m, frozenset(witness.removed_columns))
+                        match = walk_circulant_isomorphic(
+                            frozenset_contract(m, witness.removed_columns)
                         )
                         if match is None or (match.order, match.window) != (s, p):
                             violations.append(("minor contraction", n, k, path))
@@ -457,7 +457,7 @@ def test_acceptance_9_minor_enumeration(acceptance):
             expected = set()
             for size in range(1, n - 2):
                 for N in combinations(range(1, n + 1), size):
-                    match = circulant_isomorphic(contract(circ, frozenset(N)))
+                    match = walk_circulant_isomorphic(frozenset_contract(circ, N))
                     if match is not None:
                         expected.add((tuple(N), match.order, match.window))
             if got != expected:

@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 from _helpers import (
     find_arc,
+    frozenset_contract,
     jsonable,
     scanned_circulant_minors,
     unfiltered_circulant_minors,
+    walk_circulant_isomorphic,
 )
 from test_cli import run_python
 
@@ -33,7 +35,6 @@ from circover import (
     circulant_matrix,
     circular_matrix,
     classify_nodes,
-    contract,
     circulant_isomorphic,
     default_family_winding,
     enumerate_circuits,
@@ -458,10 +459,10 @@ def test_enumerate_circulant_minors_10_4_contains_deeper_ones():
     assert enum.complete
     got = {(w.removed_columns, w.order, w.window) for w in enum.witnesses}
     assert ((1, 6), 8, 3) in got
-    # every reported witness survives the independent contraction check
+    # every reported witness survives the reference contraction and walk
     m = circulant_matrix(10, 4)
     for w in enum.witnesses:
-        match = circulant_isomorphic(contract(m, w.removed_columns))
+        match = walk_circulant_isomorphic(frozenset_contract(m, w.removed_columns))
         assert match is not None and (match.order, match.window) == (w.order, w.window)
 
 
@@ -512,7 +513,7 @@ def test_minors_of_other_matrices_are_those_their_circuits_certify():
     """Off the circulants, each removed set that some restricted circuit of
     winding >= 2 certifies is listed once, in (size, columns) order, exact
     when any of its circuits is; every exact witness contracts to the
-    circulant it promises."""
+    circulant it promises by the reference contraction and walk."""
     listed = exact = 0
     for m in _antichain_matrices(1717, 40):
         certified = {}
@@ -529,7 +530,7 @@ def test_minors_of_other_matrices_are_those_their_circuits_certify():
         for w in enum.witnesses:
             assert w.exact == certified[w.removed_columns]
             if w.exact:
-                match = circulant_isomorphic(contract(m, w.removed_columns))
+                match = walk_circulant_isomorphic(frozenset_contract(m, w.removed_columns))
                 assert match is not None and (match.order, match.window) == (w.order, w.window)
         listed += len(removed)
         exact += sum(w.exact for w in enum.witnesses)
@@ -648,9 +649,9 @@ def test_circulant_minors_match_the_subset_scan_at_orders_14_to_16():
     assert found >= 10000, found
 
 
-def _wrong_match(matrix):
-    match = circulant_isomorphic(matrix)
-    return None if match is None else replace(match, window=match.window + 1)
+def _wrong_match(matrix, removed):
+    match = circulant_isomorphic(matrix, removed)
+    return None if match is None else (match[0], match[1] + 1)
 
 
 def test_minor_cross_check_raises(monkeypatch):
@@ -664,15 +665,17 @@ def _wrong_from_call(k):
     too large."""
     calls = []
 
-    def fake(matrix):
+    def fake(matrix, removed):
         calls.append(matrix)
-        return circulant_isomorphic(matrix) if len(calls) < k else _wrong_match(matrix)
+        if len(calls) < k:
+            return circulant_isomorphic(matrix, removed)
+        return _wrong_match(matrix, removed)
     return fake
 
 
-def _wrong_order(matrix):
-    match = circulant_isomorphic(matrix)
-    return None if match is None else replace(match, order=match.order + 1)
+def _wrong_order(matrix, removed):
+    match = circulant_isomorphic(matrix, removed)
+    return None if match is None else (match[0] + 1, match[1])
 
 
 def _order_5_circuit_of_7_3():
@@ -698,7 +701,6 @@ def test_minor_checks_raise(monkeypatch, fake, call, message):
 def test_minor_checks_survive_dash_O():
     script = """
 import sys
-from dataclasses import replace
 from circover import (CertificateError, build_digraph, circulant_matrix,
                       enumerate_circuits, extract_minor, minor_inequalities)
 assert False, "asserts must be stripped here"
@@ -710,15 +712,15 @@ path = next(p for p in circuits if extract_minor(m, p).order == 5)
 
 def wrong_from_call(k):
     calls = []
-    def fake(matrix):
+    def fake(matrix, removed):
         calls.append(matrix)
-        match = true_match(matrix)
-        return match if len(calls) < k else replace(match, window=match.window + 1)
+        order, window = true_match(matrix, removed)
+        return (order, window) if len(calls) < k else (order, window + 1)
     return fake
 
-def wrong_order(matrix):
-    match = true_match(matrix)
-    return replace(match, order=match.order + 1)
+def wrong_order(matrix, removed):
+    order, window = true_match(matrix, removed)
+    return order + 1, window
 
 for fake, call in [
     (wrong_from_call(1), lambda: extract_minor(m, path)),
@@ -746,7 +748,7 @@ import sys
 from circover import CertificateError, circulant_matrix, enumerate_circulant_minors
 assert False, "asserts must be stripped here"
 module = sys.modules["circover.inequalities"]
-module.circulant_isomorphic = lambda matrix: None
+module.circulant_isomorphic = lambda matrix, removed: None
 try:
     enumerate_circulant_minors(circulant_matrix(8, 3))
 except CertificateError as exc:

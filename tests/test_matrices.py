@@ -2,7 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from _helpers import frozenset_contract, search_circulant_isomorphic
+from _helpers import (
+    SupportMatrix,
+    frozenset_contract,
+    search_circulant_isomorphic,
+    walk_circulant_isomorphic,
+)
 
 from circover import (
     BadParameters,
@@ -11,11 +16,9 @@ from circover import (
     EmptyColumnSet,
     Instance,
     NotInterval,
-    SupportMatrix,
     circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
-    contract,
     cover_number,
     interval_row,
     neighborhood_matrix,
@@ -115,28 +118,51 @@ def test_dominating_rows_match_the_support_definition():
 
 def test_contract_worked_example():
     """Deleting column 3 from the 3-row example keeps {1,2} and {2,4,5,6};
-    the restricted row 3 strictly contains restricted row 1 and is dropped."""
+    the restricted row 3 strictly contains restricted row 1 and is dropped.
+    The reference contraction says so; two rows of different sizes are no
+    circulant."""
     m = circular_matrix(7, [(1, 3), (2, 5), (5, 5)])
-    minor = contract(m, [3])
+    minor = frozenset_contract(m, [3])
     assert minor.columns == (1, 2, 4, 5, 6, 7)
     assert [sorted(s) for s in minor.rows] == [[1, 2], [2, 4, 5, 6]]
     assert minor.row_origins == ((1,), (2,))
+    assert circulant_isomorphic(m, [3]) is None
 
 
 def test_contract_merges_duplicate_supports():
     m = circular_matrix(5, [(1, 3), (5, 4), (3, 2)])
     # deleting column 5 makes rows 1 and 2 the same support {1,2,3}
-    minor = contract(m, [5])
+    minor = frozenset_contract(m, [5])
     assert [sorted(s) for s in minor.rows] == [[3, 4], [1, 2, 3]]
     assert minor.row_origins == ((3,), (1, 2))
+    assert circulant_isomorphic(m, [5]) is None
 
 
 def test_contract_errors():
+    """The window check and the reference contraction reject the same
+    column sets with the same errors."""
     m = circulant_matrix(5, 2)
-    with pytest.raises(BoundViolation):
-        contract(m, [6])
+    for check in (circulant_isomorphic, frozenset_contract):
+        with pytest.raises(BoundViolation):
+            check(m, [6])
+        with pytest.raises(EmptyColumnSet):
+            check(m, [1, 2, 3, 4, 5])
+
+
+def test_circulant_isomorphic_rejects_columns_that_are_not_ints():
+    """A removed column must be an int: a float or a bool is BadParameters,
+    not read as the column it equals; out of range is BoundViolation and
+    deleting every column EmptyColumnSet, whatever else the list holds."""
+    m = circulant_matrix(6, 2)
+    for removed in ([1.0], [True], [2, False], ["3"], [None]):
+        with pytest.raises(BadParameters, match="removed column"):
+            circulant_isomorphic(m, removed)
+    for removed in ([0], [7], [1, -1], [2, 6, 12]):
+        with pytest.raises(BoundViolation):
+            circulant_isomorphic(m, removed)
     with pytest.raises(EmptyColumnSet):
-        contract(m, [1, 2, 3, 4, 5])
+        circulant_isomorphic(m, [6, 5, 4, 3, 2, 1, 1])
+    assert circulant_isomorphic(m, [1, 1, 4]) == circulant_isomorphic(m, [1, 4])
 
 
 def test_row_masks_are_the_supports():
@@ -152,19 +178,35 @@ def test_row_masks_are_the_supports():
     assert m.row_supports is m.row_supports
 
 
-def _contract_outcome(contraction, matrix, removed):
+def _reference_outcome(matrix, removed):
+    """(order, window) or None by the column walk on the frozenset
+    contraction, or the error it raises as (type, message)."""
     try:
-        return contraction(matrix, removed)
+        match = walk_circulant_isomorphic(frozenset_contract(matrix, removed))
+    except (BoundViolation, EmptyColumnSet) as exc:
+        return type(exc), str(exc)
+    return None if match is None else (match.order, match.window)
+
+
+def _window_outcome(matrix, removed):
+    try:
+        return circulant_isomorphic(matrix, removed)
     except (BoundViolation, EmptyColumnSet) as exc:
         return type(exc), str(exc)
 
 
-def test_contract_matches_the_frozenset_reference():
-    """The bitmask contraction returns the reference's SupportMatrix (columns,
-    row order, row origins) or raises the same error: on every column set of
-    every circulant of order up to 10, and on seeded random circular
-    matrices with random column sets, some reaching outside 1..n."""
-    cases = []
+def test_circulant_isomorphic_matches_the_frozenset_reference():
+    """The window check returns the reference's (order, window), None where
+    it gives None, or raises the same error: on every column set of every
+    circulant of order up to 10, on the worked examples above, and on seeded
+    random circular matrices with random column sets, some reaching outside
+    1..n."""
+    cases = [
+        (circular_matrix(7, [(1, 3), (2, 5), (5, 5)]), [3]),
+        (circular_matrix(5, [(1, 3), (5, 4), (3, 2)]), [5]),
+        (circulant_matrix(5, 2), [6]),
+        (circulant_matrix(5, 2), [1, 2, 3, 4, 5]),
+    ]
     for n in range(3, 11):
         for k in range(2, n):
             m = circulant_matrix(n, k)
@@ -180,37 +222,44 @@ def test_contract_matches_the_frozenset_reference():
             gone.append(rng.choice((0, n + 1, -2)))
             rng.shuffle(gone)
         cases.append((m, gone))
-    errors = 0
+    errors = found = 0
     for m, gone in cases:
-        got = _contract_outcome(contract, m, gone)
-        assert got == _contract_outcome(frozenset_contract, m, gone), (m, gone)
-        errors += isinstance(got, tuple)
-    assert errors >= 50, errors
+        got = _window_outcome(m, gone)
+        assert got == _reference_outcome(m, gone), (m, gone)
+        errors += isinstance(got, tuple) and isinstance(got[0], type)
+        found += isinstance(got, tuple) and isinstance(got[0], int)
+    assert errors >= 50 and found >= 2000, (errors, found)
 
 
 def test_circulant_isomorphic_on_actual_circulants():
     for n, k in [(5, 2), (6, 3), (7, 4), (9, 2)]:
-        whole = contract(circulant_matrix(n, k), ())
-        match = circulant_isomorphic(whole)
-        assert match is not None
+        m = circulant_matrix(n, k)
+        assert circulant_isomorphic(m, ()) == (n, k)
+        # the reference's witness reproduces the supports window by window
+        whole = frozenset_contract(m, ())
+        match = walk_circulant_isomorphic(whole)
         assert (match.order, match.window) == (n, k)
-        # the witness must reproduce the supports window by window
         for t, row in enumerate(match.row_order):
             win = {match.column_order[(t + d) % n] for d in range(k)}
             assert win == set(whole.rows[row - 1])
 
 
 def test_circulant_isomorphic_after_contraction():
-    big = circulant_matrix(8, 3)
-    match = circulant_isomorphic(contract(big, [1, 5]))
-    assert match is not None
-    assert (match.order, match.window) == (6, 2)
+    assert circulant_isomorphic(circulant_matrix(8, 3), [1, 5]) == (6, 2)
+    # the rows may come in any order, with extra rows that contain a window
+    m = circular_matrix(8, [(5, 3), (1, 4), (2, 3), (6, 3), (3, 3), (7, 3), (8, 3), (1, 3), (4, 3)])
+    assert circulant_isomorphic(m, (5, 1)) == (6, 2)
 
 
 def test_circulant_isomorphic_negative():
-    assert circulant_isomorphic(contract(circular_matrix(6, [(1, 2), (3, 2), (5, 2)]), ())) is None
+    assert circulant_isomorphic(circular_matrix(6, [(1, 2), (3, 2), (5, 2)]), ()) is None
     # same column degrees everywhere but an interval pattern that cannot close
-    assert circulant_isomorphic(contract(circulant_matrix(7, 2), [4])) is None
+    assert circulant_isomorphic(circulant_matrix(7, 2), [4]) is None
+    # one window short: (8,3) without row 1, columns 1 and 5 deleted
+    rows = [(i, 3) for i in range(2, 9)]
+    assert circulant_isomorphic(circular_matrix(8, rows), [1, 5]) is None
+    # a row left with one column
+    assert circulant_isomorphic(circulant_matrix(5, 3), [1, 2]) is None
 
 
 def _relabelled_circulant(rng, s, w):
@@ -225,17 +274,19 @@ def _relabelled_circulant(rng, s, w):
 
 
 def test_circulant_walk_matches_the_backtracking_reference():
-    """The neighbour walk returns the backtracking search's witness, or None
-    where it does: on every contraction of every circulant of order up to
-    10, on seeded near-circulant matrices and their contractions, and on
-    relabelled circulants."""
+    """The reference walk returns the backtracking search's witness, or None
+    where it does, and the window check names the same (order, window): on
+    every contraction of every circulant of order up to 10 and on seeded
+    near-circulant matrices and their contractions. On relabelled
+    circulants, which are no contraction of a circular matrix, the walk and
+    the search alone are compared."""
     found = 0
     cases = []
     for n in range(3, 11):
         for k in range(2, n):
             m = circulant_matrix(n, k)
             for size in range(n - 2):
-                cases.extend(contract(m, gone) for gone in combinations(range(1, n + 1), size))
+                cases.extend((m, gone) for gone in combinations(range(1, n + 1), size))
     rng = random.Random(7)
     for _ in range(400):
         n = rng.randint(4, 10)
@@ -245,21 +296,26 @@ def test_circulant_walk_matches_the_backtracking_reference():
             rows.discard(rng.choice(sorted(rows)))
             rows.add((rng.randint(1, n), rng.randint(2, n - 1)))
         m = circular_matrix(n, sorted(rows))
-        cases.append(contract(m, ()))
-        cases.append(contract(m, rng.sample(range(1, n + 1), rng.randint(1, n - 3))))
-    for s in range(3, 10):
-        for w in range(2, s):
-            cases.extend(_relabelled_circulant(rng, s, w) for _ in range(5))
-    for m in cases:
-        match = circulant_isomorphic(m)
-        assert match == search_circulant_isomorphic(m), m
+        cases.append((m, ()))
+        cases.append((m, rng.sample(range(1, n + 1), rng.randint(1, n - 3))))
+    for m, gone in cases:
+        minor = frozenset_contract(m, gone)
+        match = walk_circulant_isomorphic(minor)
+        assert match == search_circulant_isomorphic(minor), (m, gone)
+        expected = None if match is None else (match.order, match.window)
+        assert circulant_isomorphic(m, gone) == expected, (m, gone)
         found += match is not None
     assert found >= 2000, found
+    for s in range(3, 10):
+        for w in range(2, s):
+            for _ in range(5):
+                minor = _relabelled_circulant(rng, s, w)
+                assert walk_circulant_isomorphic(minor) == search_circulant_isomorphic(minor)
 
 
 def test_circulant_walk_on_a_relabelled_circulant():
     m = _relabelled_circulant(random.Random(12), 12, 10)
-    match = circulant_isomorphic(m)
+    match = walk_circulant_isomorphic(m)
     assert match is not None
     assert (match.order, match.window) == (12, 10)
     assert sorted(match.column_order) == sorted(m.columns)

@@ -10,7 +10,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from _helpers import fraction_solve_lp
+from _helpers import frozenset_contract, fraction_solve_lp, walk_circulant_isomorphic
 from test_acceptance import _brute_force_key
 from test_optimize import _assert_slice_matches_the_lp
 from test_oracle import _assert_covers_match_the_product_scan
@@ -23,6 +23,7 @@ from circover import (
     InfeasiblePoint,
     build_digraph,
     check_validity,
+    circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
     cut_loop,
@@ -158,6 +159,37 @@ def test_circuit_counts_equal_networkx(m):
         enum = enumerate_circuits(d)
         assert enum.complete
         assert len(set(enum.circuits)) == len(enum.circuits) == _nx_circuit_count(d)
+
+
+@st.composite
+def column_deletions(draw):
+    """(matrix, removed): n 3-12, either the circulant (n, k) with up to two
+    rows swapped for rows of any length, or 1-2n distinct random rows, and
+    0 to n-1 distinct columns to delete, in any order."""
+    n = draw(st.integers(3, 12))
+    pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(2, n - 1))
+        rows = [(i, k) for i in range(1, n + 1)]
+        for _ in range(draw(st.integers(0, 2))):
+            rows.pop(draw(st.integers(0, len(rows) - 1)))
+            rows.append(draw(st.sampled_from(pool)))
+        rows = sorted(set(rows))
+    else:
+        rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2 * n, unique=True))
+    removed = draw(st.lists(st.integers(1, n), max_size=n - 1, unique=True))
+    return circular_matrix(n, rows), removed
+
+
+@settings(fixed, max_examples=500)
+@given(column_deletions())
+def test_circulant_isomorphic_equals_the_walk_on_the_contraction(case):
+    """The window check names the (order, window) of the reference walk on
+    the frozenset contraction, or None where the walk finds no circulant."""
+    m, removed = case
+    match = walk_circulant_isomorphic(frozenset_contract(m, removed))
+    assert circulant_isomorphic(m, removed) == (
+        None if match is None else (match.order, match.window))
 
 
 # digits, signs, slashes, dots, underscores, exponents, spaces and the
