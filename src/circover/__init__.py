@@ -2,8 +2,8 @@
 
 Everything runs over rational arithmetic: construction of instances and
 their auxiliary digraph, membership and separation for the integer covering
-hull, optimization slice by slice, circuit and minor inequalities, and a
-brute-force oracle for cross-checking on small instances.
+hull, optimization slice by slice, circuit inequalities, circulant minors,
+and a brute-force oracle for cross-checking on small instances.
 """
 
 from types import ModuleType as _ModuleType
@@ -22,7 +22,6 @@ from .errors import (
     NegativeWeight,
     NoEssentialBullets,
     NonpositiveWinding,
-    NotCirculantMinor,
     NotClosedPath,
     NotInterval,
     RedundantInequality,
@@ -64,10 +63,8 @@ from .oracle import (
     DEFAULT_BUDGET,
     HullDescription,
     check_facet,
-    check_validity,
     enumerate_minimal_covers,
     hull_facets,
-    membership,
 )
 from .inequalities import (
     Block,
@@ -77,21 +74,17 @@ from .inequalities import (
     MinorEnumeration,
     MinorWitness,
     NodeClasses,
-    RowFamilyResult,
     bad_arcs,
     block_decomposition,
     circuit_inequality,
     classify_nodes,
-    default_family_winding,
     enumerate_candidates_general,
     enumerate_circulant_minors,
     enumerate_facet_candidates,
     extract_minor,
     homogeneous_circuit_inequality,
     make_inequality,
-    minor_inequalities,
     nonnegativity,
-    row_family_inequality,
     row_inequalities,
 )
 from .separation import (

@@ -51,10 +51,6 @@ class BadParameters(CircoverError):
     """Parameters are structurally invalid for the requested operation."""
 
 
-class NotCirculantMinor(CircoverError):
-    """The claimed column set does not leave a circulant minor."""
-
-
 class ReverseRowArcPresent(CircoverError):
     """Node classification is defined only without reverse row arcs."""
 

@@ -42,7 +42,6 @@ from .errors import (
     CertificateError,
     NoEssentialBullets,
     NonpositiveWinding,
-    NotCirculantMinor,
     RedundantInequality,
     ReverseRowArcPresent,
 )
@@ -62,12 +61,11 @@ from .rationals import parse_rational_vector
 class LinearInequality:
     """coeffs . x >= rhs with non-negative integer coefficients.
 
-    Inequalities read off circuits, minors and row families keep the
-    coefficients exactly as constructed, common factors included; the
-    slack-equals-cost certificate depends on that scale. Use normalized()
-    before comparing against a facet list. A witness holds JSON values only
-    (ints, bools, strings, lists and dicts), so `inequality_json` writes it
-    out as built.
+    Circuit inequalities keep the coefficients exactly as constructed,
+    common factors included; the slack-equals-cost certificate depends on
+    that scale. Use normalized() before comparing against a facet list. A
+    witness holds JSON values only (ints, bools, strings, lists and dicts),
+    so `inequality_json` writes it out as built.
     """
 
     coeffs: tuple[int, ...]
@@ -78,6 +76,8 @@ class LinearInequality:
     def evaluate(self, x) -> Fraction:
         """Slack of the inequality at x (negative means violated)."""
         x = parse_rational_vector(x)
+        if len(x) != len(self.coeffs):
+            raise BadParameters(f"{len(x)} coordinates for {len(self.coeffs)} coefficients")
         return sum((c * v for c, v in zip(self.coeffs, x)), Fraction(0)) - self.rhs
 
     def key(self) -> tuple:
@@ -119,6 +119,8 @@ def nonnegativity(n: int) -> list[LinearInequality]:
 
 def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
     """One inequality per row: its support summed to at least its demand."""
+    if len(demands) != matrix.m:
+        raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
     out = []
     for i in range(1, matrix.m + 1):
         out.append(make_inequality(
@@ -133,6 +135,8 @@ def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
 
 def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> LinearInequality:
     """The inequality induced by a closed path with positive winding."""
+    if len(demands) != matrix.m:
+        raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
     p = path.winding
     if p <= 0:
         raise NonpositiveWinding(f"winding {p}, need >= 1")
@@ -412,154 +416,6 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
             f"({s}, {p}) the circuit promises"
         )
     return MinorWitness(removed, s, p, rows, exact)
-
-
-def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> LinearInequality:
-    """Inequality attached to a circulant minor of a circulant matrix.
-
-    removed may be a MinorWitness or an iterable of columns. Doubled
-    coefficients go to the removed columns whose predecessor at distance
-    window+1 was removed too. mode "plain": 2/1 coefficients, right-hand
-    side ceil(order/window), facet condition order mod window == 1. mode
-    "rfi": r+1 / r with r = order - window*floor(order/window) and
-    right-hand side r*ceil(order/window).
-    """
-    k = matrix.circulant_window()
-    if k is None:
-        raise NotCirculantMinor("the parent matrix is not a circulant")
-    if isinstance(removed, MinorWitness):
-        removed = removed.removed_columns
-    removed_set = set()
-    for j in removed:
-        if not 1 <= j <= matrix.n:
-            raise BadParameters(f"column {j} outside 1..{matrix.n}")
-        removed_set.add(j)
-    match = circulant_isomorphic(matrix, removed_set)
-    if match is None:
-        raise NotCirculantMinor(f"deleting {sorted(removed_set)} leaves no circulant")
-    nprime, kprime = match
-    if nprime != matrix.n - len(removed_set):
-        raise CertificateError(
-            f"deleting {len(removed_set)} of {matrix.n} columns left a circulant "
-            f"of order {nprime}"
-        )
-    doubled = {
-        j for j in removed_set if norm_col(j - (k + 1), matrix.n) in removed_set
-    }
-    lower = cover_number(nprime, kprime)
-    r = nprime - kprime * (nprime // kprime)
-    witness = {
-        "removed": sorted(removed_set),
-        "order": nprime,
-        "window": kprime,
-        "doubled": sorted(doubled),
-        "remainder": r,
-    }
-    if mode == "plain":
-        coeffs = [2 if j in doubled else 1 for j in range(1, matrix.n + 1)]
-        witness["facet_condition"] = (r == 1)
-        return make_inequality(coeffs, lower, "minor", witness, reduce=False)
-    if mode == "rfi":
-        coeffs = [r + 1 if j in doubled else r for j in range(1, matrix.n + 1)]
-        witness["redundant"] = (r == 0)
-        return make_inequality(coeffs, r * lower, "minor-rfi", witness, reduce=False)
-    raise BadParameters(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# row family inequalities
-
-
-@dataclass(frozen=True)
-class RowFamilyResult:
-    inequality: LinearInequality
-    valid: bool | None    # True / False per condition check, None if unchecked
-
-
-def _family_multiplicities(matrix: CircularMatrix, rows) -> tuple[list[int], list[int]]:
-    """The family's distinct rows, sorted, and per column j (index j, 1..n)
-    the number of its rows that meet j.
-
-    BadParameters for a row outside 1..m or a family of fewer than two rows.
-    """
-    family = sorted(set(rows))
-    for i in family:
-        if not 1 <= i <= matrix.m:
-            raise BadParameters(f"row {i} outside 1..{matrix.m}")
-    if len(family) < 2:
-        raise BadParameters("a row family needs at least two rows")
-    colsum = [0] * (matrix.n + 1)
-    for i in family:
-        for j in matrix.support(i):
-            colsum[j] += 1
-    return family, colsum
-
-
-def default_family_winding(matrix: CircularMatrix, rows) -> int:
-    """The always-valid parameter: max column multiplicity of the family, minus 1.
-
-    BadParameters for a row outside 1..m or a family of fewer than two rows.
-    """
-    _, colsum = _family_multiplicities(matrix, rows)
-    return max(colsum[1:]) - 1
-
-
-def row_family_inequality(
-    matrix: CircularMatrix, rows, p: int | None = None, covers=None
-) -> RowFamilyResult:
-    """Row family inequality of a family F and parameter p.
-
-    Columns met by at most p rows of F get coefficient r, columns met by
-    exactly p+1 get r+1, heavier columns get 0, with r = s - p*floor(s/p)
-    and right-hand side r*ceil(s/p), s = |F|.
-
-    p defaults to the always-valid choice (max column multiplicity - 1).
-    Validity: checked against `covers` when given (the sufficient counting
-    condition, reported as the result's `valid`); trusted (True) at the
-    default p; otherwise None. BadParameters when p is out of range or s is
-    a multiple of a non-default p; at the default p with p | s the r = 0
-    degenerate inequality is returned flagged redundant.
-    """
-    family, colsum = _family_multiplicities(matrix, rows)
-    s = len(family)
-    pstar = max(colsum[1:]) - 1
-    if p is None:
-        p = pstar
-    if not 1 <= p <= s - 1:
-        raise BadParameters(f"parameter {p} outside [1, {s - 1}]")
-    if s % p == 0 and p != pstar:
-        raise BadParameters(f"{p} divides the family size {s}")
-    r = s - p * (s // p)
-    inner = [j for j in range(1, matrix.n + 1) if colsum[j] <= p]
-    outer = [j for j in range(1, matrix.n + 1) if colsum[j] == p + 1]
-    coeffs = [0] * matrix.n
-    for j in inner:
-        coeffs[j - 1] = r
-    for j in outer:
-        coeffs[j - 1] = r + 1
-    witness = {
-        "rows": family,
-        "winding": p,
-        "remainder": r,
-        "inner": inner,
-        "outer": outer,
-        "redundant": r == 0,
-    }
-    ineq = make_inequality(coeffs, r * cover_number(s, p), "rfi", witness, reduce=False)
-    if covers is not None:
-        inner_set = set(inner)
-        outer_set = set(outer)
-        valid = True
-        for cover in covers:
-            chosen = {j for j in range(1, matrix.n + 1) if cover[j - 1] > 0}
-            if p * len(chosen & inner_set) + (p + 1) * len(chosen & outer_set) < s:
-                valid = False
-                break
-    elif p == pstar:
-        valid = True
-    else:
-        valid = None
-    return RowFamilyResult(ineq, valid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ positive column has every row above demand (sums only grow, so no extension
 is minimal). Every leaf is then minimal: single decrements decide it, since
 feasibility is monotone in x. The facet test reads one value a.c per cover
 for validity and tightness, then one exact rank on the inequality's
-support; membership is a phase-1 LP.
+support.
 
 The hull is a double description on the dual cone, in Python ints. The base
 of the n unit constraints and the first cover's constraint (1, c) has the
@@ -32,9 +32,7 @@ from math import gcd
 
 from .errors import BadParameters, BudgetExceeded, CertificateError, NegativeCoefficient
 from .linalg import exact_rank
-from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands
-from .rationals import parse_rational_vector
 
 DEFAULT_BUDGET = 4 ** 9
 
@@ -42,9 +40,14 @@ DEFAULT_BUDGET = 4 ** 9
 def enumerate_minimal_covers(
     matrix: CircularMatrix, demands, budget: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """All minimal integer covers, in lexicographic order."""
+    """All minimal integer covers, in lexicographic order.
+
+    A budget below 1 raises BadParameters.
+    """
     demands = check_demands(matrix, demands)
     budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 1:
+        raise BadParameters(f"budget must be at least 1, got {budget}")
     n = matrix.n
     maxb = max(demands, default=0)
     if (maxb + 1) ** n > budget:
@@ -100,24 +103,14 @@ def enumerate_minimal_covers(
         j, descend = j - 1, False
 
 
-def _check_length(vector, covers) -> None:
-    if covers and len(vector) != len(covers[0]):
-        raise BadParameters(f"{len(vector)} entries for covers of {len(covers[0])} columns")
-
-
 def _cover_values(inequality, covers) -> list[int]:
     """a.c for every cover c; NegativeCoefficient if a has a negative entry."""
     coeffs = inequality.coeffs
-    _check_length(coeffs, covers)
+    if covers and len(coeffs) != len(covers[0]):
+        raise BadParameters(f"{len(coeffs)} entries for covers of {len(covers[0])} columns")
     if any(c < 0 for c in coeffs):
         raise NegativeCoefficient(f"negative coefficient in {coeffs}")
     return [sum([c * v for c, v in zip(coeffs, cover)]) for cover in covers]
-
-
-def check_validity(inequality, covers) -> bool:
-    """Does every cover satisfy the inequality? (coefficients must be >= 0)"""
-    rhs = inequality.rhs
-    return all(v >= rhs for v in _cover_values(inequality, covers))
 
 
 def check_facet(inequality, covers) -> bool:
@@ -142,17 +135,6 @@ def check_facet(inequality, covers) -> bool:
     base = [tight[0][j] for j in support]
     diffs = [[cover[j] - b for j, b in zip(support, base)] for cover in tight[1:]]
     return exact_rank(diffs) == len(support) - 1
-
-
-def membership(point, covers) -> bool:
-    """Is the point in conv(covers) + R^n_+? Phase-1 LP, exact."""
-    if not covers:
-        return False
-    x = parse_rational_vector(point)
-    _check_length(x, covers)
-    rows = [[1] * len(covers)] + [list(column) for column in zip(*covers)]
-    res = solve_lp([0] * len(covers), rows, ["=="] + ["<="] * len(x), [1, *x])
-    return res.status == "optimal"
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
+from circover import CircoverError, CircularMatrix, LinearInequality
+
 
 def incidence_matrix(digraph) -> list[list[int]]:
     """Signed node-arc incidence: -1 at the tail, +1 at the head.
@@ -198,12 +200,14 @@ def product_minimal_covers(matrix, demands, budget=None):
     `itertools.product`, every row sum recomputed at each point."""
     from itertools import product
 
-    from circover import BudgetExceeded
+    from circover import BadParameters, BudgetExceeded
     from circover.matrices import check_demands
     from circover.oracle import DEFAULT_BUDGET
 
     demands = check_demands(matrix, demands)
     budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 1:
+        raise BadParameters(f"budget must be at least 1, got {budget}")
     n = matrix.n
     maxb = max(demands, default=0)
     if (maxb + 1) ** n > budget:
@@ -236,7 +240,6 @@ def dense_check_facet(inequality, covers, n):
     """Reference of `oracle.check_facet`: validity and tightness each from
     their own pass, then the rank of every tight-cover difference, n long,
     together with one unit row per zero coefficient, against n - 1."""
-    from circover import check_validity
     from circover.linalg import exact_rank
 
     if not covers:
@@ -913,3 +916,189 @@ def lp_solve_slice(matrix, demands, weights, beta):
         raise AssertionError(f"the slice LP at sum {beta} came back {res.status}")
     xi = _slice_point(matrix, demands, [0, *res.point, beta], beta)
     return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)
+
+
+# ---------------------------------------------------------------------------
+# library-only builders and brute-force references: no verb calls them
+
+
+def check_validity(inequality, covers) -> bool:
+    """Does every cover satisfy the inequality? (coefficients must be >= 0)"""
+    from circover.oracle import _cover_values
+
+    rhs = inequality.rhs
+    return all(v >= rhs for v in _cover_values(inequality, covers))
+
+
+def membership(point, covers) -> bool:
+    """Is the point in conv(covers) + R^n_+? Phase-1 LP, exact."""
+    from circover import BadParameters, solve_lp
+    from circover.rationals import parse_rational_vector
+
+    if not covers:
+        return False
+    x = parse_rational_vector(point)
+    if len(x) != len(covers[0]):
+        raise BadParameters(f"{len(x)} entries for covers of {len(covers[0])} columns")
+    rows = [[1] * len(covers)] + [list(column) for column in zip(*covers)]
+    res = solve_lp([0] * len(covers), rows, ["=="] + ["<="] * len(x), [1, *x])
+    return res.status == "optimal"
+
+
+class NotCirculantMinor(CircoverError):
+    """The claimed column set does not leave a circulant minor."""
+
+
+def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> LinearInequality:
+    """Inequality attached to a circulant minor of a circulant matrix.
+
+    removed may be a MinorWitness or an iterable of columns. Doubled
+    coefficients go to the removed columns whose predecessor at distance
+    window+1 was removed too. mode "plain": 2/1 coefficients, right-hand
+    side ceil(order/window), facet condition order mod window == 1. mode
+    "rfi": r+1 / r with r = order - window*floor(order/window) and
+    right-hand side r*ceil(order/window).
+    """
+    # circulant_isomorphic is read from circover.inequalities at call time,
+    # so a test that patches it there reaches this check too
+    from circover import BadParameters, CertificateError, MinorWitness, make_inequality
+    from circover.inequalities import circulant_isomorphic
+    from circover.matrices import cover_number, norm_col
+
+    k = matrix.circulant_window()
+    if k is None:
+        raise NotCirculantMinor("the parent matrix is not a circulant")
+    if isinstance(removed, MinorWitness):
+        removed = removed.removed_columns
+    removed_set = set()
+    for j in removed:
+        if not 1 <= j <= matrix.n:
+            raise BadParameters(f"column {j} outside 1..{matrix.n}")
+        removed_set.add(j)
+    match = circulant_isomorphic(matrix, removed_set)
+    if match is None:
+        raise NotCirculantMinor(f"deleting {sorted(removed_set)} leaves no circulant")
+    nprime, kprime = match
+    if nprime != matrix.n - len(removed_set):
+        raise CertificateError(
+            f"deleting {len(removed_set)} of {matrix.n} columns left a circulant "
+            f"of order {nprime}"
+        )
+    doubled = {
+        j for j in removed_set if norm_col(j - (k + 1), matrix.n) in removed_set
+    }
+    lower = cover_number(nprime, kprime)
+    r = nprime - kprime * (nprime // kprime)
+    witness = {
+        "removed": sorted(removed_set),
+        "order": nprime,
+        "window": kprime,
+        "doubled": sorted(doubled),
+        "remainder": r,
+    }
+    if mode == "plain":
+        coeffs = [2 if j in doubled else 1 for j in range(1, matrix.n + 1)]
+        witness["facet_condition"] = (r == 1)
+        return make_inequality(coeffs, lower, "minor", witness, reduce=False)
+    if mode == "rfi":
+        coeffs = [r + 1 if j in doubled else r for j in range(1, matrix.n + 1)]
+        witness["redundant"] = (r == 0)
+        return make_inequality(coeffs, r * lower, "minor-rfi", witness, reduce=False)
+    raise BadParameters(f"unknown mode {mode!r}")
+
+
+@dataclass(frozen=True)
+class RowFamilyResult:
+    inequality: LinearInequality
+    valid: bool | None    # True / False per condition check, None if unchecked
+
+
+def _family_multiplicities(matrix: CircularMatrix, rows) -> tuple[list[int], list[int]]:
+    """The family's distinct rows, sorted, and per column j (index j, 1..n)
+    the number of its rows that meet j.
+
+    BadParameters for a row outside 1..m or a family of fewer than two rows.
+    """
+    from circover import BadParameters
+
+    family = sorted(set(rows))
+    for i in family:
+        if not 1 <= i <= matrix.m:
+            raise BadParameters(f"row {i} outside 1..{matrix.m}")
+    if len(family) < 2:
+        raise BadParameters("a row family needs at least two rows")
+    colsum = [0] * (matrix.n + 1)
+    for i in family:
+        for j in matrix.support(i):
+            colsum[j] += 1
+    return family, colsum
+
+
+def default_family_winding(matrix: CircularMatrix, rows) -> int:
+    """The always-valid parameter: max column multiplicity of the family, minus 1.
+
+    BadParameters for a row outside 1..m or a family of fewer than two rows.
+    """
+    _, colsum = _family_multiplicities(matrix, rows)
+    return max(colsum[1:]) - 1
+
+
+def row_family_inequality(
+    matrix: CircularMatrix, rows, p: int | None = None, covers=None
+) -> RowFamilyResult:
+    """Row family inequality of a family F and parameter p.
+
+    Columns met by at most p rows of F get coefficient r, columns met by
+    exactly p+1 get r+1, heavier columns get 0, with r = s - p*floor(s/p)
+    and right-hand side r*ceil(s/p), s = |F|.
+
+    p defaults to the always-valid choice (max column multiplicity - 1).
+    Validity: checked against `covers` when given (the sufficient counting
+    condition, reported as the result's `valid`); trusted (True) at the
+    default p; otherwise None. BadParameters when p is out of range or s is
+    a multiple of a non-default p; at the default p with p | s the r = 0
+    degenerate inequality is returned flagged redundant.
+    """
+    from circover import BadParameters, make_inequality
+    from circover.matrices import cover_number
+
+    family, colsum = _family_multiplicities(matrix, rows)
+    s = len(family)
+    pstar = max(colsum[1:]) - 1
+    if p is None:
+        p = pstar
+    if not 1 <= p <= s - 1:
+        raise BadParameters(f"parameter {p} outside [1, {s - 1}]")
+    if s % p == 0 and p != pstar:
+        raise BadParameters(f"{p} divides the family size {s}")
+    r = s - p * (s // p)
+    inner = [j for j in range(1, matrix.n + 1) if colsum[j] <= p]
+    outer = [j for j in range(1, matrix.n + 1) if colsum[j] == p + 1]
+    coeffs = [0] * matrix.n
+    for j in inner:
+        coeffs[j - 1] = r
+    for j in outer:
+        coeffs[j - 1] = r + 1
+    witness = {
+        "rows": family,
+        "winding": p,
+        "remainder": r,
+        "inner": inner,
+        "outer": outer,
+        "redundant": r == 0,
+    }
+    ineq = make_inequality(coeffs, r * cover_number(s, p), "rfi", witness, reduce=False)
+    if covers is not None:
+        inner_set = set(inner)
+        outer_set = set(outer)
+        valid = True
+        for cover in covers:
+            chosen = {j for j in range(1, matrix.n + 1) if cover[j - 1] > 0}
+            if p * len(chosen & inner_set) + (p + 1) * len(chosen & outer_set) < s:
+                valid = False
+                break
+    elif p == pstar:
+        valid = True
+    else:
+        valid = None
+    return RowFamilyResult(ineq, valid)

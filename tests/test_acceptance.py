@@ -11,7 +11,8 @@ import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
-from _helpers import frozenset_contract, walk_circulant_isomorphic
+from _helpers import (check_validity, frozenset_contract, membership,
+                      walk_circulant_isomorphic)
 
 from circover import (
     InfeasiblePoint,
@@ -21,7 +22,6 @@ from circover import (
     block_decomposition,
     build_digraph,
     check_facet,
-    check_validity,
     circuit_inequality,
     circulant_matrix,
     circular_matrix,
@@ -35,7 +35,6 @@ from circover import (
     homogeneous_circuit_inequality,
     hull_facets,
     make_inequality,
-    membership,
     nonnegativity,
     optimize,
     row_inequalities,

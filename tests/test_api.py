@@ -1,6 +1,7 @@
 """Package surface: one validation rule behind every entry point, clean exports."""
 
 import ast
+import re
 from fractions import Fraction as F
 from pathlib import Path
 from types import ModuleType
@@ -14,7 +15,6 @@ from circover import (
     Instance,
     assign_costs,
     check_facet,
-    check_validity,
     circulant_matrix,
     circular_matrix,
     cut_loop,
@@ -23,7 +23,6 @@ from circover import (
     enumerate_facet_candidates,
     enumerate_minimal_covers,
     make_inequality,
-    membership,
     optimize,
     separate,
     solve_slice,
@@ -51,9 +50,6 @@ ENTRY_POINTS = {
     # four vertices: each vector loses its last entry, so a bad entry lands
     # on a twin and a short vector stays short
     "domination_solve": ("bw", lambda b, w, x, a: domination_solve(TWINS, w[:-1], b[:-1])),
-    "membership": ("x", lambda b, w, x, a: membership(x, COVERS)),
-    "check_validity":
-        ("a", lambda b, w, x, a: check_validity(make_inequality(a, 2, "test"), COVERS)),
     "check_facet": ("a", lambda b, w, x, a: check_facet(make_inequality(a, 2, "test"), COVERS)),
 }
 
@@ -120,6 +116,25 @@ def test_star_import_binds_no_module_and_all_resolves():
     assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
     for name in circover.__all__:
         assert getattr(circover, name) is namespace[name]
+
+
+def test_every_export_is_used_by_the_package_or_documented():
+    """A name in `__all__` is read by some module of the package other than
+    `__init__.py`, or the README's Library section names it: an export that
+    only tests call belongs in `tests/_helpers.py`."""
+    read = set()
+    for path in Path(circover.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    library = readme.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"\w+", library))
+    assert [name for name in circover.__all__ if name not in read | documented] == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 from dataclasses import replace
@@ -6,9 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 from _helpers import (
+    NotCirculantMinor,
+    check_validity,
+    default_family_winding,
     find_arc,
     frozenset_contract,
     jsonable,
+    minor_inequalities,
+    row_family_inequality,
     scanned_circulant_minors,
     unfiltered_circulant_minors,
     walk_circulant_isomorphic,
@@ -23,20 +29,17 @@ from circover import (
     ClosedPath,
     NoEssentialBullets,
     NonpositiveWinding,
-    NotCirculantMinor,
     RedundantInequality,
     ReverseRowArcPresent,
     bad_arcs,
     block_decomposition,
     build_digraph,
     check_facet,
-    check_validity,
     circuit_inequality,
     circulant_matrix,
     circular_matrix,
     classify_nodes,
     circulant_isomorphic,
-    default_family_winding,
     enumerate_circuits,
     enumerate_circulant_minors,
     enumerate_facet_candidates,
@@ -46,9 +49,7 @@ from circover import (
     homogeneous_circuit_inequality,
     hull_facets,
     make_inequality,
-    minor_inequalities,
     nonnegativity,
-    row_family_inequality,
     row_inequalities,
 )
 from circover import inequalities
@@ -76,6 +77,16 @@ def test_make_inequality_rejects_non_integers():
         make_inequality([1, 1], F(3, 2), "x")
 
 
+def test_evaluate_rejects_a_point_of_the_wrong_length():
+    """zip would stop at the shorter side: [1, 1] once read as slack -1."""
+    q = make_inequality([1] * 5, 3, "t")
+    assert q.evaluate([1] * 5) == 2
+    with pytest.raises(BadParameters, match="2 coordinates for 5 coefficients"):
+        q.evaluate([1, 1])
+    with pytest.raises(BadParameters, match="6 coordinates for 5 coefficients"):
+        q.evaluate([1] * 6)
+
+
 def test_nonnegativity_and_rows():
     m = circulant_matrix(4, 2)
     nn = nonnegativity(4)
@@ -84,6 +95,18 @@ def test_nonnegativity_and_rows():
     assert ri[1].coeffs == (0, 1, 1, 0) and ri[1].rhs == 2
     assert ri[3].coeffs == (1, 0, 0, 1) and ri[3].rhs == 3
     assert ri[0].witness == {"row": 1}
+
+
+def test_row_inequalities_reject_short_demands():
+    with pytest.raises(BadParameters, match="1 demands for 5 rows"):
+        row_inequalities(circulant_matrix(5, 2), [1])
+
+
+def test_circuit_inequality_rejects_short_demands():
+    m = circulant_matrix(5, 2)
+    path = all_row_circuit(m, (2, 4, 1, 3, 5))
+    with pytest.raises(BadParameters, match="1 demands for 5 rows"):
+        circuit_inequality(m, [1], path)
 
 
 def test_circuit_inequality_all_rows_5_2():
@@ -701,8 +724,10 @@ def test_minor_checks_raise(monkeypatch, fake, call, message):
 def test_minor_checks_survive_dash_O():
     script = """
 import sys
+sys.path.insert(0, sys.argv[1])  # the tests directory, for _helpers
+from _helpers import minor_inequalities
 from circover import (CertificateError, build_digraph, circulant_matrix,
-                      enumerate_circuits, extract_minor, minor_inequalities)
+                      enumerate_circuits, extract_minor)
 assert False, "asserts must be stripped here"
 module = sys.modules["circover.inequalities"]
 true_match = module.circulant_isomorphic
@@ -733,7 +758,7 @@ for fake, call in [
     except CertificateError as exc:
         print(exc)
 """
-    code, out = run_python("-O", "-c", script)
+    code, out = run_python("-O", "-c", script, os.path.dirname(os.path.abspath(__file__)))
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3, out

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from _helpers import dense_check_facet, fraction_hull_facets, product_minimal_covers
+from _helpers import (check_validity, dense_check_facet, fraction_hull_facets, membership,
+                      product_minimal_covers)
 
 from circover import (
+    BadParameters,
     BudgetExceeded,
     NegativeCoefficient,
     check_facet,
-    check_validity,
     circulant_matrix,
     circular_matrix,
     cover_number,
@@ -17,7 +18,6 @@ from circover import (
     enumerate_minimal_covers,
     hull_facets,
     make_inequality,
-    membership,
 )
 
 
@@ -61,6 +61,15 @@ def test_budget():
         enumerate_minimal_covers(m, [3] * 5, budget=100)
     # (3+1)^5 = 1024 fits in the default budget
     assert enumerate_minimal_covers(m, [3] * 5)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_budget_below_one_is_bad_parameters(budget):
+    m = circulant_matrix(5, 2)
+    with pytest.raises(BadParameters, match=f"budget must be at least 1, got {budget}"):
+        enumerate_minimal_covers(m, [1] * 5, budget)
+    with pytest.raises(BadParameters, match=f"budget must be at least 1, got {budget}"):
+        hull_facets(m, [1] * 5, budget)
 
 
 def test_check_validity():
@@ -152,14 +161,16 @@ def test_hull_facets_are_sorted_and_self_consistent():
 
 def _assert_covers_match_the_product_scan(m, demands):
     """The same covers in the same order as the reference, and the same
-    BudgetExceeded one point below the box."""
+    BudgetExceeded one point below the box (BadParameters when all-zero
+    demands leave a one-point box, so that one point below is budget 0)."""
     want = product_minimal_covers(m, demands)
     assert enumerate_minimal_covers(m, demands) == want
     box = (max(demands) + 1) ** m.n
     assert enumerate_minimal_covers(m, demands, box) == want
-    with pytest.raises(BudgetExceeded) as got:
+    below = BudgetExceeded if box > 1 else BadParameters
+    with pytest.raises(below) as got:
         enumerate_minimal_covers(m, demands, box - 1)
-    with pytest.raises(BudgetExceeded) as expected:
+    with pytest.raises(below) as expected:
         product_minimal_covers(m, demands, box - 1)
     assert str(got.value) == str(expected.value)
 

@@ -10,7 +10,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from _helpers import frozenset_contract, fraction_solve_lp, walk_circulant_isomorphic
+from _helpers import (check_validity, frozenset_contract, fraction_solve_lp, membership,
+                      walk_circulant_isomorphic)
 from test_acceptance import _brute_force_key
 from test_optimize import _assert_slice_matches_the_lp
 from test_oracle import _assert_covers_match_the_product_scan
@@ -22,14 +23,12 @@ from circover import (
     CircularMatrix,
     InfeasiblePoint,
     build_digraph,
-    check_validity,
     circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
     cut_loop,
     enumerate_circuits,
     enumerate_minimal_covers,
-    membership,
     optimize,
     parse_rational,
     separate,

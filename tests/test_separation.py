@@ -7,9 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import (
+    check_validity,
     fraction_costs,
     fraction_negative_circuit,
     fraction_solve_lp,
+    membership,
     recording,
 )
 from test_cli import run_python
@@ -22,12 +24,10 @@ from circover import (
     NegativeWeight,
     assign_costs,
     build_digraph,
-    check_validity,
     circulant_matrix,
     circular_matrix,
     cut_loop,
     enumerate_minimal_covers,
-    membership,
     negative_circuit,
     separate,
 )
