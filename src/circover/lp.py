@@ -4,20 +4,37 @@ Small, deterministic, and boring on purpose: Bland's rule everywhere (lowest
 eligible column enters; ratio ties leave by lowest basic variable index), so
 the solver cannot cycle and always returns the same vertex for the same
 input. A caller that maximizes negates the objective. All variables are
-implicitly >= 0; senses are per-row strings "<=", ">=", "==".
+implicitly >= 0; senses are per-row strings "<=", ">=", "==". Every entry
+is an int or a Fraction; anything else is BadParameters.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968). Every row, and
 the cost row, holds Python ints over one common positive denominator d. The
 constraints and their right-hand sides are scaled by the lcm of all their
 denominators, the objective by the lcm of its own, and d starts at 1. A
 pivot on p at (r, c) negates row r if p < 0. Every other row, f its entry
-in column c and b the pivot row's, becomes (|p|*a - f*b) // d at the pivot
-row's nonzero columns and |p|*a // d elsewhere, and d becomes |p|. By
-Sylvester's identity each entry is then, up to sign, a minor of the scaled
-input, and d the absolute determinant of the basis, so every division is
-exact. When |p| = d, a row with f = 0 is left as it is. A totally
-unimodular system, such as an optimizer slice, keeps d = 1 and every pivot
-+-1, and runs as plain int elimination.
+in column c and b the pivot row's, becomes (|p|*a - f*b) // d entry by
+entry, and d becomes |p|. By Sylvester's identity each entry is then, up
+to sign, a minor of the scaled input, and d the absolute determinant of the
+basis, so every division is exact. When |p| = d, only the pivot row's
+nonzero columns change, and a row with f = 0 is left as it is. A totally
+unimodular system keeps d = 1 and every pivot +-1, and runs as plain int
+elimination.
+
+Phase 1 gives each ">=" and "==" row an artificial variable, numbered
+after the structural and slack variables in row order, but stores a column
+only for the "==" rows. A ">=" row's artificial has the unit column e_i
+and its surplus -e_i, so in every basis d B^-1 A_art = -d B^-1 A_surplus:
+the artificial's column is the negated surplus column. Its phase-1 cost is
+1 and the surplus's 0, so its reduced cost is d - (the surplus's reduced
+cost). Both identities hold in every basis, so no pivot breaks them (after
+a pivot on p the two cost entries sum to p, the new d). The entering scan
+reads the stored columns, then the artificials in order with their derived
+costs; when a ">=" artificial enters, the ratio test and the pivot read the
+negated surplus column, and the basis records the artificial's number.
+Every sign, ratio and tie-break is then that of the tableau with all
+artificial columns stored, so Bland's rule makes the same pivots and
+returns the same vertex, on n + m columns instead of n + 2m when every row
+is ">=".
 
 Bland's rule reads only signs (of reduced costs and pivot-column entries)
 and ratio comparisons, made by cross-multiplication; one positive
@@ -27,9 +44,6 @@ variable by it, which scales whole tableau columns and rows by positive
 factors and again changes no sign and no ratio order. So the pivots and the
 vertex are those of the same simplex run over Fractions on the unscaled
 input (the reference in `tests/_helpers.py`).
-
-A pivot is sparse: it lists the pivot row's nonzero columns once and updates
-the other rows, and the cost row, only there, besides the rescale by |p|/d.
 """
 
 from __future__ import annotations
@@ -50,68 +64,73 @@ class LPResult:
     point: tuple[Fraction, ...] | None
 
 
-def _eliminate(row, f, p, pairs, d):
+def _eliminate(row, f, p, pr, pairs, d):
     """Carry `row`, f its entry in the pivot column, from denominator d to
-    the pivot p > 0: (p*a - f*b) // d at the pivot row's nonzero (column,
-    b) `pairs`, p*a // d elsewhere."""
+    the pivot p > 0 of row pr: each entry a becomes (p*a - f*b) // d, b the
+    pivot row's entry below it. With p == d only the pivot row's nonzero
+    (column, b) `pairs` change."""
     if p == d:
         for j, b in pairs:
             row[j] -= f * b // d
-        return
-    new = [(j, (p * row[j] - f * b) // d) for j, b in pairs] if f else []
-    row[:] = [a * p // d for a in row]
-    for j, v in new:
-        row[j] = v
+    elif f:
+        row[:] = [(p * a - f * b) // d for a, b in zip(row, pr)]
+    else:
+        row[:] = [p * a // d for a in row]
 
 
-def _pivot(tab, cost, basis, prow, pcol, d):
-    """Pivot on (prow, pcol) of a tableau over denominator d; returns the
-    new denominator."""
+def _pivot(tab, cost, basis, prow, enter, d, arts):
+    """Pivot variable `enter` into row prow of a tableau over denominator d;
+    returns the new denominator. `arts` maps each phase-1 artificial label
+    to its (stored column, sign); every other label is its own column."""
+    col, sign = arts.get(enter, (enter, 1))
     pr = tab[prow]
-    p = pr[pcol]
-    if p < 0:
-        p = -p
+    if sign * pr[col] < 0:
         for j, v in enumerate(pr):
             if v:
                 pr[j] = -v
-    pairs = [(j, v) for j, v in enumerate(pr) if v]
+    p = sign * pr[col]
+    pairs = [(j, v) for j, v in enumerate(pr) if v] if p == d else None
     # with p == d a row with f == 0 keeps every entry
     for r, row in enumerate(tab):
-        f = row[pcol]
+        f = sign * row[col]
         if r != prow and (f or p != d):
-            _eliminate(row, f, p, pairs, d)
-    f = cost[pcol]
+            _eliminate(row, f, p, pr, pairs, d)
+    f = cost[col] if sign > 0 else d - cost[col]
     if f or p != d:
-        _eliminate(cost, f, p, pairs, d)
-    basis[prow] = pcol
+        _eliminate(cost, f, p, pr, pairs, d)
+    basis[prow] = enter
     return p
 
 
-def _reduced_costs(tab, basis, c, d):
-    # d * (c - c_B B^{-1} A), with d times -(the running objective value) in
-    # the last slot; the tableau rows are d * B^{-1} A
+def _reduced_costs(tab, basic, c, d):
+    # d * (c - c_B B^{-1} A), c_B the cost of each row's basic variable, with
+    # d times -(the running objective value) in the last slot; the tableau
+    # rows are d * B^{-1} A
     cost = [d * v for v in c] + [0]
-    for row, b in zip(tab, basis):
-        cb = c[b]
+    for row, cb in zip(tab, basic):
         if cb != 0:
             cost = [a - cb * v for a, v in zip(cost, row)]
     return cost
 
 
-def _run_simplex(tab, cost, basis, d):
-    """Bland pivots until optimal or unbounded; returns (status, d)."""
-    ncols = len(tab[0]) - 1 if tab else len(cost) - 1
+def _run_simplex(tab, cost, basis, d, ncols, arts):
+    """Bland pivots until optimal or unbounded; returns (status, d). The
+    entering scan reads the stored columns below ncols, then the labels of
+    `arts` in order, each with its phase-1 reduced cost."""
     while True:
-        enter = None
-        for j in range(ncols):
-            if cost[j] < 0:
-                enter = j
+        for enter in range(ncols):
+            if cost[enter] < 0:
+                col, sign = enter, 1
                 break
-        if enter is None:
-            return "optimal", d
+        else:
+            for enter, (col, sign) in arts.items():
+                if (cost[col] if sign > 0 else d - cost[col]) < 0:
+                    break
+            else:
+                return "optimal", d
         leave = None
         for r, row in enumerate(tab):
-            a = row[enter]
+            a = row[col] if sign > 0 else -row[col]
             if a > 0:
                 # row[-1] / a against the best ratio num / den, cross-multiplied
                 if leave is not None:
@@ -121,7 +140,7 @@ def _run_simplex(tab, cost, basis, d):
                 leave, num, den = r, row[-1], a
         if leave is None:
             return "unbounded", d
-        d = _pivot(tab, cost, basis, leave, enter, d)
+        d = _pivot(tab, cost, basis, leave, enter, d, arts)
 
 
 def solve_lp(objective, rows, senses, rhs) -> LPResult:
@@ -152,29 +171,38 @@ def solve_lp(objective, rows, senses, rhs) -> LPResult:
 
     nslack = sum(1 for _, s, _ in work if s != "==")
     art_base = nvars + nslack
-    nart = sum(1 for _, s, _ in work if s != "<=")
-    total = art_base + nart
+    width = art_base + sum(1 for _, s, _ in work if s == "==")
 
-    tab, basis = [], []
-    si, ai = nvars, art_base  # next slack and artificial columns
+    # the artificial of the i-th row without "<=" is variable art_base + i:
+    # a ">=" row's column is its negated surplus column, an "==" row's is
+    # stored past art_base
+    tab, basis, arts = [], [], {}
+    si, ei = nvars, art_base  # next slack and stored artificial columns
     for coeffs, s, b in work:
-        row = coeffs + [0] * (total - nvars) + [b]
-        if s != "==":
-            row[si] = 1 if s == "<=" else -1
-            si += 1
+        row = coeffs + [0] * (width - nvars) + [b]
         if s == "<=":
-            basis.append(si - 1)
+            row[si] = 1
+            basis.append(si)
+            si += 1
         else:
-            row[ai] = 1
-            basis.append(ai)
-            ai += 1
+            label = art_base + len(arts)
+            if s == ">=":
+                row[si] = -1
+                arts[label] = (si, -1)
+                si += 1
+            else:
+                row[ei] = 1
+                arts[label] = (ei, 1)
+                ei += 1
+            basis.append(label)
         tab.append(row)
 
     d = 1
-    if nart:
-        c1 = [0] * art_base + [1] * nart
-        cost = _reduced_costs(tab, basis, c1, d)
-        status, d = _run_simplex(tab, cost, basis, d)
+    if arts:
+        # phase-1 costs: 1 on each artificial, 0 on every other variable
+        c1 = [0] * art_base + [1] * (width - art_base)
+        cost = _reduced_costs(tab, [int(b >= art_base) for b in basis], c1, d)
+        status, d = _run_simplex(tab, cost, basis, d, art_base, arts)
         if status != "optimal":
             raise CertificateError("phase 1 came back unbounded")
         if cost[-1] != 0:  # cost[-1] holds -d * (current value)
@@ -190,15 +218,14 @@ def solve_lp(objective, rows, senses, rhs) -> LPResult:
             )
             if pcol is None:
                 continue  # zero row, redundant constraint
-            d = _pivot(tab, cost, basis, r, pcol, d)
+            d = _pivot(tab, cost, basis, r, pcol, d, arts)
             keep.append(r)
         tab = [tab[r][:art_base] + [tab[r][-1]] for r in keep]
         basis = [basis[r] for r in keep]
-    else:
-        tab = [row[:art_base] + [row[-1]] for row in tab]
 
-    cost = _reduced_costs(tab, basis, obj + [0] * nslack, d)
-    status, d = _run_simplex(tab, cost, basis, d)
+    c = obj + [0] * nslack
+    cost = _reduced_costs(tab, [c[b] for b in basis], c, d)
+    status, d = _run_simplex(tab, cost, basis, d, art_base, {})
     if status == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * nvars

@@ -53,12 +53,17 @@ def parse_rational_vector(values) -> tuple[Fraction, ...]:
 
 
 def scaled_to_integers(values) -> tuple[int, list[int]]:
-    """(L, L * values as ints), L the lcm of the values' denominators."""
-    if set(map(type, values)) <= {int}:
+    """(L, L * values as ints), L the lcm of the values' denominators. Every
+    value must be an int or a Fraction: a bool, float, string or anything
+    else is BadParameters."""
+    types = set(map(type, values))
+    if types <= {int}:
         return 1, list(values)
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*[v.denominator for v in fracs])
-    return scale, [v.numerator * (scale // v.denominator) for v in fracs]
+    if not types <= {int, Fraction}:
+        bad = next(v for v in values if type(v) not in (int, Fraction))
+        raise BadParameters(f"not an int or a Fraction: {bad!r}")
+    scale = lcm(*[v.denominator for v in values])
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def format_rational_vector(values) -> list[str]:

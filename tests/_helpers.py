@@ -866,17 +866,28 @@ def fraction_solve_lp(objective, rows, senses, rhs, log=None):
     return LPResult("optimal", value, tuple(x))
 
 
-def recording(log):
-    """A stand-in for `lp._pivot` that pivots and then appends (prow, pcol,
-    tableau rows then the cost row, every entry divided by the new common
-    denominator) to log."""
+def recording(log, implicit=None):
+    """A stand-in for `lp._pivot` that pivots and then appends (prow, the
+    entering variable, tableau rows then the cost row, every entry divided
+    by the new common denominator) to log. In phase 1 the rows and the cost
+    row are rebuilt in the layout of `fraction_solve_lp`, one column per
+    artificial: a ">=" row's artificial is its negated surplus column, with
+    reduced cost d minus the surplus's. With a list `implicit`, appends each
+    such artificial that enters."""
     from circover import lp
 
     pivot = lp._pivot
 
-    def record(tab, cost, basis, prow, pcol, d):
-        d = pivot(tab, cost, basis, prow, pcol, d)
-        log.append((prow, pcol, [[Fraction(v, d) for v in row] for row in [*tab, cost]]))
+    def record(tab, cost, basis, prow, enter, d, arts):
+        if implicit is not None and arts.get(enter, (enter, 1))[1] < 0:
+            implicit.append(enter)
+        d = pivot(tab, cost, basis, prow, enter, d, arts)
+        base = next(iter(arts), len(cost) - 1)  # the first artificial label
+        rows = [[*row[:base], *(sign * row[j] for j, sign in arts.values()), row[-1]]
+                for row in tab]
+        costs = [*cost[:base], *(cost[j] if sign > 0 else d - cost[j]
+                                 for j, sign in arts.values()), cost[-1]]
+        log.append((prow, enter, [[Fraction(v, d) for v in row] for row in [*rows, costs]]))
         return d
     return record
 

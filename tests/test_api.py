@@ -25,12 +25,14 @@ from circover import (
     make_inequality,
     optimize,
     separate,
+    solve_lp,
     solve_slice,
 )
 
 PENTAGON = circulant_matrix(5, 2)
 # vertices 1, 2 and 3, 4 are twins, which domination_solve groups
 TWINS = [[1, 2], [1, 2], [3, 4], [3, 4]]
+PENTAGON_ROWS = [PENTAGON.row_vector(i) for i in range(1, 6)]
 COVERS = enumerate_minimal_covers(PENTAGON, [1] * 5)
 # a: the coefficients of an inequality a.x >= 2 read against the covers
 GOOD = {"b": [1] * 5, "w": [1] * 5, "x": [F(1, 2)] * 5, "a": [1] * 5}
@@ -51,10 +53,15 @@ ENTRY_POINTS = {
     # on a twin and a short vector stays short
     "domination_solve": ("bw", lambda b, w, x, a: domination_solve(TWINS, w[:-1], b[:-1])),
     "check_facet": ("a", lambda b, w, x, a: check_facet(make_inequality(a, 2, "test"), COVERS)),
+    # the weights as the objective of the covering LP
+    "solve_lp": ("w", lambda b, w, x, a: solve_lp(w, PENTAGON_ROWS, [">="] * 5, [1] * 5)),
 }
 
 BAD_INPUTS = {
     "float weight": ("w", [1, 1, 0.5, 1, 1]),
+    "bool weight": ("w", [1, 1, True, 1, 1]),
+    "string weight": ("w", [1, 1, "abc", 1, 1]),
+    "None weight": ("w", [1, 1, None, 1, 1]),
     "bool demand": ("b", [1, True, 1, 1, 1]),
     "negative demand": ("b", [1, 1, -1, 1, 1]),
     "Fraction demand": ("b", [1, 1, F(3, 2), 1, 1]),

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from _helpers import fraction_rank
 
+from circover import BadParameters
 from circover.linalg import exact_rank
 
 
@@ -54,9 +56,15 @@ def test_exact_rank_small_cases():
     assert exact_rank([]) == 0
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[F(1, 2), F(1, 3)], [3, 2]]) == 1
-    assert exact_rank([["1/2", "1"], [1, 2]]) == 1
     assert exact_rank([[0, 1, 2], [0, 2, 5], [0, 0, 0]]) == 2
     # entries grow without the exact division by the previous pivot
     hilbert = [[F(1, i + j + 1) for j in range(8)] for i in range(8)]
     assert exact_rank(hilbert) == 8
 
+
+@pytest.mark.parametrize("bad", ["1/2", 0.5, True, None], ids=repr)
+def test_exact_rank_rejects_what_is_not_an_int_or_a_fraction(bad):
+    """Rows are scaled to integers, which takes only ints and Fractions: a
+    rational string, a float, a bool or None is BadParameters."""
+    with pytest.raises(BadParameters, match="not an int or a Fraction"):
+        exact_rank([[bad, 1], [1, 2]])

@@ -3,9 +3,10 @@ from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 
+import pytest
 from _helpers import fraction_solve_lp, recording
 
-from circover import lp, solve_lp
+from circover import BadParameters, lp, solve_lp
 
 
 def test_tiny_minimization():
@@ -102,6 +103,21 @@ def test_exactness_with_awkward_fractions():
     assert res.value == F(1, 3) * x[0] + F(1, 7) * x[1]
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "abc", "1/2", None], ids=repr)
+@pytest.mark.parametrize("where", ["objective", "row", "rhs"])
+def test_non_rationals_are_bad_parameters(where, bad):
+    """Every entry must be an int or a Fraction: a float is not rounded, a
+    bool is not 1, a string is not parsed, and none of them escapes as a
+    bare ValueError or TypeError."""
+    args = {"objective": [1, 1], "row": [[1, 2], [3, 1]], "rhs": [4, 3]}
+    if where == "row":
+        args["row"][1][0] = bad
+    else:
+        args[where][0] = bad
+    with pytest.raises(BadParameters, match="not an int or a Fraction"):
+        solve_lp(args["objective"], args["row"], [">=", ">="], args["rhs"])
+
+
 def all_fractions(res):
     return type(res.value) is F and all(type(v) is F for v in res.point)
 
@@ -112,9 +128,10 @@ def test_unit_pivots_stay_in_ints(monkeypatch):
     states = []
     pivot = lp._pivot
 
-    def checked(tab, cost, basis, prow, pcol, d):
-        states.append(d == 1 and abs(tab[prow][pcol]) == 1)
-        d = pivot(tab, cost, basis, prow, pcol, d)
+    def checked(tab, cost, basis, prow, enter, d, arts):
+        col, _ = arts.get(enter, (enter, 1))
+        states.append(d == 1 and abs(tab[prow][col]) == 1)
+        d = pivot(tab, cost, basis, prow, enter, d, arts)
         states.append(d == 1)
         return d
 
@@ -179,11 +196,12 @@ def test_integer_tableau_replays_the_fraction_simplex(monkeypatch):
     reference's (status, value, point), Fraction elements included, after
     the same Bland pivots; after every pivot each entry over the common
     denominator equals the reference's entry on the LP scaled as `solve_lp`
-    scales it."""
+    scales it, the implicit artificial columns of ">=" rows rebuilt in
+    phase 1. Such an artificial enters at least once."""
     rng = random.Random(11)
     seen = Counter()
-    log = []
-    monkeypatch.setattr(lp, "_pivot", recording(log))
+    log, implicit = [], []
+    monkeypatch.setattr(lp, "_pivot", recording(log, implicit))
     for _ in range(900):
         args = _random_lp(rng)
         log.clear()
@@ -201,3 +219,4 @@ def test_integer_tableau_replays_the_fraction_simplex(monkeypatch):
         seen["non-unit pivots"] += any(v.denominator != 1 for _, _, tab in log
                                        for row in tab for v in row)
     assert min(seen.values()) >= 100, seen
+    assert implicit
