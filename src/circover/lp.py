@@ -67,8 +67,8 @@ class LPResult:
 def _eliminate(row, f, p, pr, pairs, d):
     """Carry `row`, f its entry in the pivot column, from denominator d to
     the pivot p > 0 of row pr: each entry a becomes (p*a - f*b) // d, b the
-    pivot row's entry below it. With p == d only the pivot row's nonzero
-    (column, b) `pairs` change."""
+    entry of pr in the same column. With p == d only the pivot row's
+    nonzero (column, b) `pairs` change."""
     if p == d:
         for j, b in pairs:
             row[j] -= f * b // d
