@@ -40,16 +40,23 @@ potential that proves there is no negative cycle. Otherwise the first arc
 that still improves in round n triggers a walk back along the predecessor
 arcs. That walk must close a cycle of the predecessor graph, whose cost is
 negative; its arc indices come back in path order. Costs are plain ints.
+With `early` set, the kernel also walks the whole predecessor graph after
+every round that changed something and returns its first cycle at once,
+usually after a few rounds instead of n (Cherkassky & Goldberg,
+"Negative-cycle detection algorithms", Math. Programming 85, 1999).
+Either way the cycle's cost is summed and checked to be negative.
 
 It has two callers. `separation.negative_circuit` runs it on this digraph
 in the fixed global arc order, with n the number of columns, and returns
-the circuit as `Arc`s rotated to start at its smallest node. Callers with
-rational costs multiply them by a common denominator first; scaling every
-cost by one positive integer keeps every comparison of path costs, so the
-sweep and the returned circuit are the same as over the rational costs.
-`optimize` runs it on the difference graph of a slice, nodes 0..n, to
-decide whether the slice is empty and to cancel the negative cycles of
-its min-cost flow.
+the circuit as `Arc`s rotated to start at its smallest node. It keeps the
+round-n trigger: that circuit becomes the cut, an early cycle may be
+another one, and the Fraction reference pins the circuit arc for arc.
+Callers with rational costs multiply them by a common denominator first;
+scaling every cost by one positive integer keeps every comparison of path
+costs, so the sweep and the returned circuit are the same as over the
+rational costs. `optimize` runs it with `early` on the difference graph of
+a slice, nodes 0..n, to decide whether the slice is empty and to cancel
+the negative cycles of its min-cost flow: any negative cycle serves there.
 """
 
 from __future__ import annotations
@@ -192,7 +199,8 @@ class ClosedPath:
         return [a.descriptor() for a in self.arcs]
 
 
-def bellman_ford(n: int, tails, heads, costs) -> tuple[list[int] | None, list[int]]:
+def bellman_ford(n: int, tails, heads, costs, *,
+                 early: bool = False) -> tuple[list[int] | None, list[int]]:
     """(negative cycle, distances) of the digraph whose arc k runs from
     tails[k] to heads[k] at integer cost costs[k].
 
@@ -204,6 +212,18 @@ def bellman_ford(n: int, tails, heads, costs) -> tuple[list[int] | None, list[in
     a walk back along the predecessor arcs, and the cycle it closes comes
     back as its arc indices in path order, with the distances of that
     moment.
+
+    With `early`, every round that changed something is followed by one
+    walk over the predecessor graph (one mark per node), and its first
+    cycle comes back at once. A cycle of the predecessor graph is negative
+    (Cherkassky & Goldberg, Math. Programming 85, 1999), so a digraph with
+    a negative cycle usually returns after a few rounds, not n; one without
+    returns the same distances either way, after the same rounds. Which
+    cycle comes back may differ, so only a caller that accepts any
+    negative cycle sets it: `optimize._slice_flow` does, for emptiness and
+    cycle cancelling. `separation.negative_circuit` does not, because its
+    circuit is the cut it returns, pinned arc for arc by the Fraction
+    reference of the round-n sweep.
     """
     sweep = list(zip(range(len(costs)), tails, heads, costs))
     dist = [0] * (n + 1)
@@ -223,6 +243,10 @@ def bellman_ford(n: int, tails, heads, costs) -> tuple[list[int] | None, list[in
                     break
         if not changed:
             return None, dist
+        if early and rnd < last:
+            cycle = _predecessor_cycle(pred, tails)
+            if cycle is not None:
+                return _negative(cycle, costs), dist
     # walk predecessors from the improved head; a cycle must appear
     seen: dict[int, int] = {}
     node = heads[trigger]
@@ -234,11 +258,44 @@ def bellman_ford(n: int, tails, heads, costs) -> tuple[list[int] | None, list[in
             raise CertificateError(f"node {node} improved without a predecessor arc")
         chain.append(k)
         node = tails[k]
-    cycle = chain[seen[node]:]
-    if sum([costs[k] for k in cycle]) >= 0:
+    return _negative(chain[seen[node]:], costs), dist
+
+
+def _predecessor_cycle(pred, tails) -> list[int] | None:
+    """The arcs of the first cycle of the predecessor graph, in the order
+    walked back (each arc's tail is the next one's head), walking from node
+    0, 1, ... in turn, or None. Each walk marks its nodes with its
+    root and stops at a node without a predecessor arc or marked before, so
+    no node is walked twice; a node marked by the current walk closes a
+    cycle."""
+    mark = [-1] * len(pred)
+    for root in range(len(pred)):
+        node = root
+        while mark[node] < 0:
+            mark[node] = root
+            k = pred[node]
+            if k < 0:
+                break
+            node = tails[k]
+        else:
+            if mark[node] == root:
+                start, chain = node, []
+                while True:
+                    k = pred[node]
+                    chain.append(k)
+                    node = tails[k]
+                    if node == start:
+                        return chain
+    return None
+
+
+def _negative(chain: list[int], costs) -> list[int]:
+    """The predecessor chain, walked backwards, in path order: checked to
+    be a negative cycle, since a cycle of relaxed arcs is one."""
+    if sum([costs[k] for k in chain]) >= 0:
         raise CertificateError("the predecessor circuit is not negative")
-    cycle.reverse()
-    return cycle, dist
+    chain.reverse()
+    return chain
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import BadParameters, CertificateError
 from .rationals import scaled_to_integers
@@ -105,12 +106,17 @@ def _pivot(tab, cost, basis, prow, enter, d, arts):
 def _reduced_costs(tab, basic, c, d):
     # d * (c - c_B B^{-1} A), c_B the cost of each row's basic variable, with
     # d times -(the running objective value) in the last slot; the tableau
-    # rows are d * B^{-1} A
-    cost = [d * v for v in c] + [0]
-    for row, cb in zip(tab, basic):
-        if cb != 0:
-            cost = [a - cb * v for a, v in zip(cost, row)]
-    return cost
+    # rows are d * B^{-1} A. One pass down the columns of the rows with a
+    # nonzero basic cost; phase 1's are all 1, so each column is one sum
+    picked = [(row, cb) for row, cb in zip(tab, basic) if cb]
+    if not picked:
+        return [d * v for v in c] + [0]
+    rows, cbs = zip(*picked)
+    if all(cb == 1 for cb in cbs):
+        sums = map(sum, zip(*rows))
+    else:
+        sums = [sum(map(mul, cbs, col)) for col in zip(*rows)]
+    return [d * v - s for v, s in zip([*c, 0], sums)]
 
 
 def _run_simplex(tab, cost, basis, d, ncols, arts):

@@ -22,6 +22,17 @@ certified in ints: y meets every arc, y_0 = 0, y_n = beta, the flow is
 non-negative and conserves, and both sides are equal. No simplex runs for
 a slice.
 
+The kernel runs with `early`: it returns the first cycle of its
+predecessor graph, not the one round n + 1 would show, so each cancel
+costs a few rounds instead of n + 1. And only the lengths of the wrapping
+rows and of the pins depend on beta, not the arcs or the inflows, so an
+optimal flow at one sum is a feasible flow at every other. `optimize`
+starts each probe from the last non-empty probe's optimal flow
+(reoptimization, as in Goldberg & Tarjan, J. ACM 36, 1989, and Ahuja,
+Magnanti & Orlin, chapter 9), which is often already optimal or a few
+cancels away. Both change which optimal flow and point a probe ends on,
+never its value, and `optimize` reads only the values.
+
 Ties: the smallest optimal sum wins, then the lexicographically smallest
 optimal integer point: one LP at that sum, with digit-perturbed costs, over
 the slice graph's row and column arcs. That system is totally unimodular,
@@ -31,8 +42,9 @@ so the LP pivots in integers, and its vertex passes the flow point's check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .digraph import bellman_ford
 from .errors import BadParameters, CertificateError
@@ -52,6 +64,9 @@ class SliceSolution:
     beta: int
     value: Fraction
     point: tuple[int, ...]
+    # the optimal flow on the slice graph's arcs that certifies the value,
+    # in the int-scaled weights: a `start` for another sum of the instance
+    flow: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 def _slice_graph(matrix: CircularMatrix, demands, beta: int):
@@ -74,20 +89,32 @@ def _slice_graph(matrix: CircularMatrix, demands, beta: int):
     return tails, heads, lengths
 
 
-def _slice_flow(graph, weights) -> tuple[list[int], list[int]] | None:
+def _net_inflow(graph, flow, n: int) -> list[int]:
+    """Inflow minus outflow of the flow at each node 0..n."""
+    net = [0] * (n + 1)
+    for tail, head, f in zip(graph[0], graph[1], flow):
+        net[head] += f
+        net[tail] -= f
+    return net
+
+
+def _slice_flow(graph, flow) -> tuple[list[int], list[int]] | None:
     """(flow, y) optimal for the int weights, or None if the slice is empty.
 
-    The flow starts as weights[j-1] on column arc j. Each negative cycle of
-    its residual graph is cancelled by the least flow among the arcs it runs
-    against, and once none is left y is read off the kernel's distances.
+    Cycle cancelling starts from `flow`, a feasible flow (changed in place).
+    Each negative cycle of its residual graph is cancelled by the least flow
+    among the arcs it runs against, and once none is left y is read off the
+    kernel's distances. Any negative cycle will do, so the kernel returns
+    the first one its predecessor graph closes. Distances that leave no
+    negative cycle meet every slice arc, so the slice is not empty; before
+    the first cancel, a cycle of slice arcs alone, or one of the slice
+    graph, shows that it is.
     """
     tails, heads, lengths = graph
-    n = len(weights)
+    n = tails[-1]  # the last arc is the pin n -> 0
     costs = [-v for v in lengths]
-    if bellman_ford(n + 1, tails, heads, costs)[0] is not None:
-        return None
     arcs = len(tails)
-    flow = list(weights) + [0] * (arcs - n)
+    nonempty = False
     while True:
         # residual graph: every arc, then the reverse of every arc with flow
         used = [a for a in range(arcs) if flow[a]]
@@ -96,9 +123,16 @@ def _slice_flow(graph, weights) -> tuple[list[int], list[int]] | None:
             tails + [heads[a] for a in used],
             heads + [tails[a] for a in used],
             costs + [lengths[a] for a in used],
+            early=True,
         )
         if cycle is None:
             return flow, [dist[0] - d for d in dist[:n + 1]]
+        if not nonempty:
+            if max(cycle) < arcs:
+                return None
+            if bellman_ford(n + 1, tails, heads, costs, early=True)[0] is not None:
+                return None
+            nonempty = True
         # the slice is not empty, so the cycle runs against some flow
         delta = min([flow[used[k - arcs]] for k in cycle if k >= arcs])
         for k in cycle:
@@ -110,24 +144,35 @@ def _slice_flow(graph, weights) -> tuple[list[int], list[int]] | None:
 
 def _slice_point(matrix: CircularMatrix, demands, y, beta: int) -> tuple[int, ...]:
     """The point x_j = y_j - y_{j-1} of the prefix sums y_0..y_n, checked to
-    be non-negative and integral, to cover every row and to sum to beta."""
-    x = [y[j] - y[j - 1] for j in range(1, len(y))]
-    if any(v.denominator != 1 or v < 0 for v in x):
-        raise CertificateError(f"non-integral slice vertex {x}")
-    xi = tuple([int(v) for v in x])
-    for i, b in enumerate(demands, 1):
-        if sum([xi[j - 1] for j in matrix.support(i)]) < b:
+    be non-negative and integral, to cover every row and to sum to beta.
+    With y_0 = 0, x is integral exactly when y is. The cover is checked on
+    prefix sums of x, doubled for the wrapping rows."""
+    if any(v.denominator != 1 for v in y):
+        raise CertificateError(f"non-integral slice vertex {[b - a for a, b in zip(y, y[1:])]}")
+    y = [int(v) for v in y]
+    xi = tuple([b - a for a, b in zip(y, y[1:])])
+    if min(xi) < 0:
+        raise CertificateError(f"non-integral slice vertex {list(xi)}")
+    prefix = list(accumulate(xi + xi, initial=0))
+    for i, ((start, length), b) in enumerate(zip(matrix.rows, demands), 1):
+        if prefix[start - 1 + length] - prefix[start - 1] < b:
             raise CertificateError(f"slice point {xi} leaves row {i} uncovered")
-    if sum(xi) != beta:
+    if prefix[len(xi)] != beta:
         raise CertificateError(f"slice point {xi} does not sum to {beta}")
     return xi
 
 
-def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSolution | None:
+def solve_slice(matrix: CircularMatrix, demands, weights, beta: int, *,
+                start=None) -> SliceSolution | None:
     """Exact minimum of weights . x over the slice at coordinate sum beta.
 
     Returns None when the slice is empty. The witness point is an optimal
-    integral point, certified by a flow of equal cost.
+    integral point, certified by a flow of equal cost, which comes back as
+    `flow`. Cycle cancelling starts from w_j on column arc j, or from
+    `start`: the `flow` of a solution for the same matrix, demands and
+    weights at any sum, since no flow constraint depends on the sum. A start
+    that is not one non-negative int per slice arc, with the net inflows of
+    these weights, is BadParameters.
     """
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)
@@ -136,28 +181,35 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int) -> SliceSol
     n = matrix.n
     scale, c = scaled_to_integers(w)
     graph = _slice_graph(matrix, demands, beta)
-    found = _slice_flow(graph, c)
+    inflow = [-c[0]] + [c[j - 1] - c[j] for j in range(1, n)] + [c[n - 1]]
+    if start is None:
+        flow = c + [0] * (len(graph[0]) - n)
+    elif (not isinstance(start, (list, tuple)) or len(start) != len(graph[0])
+            or not set(map(type, start)) <= {int} or min(start) < 0
+            or _net_inflow(graph, start, n) != inflow):
+        raise BadParameters("the start must be a non-negative int flow on the "
+                            "slice arcs with these weights' net inflows")
+    else:
+        flow = list(start)
+    found = _slice_flow(graph, flow)
     if found is None:
         return None
     flow, y = found
     if y[0] != 0 or y[n] != beta:
         raise CertificateError(f"slice potential {y} does not run from 0 to {beta}")
-    net = [0] * (n + 1)
-    for tail, head, length, f in zip(*graph, flow):
+    for tail, head, length in zip(*graph):
         if y[head] - y[tail] < length:
             raise CertificateError(f"slice potential {y} violates arc {tail} -> {head}")
-        if f < 0:
-            raise CertificateError(f"negative slice flow on arc {tail} -> {head}")
-        net[head] += f
-        net[tail] -= f
-    inflow = [-c[0]] + [c[j - 1] - c[j] for j in range(1, n)] + [c[n - 1]]
-    if net != inflow:
+    if min(flow) < 0:
+        raise CertificateError(f"negative slice flow {flow}")
+    if _net_inflow(graph, flow, n) != inflow:
         raise CertificateError(f"slice flow {flow} does not conserve")
     cost = sum([length * f for length, f in zip(graph[2], flow)])
     if sum([s * v for s, v in zip(inflow, y)]) != cost:
         raise CertificateError(f"slice flow {flow} and potential {y} differ in cost")
     xi = _slice_point(matrix, demands, y, beta)
-    return SliceSolution(beta, Fraction(sum([cv * v for cv, v in zip(c, xi)]), scale), xi)
+    value = Fraction(sum([cv * v for cv, v in zip(c, xi)]), scale)
+    return SliceSolution(beta, value, xi, tuple(flow))
 
 
 def _lexmin_vertex(matrix: CircularMatrix, demands, costs, beta: int) -> tuple[int, ...]:
@@ -202,10 +254,15 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     w = check_weights(matrix, weights)
     top = matrix.n * max(demands, default=0)
     probed: dict[int, SliceSolution | None] = {}
+    start = None
 
     def g(beta: int) -> SliceSolution | None:
+        # the last optimal flow is feasible at every sum: a warm start
+        nonlocal start
         if beta not in probed:
-            probed[beta] = solve_slice(matrix, demands, w, beta)
+            found = probed[beta] = solve_slice(matrix, demands, w, beta, start=start)
+            if found is not None:
+                start = found.flow
         return probed[beta]
 
     # each search returns top when no sum below it qualifies, without probing top
@@ -216,9 +273,10 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     # rank the slice's integer points by w . x, then lexicographically, with no
     # ties; the slice is integral, so this LP's optimal vertex is the lexmin point
     n, base = matrix.n, beta + 1
-    costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(scaled_to_integers(w)[1])]
+    scale, c = scaled_to_integers(w)
+    costs = [cv * base**n + base ** (n - 1 - j) for j, cv in enumerate(c)]
     point = _lexmin_vertex(matrix, demands, costs, beta)
-    if best is None or best.value != sum((wv * v for wv, v in zip(w, point)), Fraction(0)):
+    if best is None or best.value != Fraction(sum([cv * v for cv, v in zip(c, point)]), scale):
         raise CertificateError(f"no certified lexmin optimum at sum {beta}")
     slices = tuple([(b, s.value if s else None) for b, s in sorted(probed.items())])
     return OptimizationResult(best.value, point, beta, slices)

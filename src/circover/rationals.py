@@ -21,6 +21,11 @@ from .errors import BadParameters
 
 def parse_rational(value) -> Fraction:
     """Parse an int, or a string like "7/2", "-3", " 5 ", into a Fraction."""
+    # exact type tests first: re-checking a checked vector costs one per entry
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool):
         raise BadParameters(f"not a rational: {value!r}")
     if isinstance(value, int):

@@ -929,6 +929,37 @@ def lp_solve_slice(matrix, demands, weights, beta):
     return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)
 
 
+def cold_optimize(matrix, demands, weights):
+    """Reference of `optimize` with cold probes: the same two bisections,
+    but every probe is a `solve_slice` without a start flow, so each
+    cancels cycles from w_j on column arc j; then the same lexmin LP."""
+    from bisect import bisect_left
+
+    from circover import OptimizationResult, solve_slice
+    from circover.matrices import check_demands, check_weights
+    from circover.optimize import _lexmin_vertex
+    from circover.rationals import scaled_to_integers
+
+    demands = check_demands(matrix, demands)
+    w = check_weights(matrix, weights)
+    top = matrix.n * max(demands, default=0)
+    probed = {}
+
+    def g(beta):
+        if beta not in probed:
+            probed[beta] = solve_slice(matrix, demands, w, beta)
+        return probed[beta]
+
+    tau = bisect_left(range(top), True, key=lambda b: g(b) is not None)
+    beta = bisect_left(range(top), True, tau, key=lambda b: g(b + 1).value >= g(b).value)
+    value = g(beta).value
+    n, base = matrix.n, beta + 1
+    costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(scaled_to_integers(w)[1])]
+    point = _lexmin_vertex(matrix, demands, costs, beta)
+    slices = tuple((b, s.value if s else None) for b, s in sorted(probed.items()))
+    return OptimizationResult(value, point, beta, slices)
+
+
 # ---------------------------------------------------------------------------
 # library-only builders and brute-force references: no verb calls them
 

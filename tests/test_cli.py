@@ -462,7 +462,7 @@ from circover import CertificateError, circulant_matrix, solve_slice
 assert False, "asserts must be stripped here"
 module = sys.modules["circover.optimize"]
 m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
-flow, y = module._slice_flow(module._slice_graph(m, b, 3), w)
+flow, y = module._slice_flow(module._slice_graph(m, b, 3), w + [0] * 7)
 refused = 0
 for cert in (flow, y):
     for at in range(len(cert)):

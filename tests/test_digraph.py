@@ -18,6 +18,10 @@ from circover import (
     enumerate_circuits,
 )
 from _helpers import determinant, eager_digraph, find_arc, incidence_matrix
+from test_cli import run_python
+
+from circover import CertificateError
+from circover.digraph import bellman_ford
 
 
 def three_row_matrix():
@@ -211,3 +215,49 @@ def test_forbid_kinds():
     assert all(a.is_forward for c in enum.circuits for a in c.arcs)
     with pytest.raises(BadParameters):
         enumerate_circuits(d, forbid_kinds=frozenset({"sideways"}))
+
+
+# the cycle 0 -> 1 -> 2 -> 0 at cost -3 on the nodes 0..3
+TRIANGLE = (3, [0, 1, 2], [1, 2, 0], [-1, -1, -1])
+
+
+def test_early_kernel_returns_after_the_first_round_with_a_cycle():
+    """Round one closes the predecessor cycle, so the early kernel returns
+    it, walked from node 0, with the distances of that round; the round-n
+    kernel finds it in round three, walking back from arc 0's head."""
+    assert bellman_ford(*TRIANGLE, early=True) == ([0, 1, 2], [-3, -1, -2, 0])
+    assert bellman_ford(*TRIANGLE) == ([1, 2, 0], [-6, -7, -5, 0])
+
+
+class _Tampered(list):
+    """Costs whose reads by index, the cycle check's, all come back 0,
+    while the relaxation sweep iterates the true costs."""
+
+    def __getitem__(self, k):
+        return 0
+
+
+def test_tampered_predecessor_cycle_raises():
+    n, tails, heads, costs = TRIANGLE
+    for early in (False, True):
+        with pytest.raises(CertificateError, match="predecessor circuit is not negative"):
+            bellman_ford(n, tails, heads, _Tampered(costs), early=early)
+
+
+def test_tampered_predecessor_cycle_raises_under_dash_O():
+    script = """
+from circover import CertificateError
+from circover.digraph import bellman_ford
+assert False, "asserts must be stripped here"
+
+class Tampered(list):
+    def __getitem__(self, k):
+        return 0
+
+for early in (False, True):
+    try:
+        bellman_ford(3, [0, 1, 2], [1, 2, 0], Tampered([-1, -1, -1]), early=early)
+    except CertificateError as exc:
+        print(exc)
+"""
+    assert run_python("-O", "-c", script) == (0, "the predecessor circuit is not negative\n" * 2)

@@ -14,6 +14,7 @@ from circover import (
     CircularMatrix,
     NegativeWeight,
     NotInterval,
+    SliceSolution,
     circulant_matrix,
     domination_solve,
     LPResult,
@@ -179,7 +180,7 @@ def test_tampered_slice_certificate_raises(monkeypatch):
     potential moved on one node is infeasible or costs more than the flow."""
     module = sys.modules["circover.optimize"]
     m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
-    flow, y = module._slice_flow(module._slice_graph(m, b, 3), w)
+    flow, y = module._slice_flow(module._slice_graph(m, b, 3), w + [0] * 7)
     assert solve_slice(m, b, w, 3).value == 4
     for cert in (flow, y):
         for at in range(len(cert)):
@@ -190,6 +191,55 @@ def test_tampered_slice_certificate_raises(monkeypatch):
                 monkeypatch.setattr(module, "_slice_flow", lambda *args: tampered)
                 with pytest.raises(CertificateError):
                     solve_slice(m, b, w, 3)
+
+
+def test_slice_from_a_start_flow():
+    """A probe started from another sum's optimal flow has the cold
+    probe's value, and the flow it ends on takes no part in equality."""
+    m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
+    start = solve_slice(m, b, w, 3).flow
+    assert len(start) == 12 and min(start) >= 0
+    for beta in range(3, 11):
+        warm = solve_slice(m, b, w, beta, start=start)
+        assert warm.value == solve_slice(m, b, w, beta).value, beta
+        assert warm.flow is not None
+    assert solve_slice(m, b, w, 2, start=start) is None
+    assert SliceSolution(3, F(4), (1, 0, 1, 0, 1)) == SliceSolution(3, F(4), (1, 0, 1, 0, 1), (1,))
+
+
+def test_slice_rejects_a_bad_start():
+    """A start that is not one non-negative int per slice arc with the
+    weights' net inflows is BadParameters, never a CertificateError."""
+    m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
+    good = list(solve_slice(m, b, w, 3).flow)
+    moved = list(good)
+    moved[0] += 1
+    for bad in (good[:-1], good + [0], [-1] + good[1:], [True] + good[1:],
+                [float(good[0])] + good[1:], [F(good[0])] + good[1:], moved,
+                iter(good), "0" * 12, solve_slice(m, b, [1] * 5, 3).flow):
+        with pytest.raises(BadParameters):
+            solve_slice(m, b, w, 4, start=bad)
+
+
+def test_optimize_starts_each_probe_from_the_last_flow(monkeypatch):
+    """Every probe goes through the module's `solve_slice`; the first starts
+    cold, each later one from the flow of the last non-empty probe."""
+    module = sys.modules["circover.optimize"]
+    probes = []
+
+    def recording(*args, start=None):
+        probes.append((start, solve_slice(*args, start=start)))
+        return probes[-1][1]
+
+    monkeypatch.setattr(module, "solve_slice", recording)
+    res = optimize(circulant_matrix(7, 3), [2, 1, 2, 1, 2, 1, 1], [3, 1, 2, 0, 2, 5, 1])
+    assert len(probes) == len(res.slices) >= 4
+    assert any(found is None for _, found in probes)
+    last = None
+    for start, found in probes:
+        assert start is last
+        if found is not None:
+            last = found.flow
 
 
 def test_weighted_pentagon():

@@ -10,8 +10,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from _helpers import (check_validity, frozenset_contract, fraction_solve_lp, membership,
-                      walk_circulant_isomorphic)
+from _helpers import (check_validity, cold_optimize, frozenset_contract, fraction_solve_lp,
+                      membership, walk_circulant_isomorphic)
 from test_acceptance import _brute_force_key
 from test_optimize import _assert_slice_matches_the_lp
 from test_oracle import _assert_covers_match_the_product_scan
@@ -36,7 +36,9 @@ from circover import (
 )
 from circover import cli
 from circover.jsonio import _dumps_indented
+from circover.digraph import bellman_ford
 from circover.lp import SENSES
+from circover.optimize import _slice_graph
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -363,6 +365,58 @@ def slice_instances(draw):
 @given(slice_instances())
 def test_slices_equal_the_lp_slices(instance):
     _assert_slice_matches_the_lp(*instance)
+
+
+@st.composite
+def slice_graphs(draw):
+    """(n, tails, heads, costs): the slice graph of a drawn slice instance
+    at a sum 0..top+1, under the costs -l, plus the reverses of a drawn
+    subset of its arcs at cost +l, as in a residual graph; empty and
+    non-empty slices, with and without negative cycles."""
+    matrix, demands, _ = draw(slice_instances())
+    beta = draw(st.integers(0, matrix.n * max(demands) + 1))
+    tails, heads, lengths = _slice_graph(matrix, demands, beta)
+    back = draw(st.lists(st.integers(0, len(tails) - 1), max_size=len(tails), unique=True))
+    return (matrix.n + 1, tails + [heads[a] for a in back], heads + [tails[a] for a in back],
+            [-v for v in lengths] + [lengths[a] for a in back])
+
+
+@fixed
+@given(slice_graphs())
+def test_early_kernel_agrees_with_the_round_n_kernel(graph):
+    """Both kernels find a negative cycle or neither does, and without one
+    they return the same distances; an early cycle is a simple cycle of the
+    given arcs, chained head to tail, of negative cost."""
+    n, tails, heads, costs = graph
+    cycle, dist = bellman_ford(*graph, early=True)
+    ref_cycle, ref_dist = bellman_ford(*graph)
+    assert (cycle is None) == (ref_cycle is None)
+    if cycle is None:
+        assert dist == ref_dist
+        return
+    assert all(heads[a] == tails[b] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    assert len({tails[k] for k in cycle}) == len(cycle)
+    assert sum(costs[k] for k in cycle) < 0
+
+
+@st.composite
+def optimize_instances(draw):
+    """(matrix, demands, weights): a circular matrix with n 4-12 and 1-n
+    distinct rows, demands 0-3 and int weights 0-9, zeros drawn often."""
+    n = draw(st.integers(4, 12))
+    pool = [(s, length) for s in range(1, n + 1) for length in range(2, n)]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=n, unique=True))
+    demands = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    weights = draw(st.lists(st.just(0) | st.integers(0, 9), min_size=n, max_size=n))
+    return circular_matrix(n, rows), demands, weights
+
+
+@fixed
+@given(optimize_instances())
+def test_warm_probes_equal_cold_probes(instance):
+    """Starting each probe from the last optimal flow changes nothing of
+    `optimize`: the same value, point, sum and probed slices."""
+    assert optimize(*instance) == cold_optimize(*instance)
 
 
 # any string: control characters and lone surrogates included
