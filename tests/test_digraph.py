@@ -10,6 +10,7 @@ from circover import (
     REVERSE_ROW,
     REVERSE_SHORT,
     BadParameters,
+    CertificateError,
     ClosedPath,
     NotClosedPath,
     build_digraph,
@@ -20,7 +21,6 @@ from circover import (
 from _helpers import determinant, eager_digraph, find_arc, incidence_matrix
 from test_cli import run_python
 
-from circover import CertificateError
 from circover.digraph import bellman_ford
 
 
