@@ -97,13 +97,7 @@ from .separation import (
     negative_circuit,
     separate,
 )
-from .optimize import (
-    OptimizationResult,
-    SliceSolution,
-    domination_solve,
-    optimize,
-    solve_slice,
-)
+from .optimize import OptimizationResult, domination_solve, optimize
 from .jsonio import (
     inequality_json,
     load_instance,

@@ -35,6 +35,7 @@ from .jsonio import (
     optimization_json,
     separation_json,
 )
+from .matrices import check_positive_int
 from .oracle import check_facet, enumerate_minimal_covers, hull_facets
 from .optimize import optimize
 from .rationals import format_rational, format_rational_vector
@@ -74,9 +75,7 @@ def _pick_demands(inst, alpha):
 def _cap(value, flag):
     """A cap option, which must be at least 1 when given; the error names
     the flag, not the library argument it feeds."""
-    if value is not None and value < 1:
-        raise BadParameters(f"{flag} must be at least 1, got {value}")
-    return value
+    return value if value is None else check_positive_int(value, flag)
 
 
 def _cmd_solve(inst, args) -> tuple[dict, int]:

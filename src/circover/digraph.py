@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadParameters, CertificateError, NotClosedPath
-from .matrices import CircularMatrix
+from .matrices import CircularMatrix, check_positive_int
 
 FORWARD_ROW = "forward-row"
 FORWARD_SHORT = "forward-short"
@@ -318,10 +318,11 @@ def enumerate_circuits(
     emission time (the search itself is not pruned by it). forbid_kinds
     drops whole arc kinds from that adjacency before searching. Hitting
     max_count stops the search and flags the result incomplete instead of
-    raising; a max_count below 1 raises BadParameters.
+    raising; a max_count that is not an int of at least 1 raises
+    BadParameters.
     """
-    if max_count is not None and max_count < 1:
-        raise BadParameters(f"max_count must be at least 1, got {max_count}")
+    if max_count is not None:
+        check_positive_int(max_count, "max_count")
     for k in forbid_kinds:
         if k not in ARC_KINDS:
             raise BadParameters(f"unknown arc kind {k!r}")

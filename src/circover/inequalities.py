@@ -48,6 +48,7 @@ from .errors import (
 from .matrices import (
     CircularMatrix,
     check_demands,
+    check_positive_int,
     circulant_isomorphic,
     circular_matrix,
     cover_number,
@@ -119,8 +120,7 @@ def nonnegativity(n: int) -> list[LinearInequality]:
 
 def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
     """One inequality per row: its support summed to at least its demand."""
-    if len(demands) != matrix.m:
-        raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
+    demands = check_demands(matrix, demands)
     out = []
     for i in range(1, matrix.m + 1):
         out.append(make_inequality(
@@ -135,8 +135,7 @@ def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
 
 def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> LinearInequality:
     """The inequality induced by a closed path with positive winding."""
-    if len(demands) != matrix.m:
-        raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
+    demands = check_demands(matrix, demands)
     p = path.winding
     if p <= 0:
         raise NonpositiveWinding(f"winding {p}, need >= 1")
@@ -205,8 +204,7 @@ def homogeneous_circuit_inequality(
     r*ceil(alpha*s/p). Raises RedundantInequality when p < 2 or p divides
     alpha*s (those are never facets).
     """
-    if not isinstance(alpha, int) or alpha < 1:
-        raise BadParameters(f"demand level must be a positive int, got {alpha!r}")
+    check_positive_int(alpha, "alpha")
     classes = classify_nodes(path, matrix.n)
     p = path.winding
     s = len(path.row_indices(forward=True))
@@ -496,10 +494,10 @@ def enumerate_circulant_minors(
     columns' deletion must leave the promised circulant, and a mismatch
     raises CertificateError.
 
-    A max_count below 1 raises BadParameters.
+    A max_count that is not an int of at least 1 raises BadParameters.
     """
-    if max_count is not None and max_count < 1:
-        raise BadParameters(f"max_count must be at least 1, got {max_count}")
+    if max_count is not None:
+        check_positive_int(max_count, "max_count")
     k = matrix.circulant_window()
     if k is None:
         return _circuit_minors(matrix, max_count)
@@ -597,6 +595,8 @@ def enumerate_facet_candidates(
     other demand vector or matrix gets `enumerate_candidates_general`.
     """
     demands = check_demands(matrix, demands)
+    if max_circuits is not None:
+        check_positive_int(max_circuits, "max_circuits")
     alpha = min(demands, default=0)
     if alpha < 1 or demands.count(alpha) != matrix.m or matrix.dominating_rows():
         return enumerate_candidates_general(matrix, demands, max_circuits=max_circuits)
@@ -633,6 +633,8 @@ def enumerate_candidates_general(
     non-negativity, and the exact full-support inequality.
     """
     demands = check_demands(matrix, demands)
+    if max_circuits is not None:
+        check_positive_int(max_circuits, "max_circuits")
     enum = enumerate_circuits(
         build_digraph(matrix, restricted=False), min_winding=2, max_count=max_circuits
     )

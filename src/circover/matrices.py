@@ -250,13 +250,24 @@ def web_neighborhoods(n: int, radius: int) -> list[list[int]]:
 
 
 def check_demands(matrix: CircularMatrix, demands) -> tuple[int, ...]:
-    """One non-negative int demand per row (bools and Fractions are rejected)."""
+    """A list or tuple of one non-negative int demand per row (bools and
+    Fractions are rejected)."""
+    if not isinstance(demands, (list, tuple)):
+        raise BadParameters(f"demands must be a list, got {type(demands).__name__}")
     if len(demands) != matrix.m:
         raise BadParameters(f"{len(demands)} demands for {matrix.m} rows")
     for b in demands:
         if not isinstance(b, int) or isinstance(b, bool) or b < 0:
             raise BadParameters(f"demands must be non-negative ints, got {b!r}")
     return tuple(demands)
+
+
+def check_positive_int(value, what: str) -> int:
+    """A cap, budget or demand level: an int, not a bool, of at least 1."""
+    _check_int(value, what)
+    if value < 1:
+        raise BadParameters(f"{what} must be at least 1, got {value}")
+    return value
 
 
 def check_weights(matrix: CircularMatrix, weights) -> tuple[Fraction, ...]:

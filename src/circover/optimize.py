@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .digraph import bellman_ford
-from .errors import BadParameters, CertificateError
+from .errors import CertificateError
 from .lp import solve_lp
 from .matrices import (
     CircularMatrix,
@@ -62,10 +62,10 @@ from .rationals import scaled_to_integers
 @dataclass(frozen=True)
 class SliceSolution:
     beta: int
-    value: Fraction
+    value: int  # in the int-scaled weights
     point: tuple[int, ...]
-    # the optimal flow on the slice graph's arcs that certifies the value,
-    # in the int-scaled weights: a `start` for another sum of the instance
+    # the optimal flow on the slice graph's arcs that certifies the value:
+    # a `start` for another sum of the instance
     flow: tuple[int, ...] | None = field(default=None, compare=False)
 
 
@@ -162,36 +162,20 @@ def _slice_point(matrix: CircularMatrix, demands, y, beta: int) -> tuple[int, ..
     return xi
 
 
-def solve_slice(matrix: CircularMatrix, demands, weights, beta: int, *,
-                start=None) -> SliceSolution | None:
-    """Exact minimum of weights . x over the slice at coordinate sum beta.
+def solve_slice(matrix: CircularMatrix, demands, c, beta: int, start) -> SliceSolution | None:
+    """Exact minimum of c . x over the slice at coordinate sum beta, in ints.
 
-    Returns None when the slice is empty. The witness point is an optimal
-    integral point, certified by a flow of equal cost, which comes back as
-    `flow`. Cycle cancelling starts from w_j on column arc j, or from
-    `start`: the `flow` of a solution for the same matrix, demands and
-    weights at any sum, since no flow constraint depends on the sum. A start
-    that is not one non-negative int per slice arc, with the net inflows of
-    these weights, is BadParameters.
+    The per-probe kernel of `optimize`, which checks the demands, scales
+    the weights to the ints c and passes a feasible flow as `start`: c_j on
+    column arc j, or the `flow` of a solution at any other sum, since no
+    flow constraint depends on the sum. Returns None when the slice is
+    empty. The witness point is an optimal integral point, certified by a
+    flow of equal cost, which comes back as `flow`.
     """
-    demands = check_demands(matrix, demands)
-    w = check_weights(matrix, weights)
-    if not isinstance(beta, int) or isinstance(beta, bool):
-        raise BadParameters(f"the coordinate sum must be an int, got {beta!r}")
     n = matrix.n
-    scale, c = scaled_to_integers(w)
     graph = _slice_graph(matrix, demands, beta)
     inflow = [-c[0]] + [c[j - 1] - c[j] for j in range(1, n)] + [c[n - 1]]
-    if start is None:
-        flow = c + [0] * (len(graph[0]) - n)
-    elif (not isinstance(start, (list, tuple)) or len(start) != len(graph[0])
-            or not set(map(type, start)) <= {int} or min(start) < 0
-            or _net_inflow(graph, start, n) != inflow):
-        raise BadParameters("the start must be a non-negative int flow on the "
-                            "slice arcs with these weights' net inflows")
-    else:
-        flow = list(start)
-    found = _slice_flow(graph, flow)
+    found = _slice_flow(graph, list(start))
     if found is None:
         return None
     flow, y = found
@@ -207,9 +191,8 @@ def solve_slice(matrix: CircularMatrix, demands, weights, beta: int, *,
     cost = sum([length * f for length, f in zip(graph[2], flow)])
     if sum([s * v for s, v in zip(inflow, y)]) != cost:
         raise CertificateError(f"slice flow {flow} and potential {y} differ in cost")
-    xi = _slice_point(matrix, demands, y, beta)
-    value = Fraction(sum([cv * v for cv, v in zip(c, xi)]), scale)
-    return SliceSolution(beta, value, xi, tuple(flow))
+    # the inflows telescope: sum_j C_j y_j is c . x for x_j = y_j - y_{j-1}
+    return SliceSolution(beta, cost, _slice_point(matrix, demands, y, beta), tuple(flow))
 
 
 def _lexmin_vertex(matrix: CircularMatrix, demands, costs, beta: int) -> tuple[int, ...]:
@@ -249,18 +232,21 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     slice value g(beta), an LP value as a function of its right-hand side, is
     convex. So bisection finds tau, then the least beta with
     g(beta + 1) >= g(beta), which is the least optimal sum.
+
+    The demands and weights are checked, and the weights scaled to ints,
+    once here; each probe is a `solve_slice` on the results.
     """
     demands = check_demands(matrix, demands)
-    w = check_weights(matrix, weights)
+    scale, c = scaled_to_integers(check_weights(matrix, weights))
     top = matrix.n * max(demands, default=0)
     probed: dict[int, SliceSolution | None] = {}
-    start = None
+    start = c + [0] * (matrix.m + 2)  # cold: c_j on column arc j
 
     def g(beta: int) -> SliceSolution | None:
         # the last optimal flow is feasible at every sum: a warm start
         nonlocal start
         if beta not in probed:
-            found = probed[beta] = solve_slice(matrix, demands, w, beta, start=start)
+            found = probed[beta] = solve_slice(matrix, demands, c, beta, start)
             if found is not None:
                 start = found.flow
         return probed[beta]
@@ -273,13 +259,14 @@ def optimize(matrix: CircularMatrix, demands, weights) -> OptimizationResult:
     # rank the slice's integer points by w . x, then lexicographically, with no
     # ties; the slice is integral, so this LP's optimal vertex is the lexmin point
     n, base = matrix.n, beta + 1
-    scale, c = scaled_to_integers(w)
     costs = [cv * base**n + base ** (n - 1 - j) for j, cv in enumerate(c)]
     point = _lexmin_vertex(matrix, demands, costs, beta)
-    if best is None or best.value != Fraction(sum([cv * v for cv, v in zip(c, point)]), scale):
+    if best is None or best.value != sum([cv * v for cv, v in zip(c, point)]):
         raise CertificateError(f"no certified lexmin optimum at sum {beta}")
-    slices = tuple([(b, s.value if s else None) for b, s in sorted(probed.items())])
-    return OptimizationResult(best.value, point, beta, slices)
+    # the probes' values are in the int-scaled weights
+    slices = tuple([(b, Fraction(s.value, scale) if s else None)
+                    for b, s in sorted(probed.items())])
+    return OptimizationResult(Fraction(best.value, scale), point, beta, slices)
 
 
 def domination_solve(neighborhoods, weights=None, demands=None) -> OptimizationResult:

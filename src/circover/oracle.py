@@ -32,7 +32,7 @@ from math import gcd
 
 from .errors import BadParameters, BudgetExceeded, CertificateError, NegativeCoefficient
 from .linalg import exact_rank
-from .matrices import CircularMatrix, check_demands
+from .matrices import CircularMatrix, check_demands, check_positive_int
 
 DEFAULT_BUDGET = 4 ** 9
 
@@ -42,12 +42,10 @@ def enumerate_minimal_covers(
 ) -> tuple[tuple[int, ...], ...]:
     """All minimal integer covers, in lexicographic order.
 
-    A budget below 1 raises BadParameters.
+    A budget that is not an int of at least 1 raises BadParameters.
     """
     demands = check_demands(matrix, demands)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 1:
-        raise BadParameters(f"budget must be at least 1, got {budget}")
+    budget = DEFAULT_BUDGET if budget is None else check_positive_int(budget, "budget")
     n = matrix.n
     maxb = max(demands, default=0)
     if (maxb + 1) ** n > budget:

@@ -35,7 +35,7 @@ from .digraph import AuxDigraph, ClosedPath, bellman_ford, build_digraph
 from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
-from .matrices import CircularMatrix, check_demands, check_weights
+from .matrices import CircularMatrix, check_demands, check_positive_int, check_weights
 from .rationals import parse_rational_vector, scaled_to_integers
 
 
@@ -159,10 +159,10 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
 
     Terminates when the LP optimum is a hull member. Weights must be
     non-negative. All-zero weights short-circuit: value 0 at any integer
-    cover, no LP needed. A max_rounds below 1 raises BadParameters.
+    cover, no LP needed. A max_rounds that is not an int of at least 1
+    raises BadParameters.
     """
-    if max_rounds < 1:
-        raise BadParameters(f"max_rounds must be at least 1, got {max_rounds}")
+    check_positive_int(max_rounds, "max_rounds")
     n, m = matrix.n, matrix.m
     demands = check_demands(matrix, demands)
     w = check_weights(matrix, weights)

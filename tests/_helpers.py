@@ -905,19 +905,20 @@ def _slice_system(matrix, demands, beta):
     return rows, rhs
 
 
-def lp_solve_slice(matrix, demands, weights, beta):
-    """Reference of `optimize.solve_slice`: the certified integral vertex of
-    the slice LP of `_slice_system`, from `solve_lp`, or None when the slice
-    is empty."""
-    from circover import SliceSolution, solve_lp
-    from circover.matrices import check_demands, check_weights
-    from circover.optimize import _slice_point
-    from circover.rationals import scaled_to_integers
+def cold_flow(matrix, c):
+    """The start flow of `optimize`'s first probe: c_j on column arc j,
+    nothing on the row arcs and the two pins."""
+    return list(c) + [0] * (matrix.m + 2)
 
-    demands = check_demands(matrix, demands)
-    w = check_weights(matrix, weights)
-    # a positive scale keeps every pivot choice, hence the vertex
-    c = scaled_to_integers(w)[1]
+
+def lp_solve_slice(matrix, demands, c, beta):
+    """Reference of `optimize.solve_slice` on the same arguments but the
+    start: the certified integral vertex of the slice LP of `_slice_system`,
+    from `solve_lp`, with its value c . x, or None when the slice is
+    empty."""
+    from circover import solve_lp
+    from circover.optimize import SliceSolution, _slice_point
+
     rows, rhs = _slice_system(matrix, demands, beta)
     objective = [c[j] - c[j + 1] for j in range(matrix.n - 1)]
     res = solve_lp(objective, rows, [">="] * len(rows), rhs)
@@ -926,37 +927,37 @@ def lp_solve_slice(matrix, demands, weights, beta):
     if res.status != "optimal":
         raise AssertionError(f"the slice LP at sum {beta} came back {res.status}")
     xi = _slice_point(matrix, demands, [0, *res.point, beta], beta)
-    return SliceSolution(beta, sum((wv * v for wv, v in zip(w, xi)), Fraction(0)), xi)
+    return SliceSolution(beta, sum(cv * v for cv, v in zip(c, xi)), xi)
 
 
 def cold_optimize(matrix, demands, weights):
     """Reference of `optimize` with cold probes: the same two bisections,
-    but every probe is a `solve_slice` without a start flow, so each
-    cancels cycles from w_j on column arc j; then the same lexmin LP."""
+    but every probe is a `solve_slice` from `cold_flow`, so each cancels
+    cycles from w_j on column arc j; then the same lexmin LP."""
     from bisect import bisect_left
 
-    from circover import OptimizationResult, solve_slice
+    from circover import OptimizationResult
     from circover.matrices import check_demands, check_weights
-    from circover.optimize import _lexmin_vertex
+    from circover.optimize import _lexmin_vertex, solve_slice
     from circover.rationals import scaled_to_integers
 
     demands = check_demands(matrix, demands)
-    w = check_weights(matrix, weights)
+    scale, c = scaled_to_integers(check_weights(matrix, weights))
     top = matrix.n * max(demands, default=0)
     probed = {}
 
     def g(beta):
         if beta not in probed:
-            probed[beta] = solve_slice(matrix, demands, w, beta)
+            probed[beta] = solve_slice(matrix, demands, c, beta, cold_flow(matrix, c))
         return probed[beta]
 
     tau = bisect_left(range(top), True, key=lambda b: g(b) is not None)
     beta = bisect_left(range(top), True, tau, key=lambda b: g(b + 1).value >= g(b).value)
-    value = g(beta).value
+    value = Fraction(g(beta).value, scale)
     n, base = matrix.n, beta + 1
-    costs = [c * base**n + base ** (n - 1 - j) for j, c in enumerate(scaled_to_integers(w)[1])]
+    costs = [cv * base**n + base ** (n - 1 - j) for j, cv in enumerate(c)]
     point = _lexmin_vertex(matrix, demands, costs, beta)
-    slices = tuple((b, s.value if s else None) for b, s in sorted(probed.items()))
+    slices = tuple((b, Fraction(s.value, scale) if s else None) for b, s in sorted(probed.items()))
     return OptimizationResult(value, point, beta, slices)
 
 

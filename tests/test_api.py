@@ -14,22 +14,30 @@ from circover import (
     CircoverError,
     Instance,
     assign_costs,
+    build_digraph,
     check_facet,
+    circuit_inequality,
     circulant_matrix,
     circular_matrix,
     cut_loop,
     domination_solve,
     enumerate_candidates_general,
+    enumerate_circuits,
+    enumerate_circulant_minors,
     enumerate_facet_candidates,
     enumerate_minimal_covers,
+    homogeneous_circuit_inequality,
+    hull_facets,
     make_inequality,
     optimize,
+    row_inequalities,
     separate,
     solve_lp,
-    solve_slice,
 )
 
 PENTAGON = circulant_matrix(5, 2)
+# a circuit of winding 2 through the pentagon's five rows
+CIRCUIT = enumerate_circuits(build_digraph(PENTAGON, restricted=True), min_winding=2).circuits[0]
 # vertices 1, 2 and 3, 4 are twins, which domination_solve groups
 TWINS = [[1, 2], [1, 2], [3, 4], [3, 4]]
 PENTAGON_ROWS = [PENTAGON.row_vector(i) for i in range(1, 6)]
@@ -37,11 +45,15 @@ COVERS = enumerate_minimal_covers(PENTAGON, [1] * 5)
 # a: the coefficients of an inequality a.x >= 2 read against the covers
 GOOD = {"b": [1] * 5, "w": [1] * 5, "x": [F(1, 2)] * 5, "a": [1] * 5}
 
+
+def _drop_last(values):
+    return values[:-1] if isinstance(values, list) else values
+
+
 # entry point -> (the inputs it reads, the call)
 ENTRY_POINTS = {
     "Instance": ("bw", lambda b, w, x, a: Instance(PENTAGON, b, w)),
     "optimize": ("bw", lambda b, w, x, a: optimize(PENTAGON, b, w)),
-    "solve_slice": ("bw", lambda b, w, x, a: solve_slice(PENTAGON, b, w, 3)),
     "cut_loop": ("bw", lambda b, w, x, a: cut_loop(PENTAGON, b, w)),
     "separate": ("bx", lambda b, w, x, a: separate(PENTAGON, b, x)),
     "assign_costs": ("bx", lambda b, w, x, a: assign_costs(PENTAGON, b, x)),
@@ -49,9 +61,12 @@ ENTRY_POINTS = {
     "enumerate_facet_candidates": ("b", lambda b, w, x, a: enumerate_facet_candidates(PENTAGON, b)),
     "enumerate_candidates_general":
         ("b", lambda b, w, x, a: enumerate_candidates_general(PENTAGON, b)),
-    # four vertices: each vector loses its last entry, so a bad entry lands
-    # on a twin and a short vector stays short
-    "domination_solve": ("bw", lambda b, w, x, a: domination_solve(TWINS, w[:-1], b[:-1])),
+    "row_inequalities": ("b", lambda b, w, x, a: row_inequalities(PENTAGON, b)),
+    "circuit_inequality": ("b", lambda b, w, x, a: circuit_inequality(PENTAGON, b, CIRCUIT)),
+    # four vertices: each list loses its last entry, so a bad entry lands
+    # on a twin and a short list stays short
+    "domination_solve":
+        ("bw", lambda b, w, x, a: domination_solve(TWINS, _drop_last(w), _drop_last(b))),
     "check_facet": ("a", lambda b, w, x, a: check_facet(make_inequality(a, 2, "test"), COVERS)),
     # the weights as the objective of the covering LP
     "solve_lp": ("w", lambda b, w, x, a: solve_lp(w, PENTAGON_ROWS, [">="] * 5, [1] * 5)),
@@ -65,6 +80,8 @@ BAD_INPUTS = {
     "bool demand": ("b", [1, True, 1, 1, 1]),
     "negative demand": ("b", [1, 1, -1, 1, 1]),
     "Fraction demand": ("b", [1, 1, F(3, 2), 1, 1]),
+    "dict demands": ("b", {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}),
+    "None demands": ("b", None),
     "short demands": ("b", [1] * 4),
     "short weights": ("w", [1] * 4),
     "short point": ("x", [F(1, 2)] * 4),
@@ -75,11 +92,14 @@ BAD_INPUTS = {
     "float point coordinate": ("x", [0.5] * 5),
 }
 
+# (entry point, case) pairs where the input is good there
+NOT_BAD = {("domination_solve", "None demands"): "None asks for the default demands, all ones"}
+
 CASES = [
     pytest.param(entry, case, id=f"{entry}-{case}")
     for entry, (reads, _) in ENTRY_POINTS.items()
     for case, (field, _) in BAD_INPUTS.items()
-    if field in reads
+    if field in reads and (entry, case) not in NOT_BAD
 ]
 
 
@@ -90,6 +110,44 @@ def test_every_entry_point_rejects_bad_input(entry, case):
     args = dict(GOOD, **{field: value})
     with pytest.raises(CircoverError):
         call(**args)
+
+
+# caps, budgets and the demand level: (argument name, whether None is
+# allowed, the call); every one must be an int, not a bool, at least 1
+POSITIVE_INTS = {
+    "cut_loop": ("max_rounds", False,
+                 lambda v: cut_loop(PENTAGON, [1] * 5, [1] * 5, max_rounds=v)),
+    "enumerate_circulant_minors": ("max_count", True,
+                                   lambda v: enumerate_circulant_minors(PENTAGON, max_count=v)),
+    "enumerate_circuits": ("max_count", True,
+                           lambda v: enumerate_circuits(build_digraph(PENTAGON), max_count=v)),
+    "enumerate_facet_candidates": ("max_circuits", True,
+                                   lambda v: enumerate_facet_candidates(PENTAGON, [1] * 5,
+                                                                        max_circuits=v)),
+    "enumerate_candidates_general": ("max_circuits", True,
+                                     lambda v: enumerate_candidates_general(PENTAGON, [1] * 5,
+                                                                            max_circuits=v)),
+    "enumerate_minimal_covers": ("budget", True,
+                                 lambda v: enumerate_minimal_covers(PENTAGON, [1] * 5, budget=v)),
+    "hull_facets": ("budget", True, lambda v: hull_facets(PENTAGON, [1] * 5, budget=v)),
+    "homogeneous_circuit_inequality": ("alpha", False,
+                                       lambda v: homogeneous_circuit_inequality(PENTAGON, CIRCUIT, v)),
+}
+
+BAD_POSITIVE_INTS = {"string": "3", "None": None, "float": 1.5, "bool": True, "zero": 0,
+                     "negative": -2}
+
+
+@pytest.mark.parametrize("entry,case", [
+    pytest.param(entry, case, id=f"{entry}-{case}")
+    for entry, (_, none_ok, _) in POSITIVE_INTS.items()
+    for case in BAD_POSITIVE_INTS
+    if not (none_ok and case == "None")
+])
+def test_every_cap_rejects_a_value_that_is_not_a_positive_int(entry, case):
+    name, _, call = POSITIVE_INTS[entry]
+    with pytest.raises(BadParameters, match=f"^{name} must be"):
+        call(BAD_POSITIVE_INTS[case])
 
 
 MALFORMED_ROWS = {

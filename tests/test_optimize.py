@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from _helpers import _slice_system, lp_solve_slice
+from _helpers import _slice_system, cold_flow, lp_solve_slice
 
 from circover import (
     BadParameters,
@@ -14,15 +14,15 @@ from circover import (
     CircularMatrix,
     NegativeWeight,
     NotInterval,
-    SliceSolution,
     circulant_matrix,
     domination_solve,
     LPResult,
     optimize,
     solve_lp,
-    solve_slice,
     web_neighborhoods,
 )
+from circover.optimize import SliceSolution, solve_slice
+from circover.rationals import scaled_to_integers
 
 
 def brute_force_value(matrix, demands, weights):
@@ -41,7 +41,7 @@ def brute_force_value(matrix, demands, weights):
 
 def test_slice_on_pentagon():
     m = circulant_matrix(5, 2)
-    sol = solve_slice(m, [1] * 5, [1] * 5, 3)
+    sol = solve_slice(m, [1] * 5, [1] * 5, 3, cold_flow(m, [1] * 5))
     assert sol.beta == 3
     assert sol.value == 3
     assert sum(sol.point) == 3
@@ -50,18 +50,19 @@ def test_slice_on_pentagon():
 
 def test_slice_below_cover_number_is_infeasible():
     m = circulant_matrix(5, 2)
-    assert solve_slice(m, [1] * 5, [1] * 5, 2) is None
-    assert solve_slice(m, [1] * 5, [1] * 5, 0) is None
+    assert solve_slice(m, [1] * 5, [1] * 5, 2, cold_flow(m, [1] * 5)) is None
+    assert solve_slice(m, [1] * 5, [1] * 5, 0, cold_flow(m, [1] * 5)) is None
 
 
 def _assert_slice_matches_the_lp(matrix, demands, weights):
     """At every sum 0..top+1, the flow slice and the LP reference agree on
     emptiness and value, and the flow's point covers, sums to the slice's
-    sum and is worth the value."""
+    sum and is worth the value, all in the int-scaled weights c."""
     top = matrix.n * max(demands, default=0)
+    c = scaled_to_integers(weights)[1]
     for beta in range(top + 2):
-        got = solve_slice(matrix, demands, weights, beta)
-        ref = lp_solve_slice(matrix, demands, weights, beta)
+        got = solve_slice(matrix, demands, c, beta, cold_flow(matrix, c))
+        ref = lp_solve_slice(matrix, demands, c, beta)
         assert (got is None) == (ref is None), (matrix, demands, weights, beta)
         if got is None:
             continue
@@ -70,7 +71,7 @@ def _assert_slice_matches_the_lp(matrix, demands, weights):
         assert sum(x) == beta and min(x) >= 0
         assert all(sum(x[j - 1] for j in matrix.support(i)) >= d
                    for i, d in enumerate(demands, 1))
-        assert sum(F(wv) * v for wv, v in zip(weights, x)) == got.value
+        assert sum(cv * v for cv, v in zip(c, x)) == got.value
 
 
 def test_slices_equal_the_lp_reference():
@@ -119,12 +120,6 @@ def test_lexmin_lp_rows_are_the_reference_slice_system(monkeypatch):
             assert senses == [">="] * len(rhs)
             assert objective == [costs[j] - costs[j + 1] for j in range(n - 1)]
     assert wrapping >= 150, wrapping
-
-
-def test_slice_rejects_fractional_sum():
-    m = circulant_matrix(5, 2)
-    with pytest.raises(BadParameters):
-        solve_slice(m, [1] * 5, [1] * 5, F(5, 2))
 
 
 def test_unit_optimum_is_cover_number():
@@ -181,7 +176,7 @@ def test_tampered_slice_certificate_raises(monkeypatch):
     module = sys.modules["circover.optimize"]
     m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
     flow, y = module._slice_flow(module._slice_graph(m, b, 3), w + [0] * 7)
-    assert solve_slice(m, b, w, 3).value == 4
+    assert solve_slice(m, b, w, 3, cold_flow(m, w)).value == 4
     for cert in (flow, y):
         for at in range(len(cert)):
             for delta in (1, -1):
@@ -190,56 +185,65 @@ def test_tampered_slice_certificate_raises(monkeypatch):
                 cert[at] -= delta
                 monkeypatch.setattr(module, "_slice_flow", lambda *args: tampered)
                 with pytest.raises(CertificateError):
-                    solve_slice(m, b, w, 3)
+                    solve_slice(m, b, w, 3, cold_flow(m, w))
 
 
 def test_slice_from_a_start_flow():
     """A probe started from another sum's optimal flow has the cold
     probe's value, and the flow it ends on takes no part in equality."""
     m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
-    start = solve_slice(m, b, w, 3).flow
+    start = solve_slice(m, b, w, 3, cold_flow(m, w)).flow
     assert len(start) == 12 and min(start) >= 0
     for beta in range(3, 11):
-        warm = solve_slice(m, b, w, beta, start=start)
-        assert warm.value == solve_slice(m, b, w, beta).value, beta
+        warm = solve_slice(m, b, w, beta, start)
+        assert warm.value == solve_slice(m, b, w, beta, cold_flow(m, w)).value, beta
         assert warm.flow is not None
-    assert solve_slice(m, b, w, 2, start=start) is None
-    assert SliceSolution(3, F(4), (1, 0, 1, 0, 1)) == SliceSolution(3, F(4), (1, 0, 1, 0, 1), (1,))
-
-
-def test_slice_rejects_a_bad_start():
-    """A start that is not one non-negative int per slice arc with the
-    weights' net inflows is BadParameters, never a CertificateError."""
-    m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
-    good = list(solve_slice(m, b, w, 3).flow)
-    moved = list(good)
-    moved[0] += 1
-    for bad in (good[:-1], good + [0], [-1] + good[1:], [True] + good[1:],
-                [float(good[0])] + good[1:], [F(good[0])] + good[1:], moved,
-                iter(good), "0" * 12, solve_slice(m, b, [1] * 5, 3).flow):
-        with pytest.raises(BadParameters):
-            solve_slice(m, b, w, 4, start=bad)
+    assert solve_slice(m, b, w, 2, start) is None
+    assert SliceSolution(3, 4, (1, 0, 1, 0, 1)) == SliceSolution(3, 4, (1, 0, 1, 0, 1), (1,))
 
 
 def test_optimize_starts_each_probe_from_the_last_flow(monkeypatch):
     """Every probe goes through the module's `solve_slice`; the first starts
-    cold, each later one from the flow of the last non-empty probe."""
+    from the cold flow, each later one from the flow of the last non-empty
+    probe."""
     module = sys.modules["circover.optimize"]
     probes = []
 
-    def recording(*args, start=None):
-        probes.append((start, solve_slice(*args, start=start)))
+    def recording(*args):
+        probes.append((args[-1], solve_slice(*args)))
         return probes[-1][1]
 
     monkeypatch.setattr(module, "solve_slice", recording)
-    res = optimize(circulant_matrix(7, 3), [2, 1, 2, 1, 2, 1, 1], [3, 1, 2, 0, 2, 5, 1])
+    m, w = circulant_matrix(7, 3), [3, 1, 2, 0, 2, 5, 1]
+    res = optimize(m, [2, 1, 2, 1, 2, 1, 1], w)
     assert len(probes) == len(res.slices) >= 4
     assert any(found is None for _, found in probes)
-    last = None
+    assert probes[0][0] == cold_flow(m, w)
+    last = probes[0][0]
     for start, found in probes:
         assert start is last
         if found is not None:
             last = found.flow
+
+
+def test_optimize_checks_and_scales_once(monkeypatch):
+    """One `optimize` call checks the demands and the weights and scales
+    the weights to ints once each, however many sums it probes."""
+    module = sys.modules["circover.optimize"]
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("check_demands", "check_weights", "scaled_to_integers"):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    res = optimize(circulant_matrix(7, 3), [2, 1, 2, 1, 2, 1, 1],
+                   [3, F(1, 2), 2, 0, F(2, 3), 5, 1])
+    assert len(res.slices) >= 4
+    assert calls == {"check_demands": 1, "check_weights": 1, "scaled_to_integers": 1}
 
 
 def test_weighted_pentagon():
