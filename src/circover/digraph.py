@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BadParameters, CertificateError, NotClosedPath
-from .matrices import CircularMatrix, check_positive_int
+from .matrices import CircularMatrix, check_int, check_positive_int
 
 FORWARD_ROW = "forward-row"
 FORWARD_SHORT = "forward-short"
@@ -315,7 +315,8 @@ def enumerate_circuits(
 
     The DFS walks a per-node adjacency built here from `digraph.arcs`, in
     the global arc order. min_winding filters on the winding number at
-    emission time (the search itself is not pruned by it). forbid_kinds
+    emission time (the search itself is not pruned by it); one that is not
+    None or an int raises BadParameters. forbid_kinds
     drops whole arc kinds from that adjacency before searching. Hitting
     max_count stops the search and flags the result incomplete instead of
     raising; a max_count that is not an int of at least 1 raises
@@ -323,6 +324,8 @@ def enumerate_circuits(
     """
     if max_count is not None:
         check_positive_int(max_count, "max_count")
+    if min_winding is not None:
+        check_int(min_winding, "min_winding")
     for k in forbid_kinds:
         if k not in ARC_KINDS:
             raise BadParameters(f"unknown arc kind {k!r}")

@@ -112,6 +112,8 @@ def make_inequality(coeffs, rhs, kind, witness=None, *, reduce=True) -> LinearIn
 
 
 def nonnegativity(n: int) -> list[LinearInequality]:
+    """x_j >= 0 for each of n columns; BadParameters unless n is an int >= 1."""
+    check_positive_int(n, "n")
     return [
         make_inequality([int(t == j) for t in range(n)], 0, "nonneg")
         for j in range(n)

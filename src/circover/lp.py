@@ -1,11 +1,19 @@
 """Linear minimization by a two-phase tableau simplex over exact rationals.
 
-Small, deterministic, and boring on purpose: Bland's rule everywhere (lowest
-eligible column enters; ratio ties leave by lowest basic variable index), so
-the solver cannot cycle and always returns the same vertex for the same
-input. A caller that maximizes negates the objective. All variables are
-implicitly >= 0; senses are per-row strings "<=", ">=", "==". Every entry
-is an int or a Fraction; anything else is BadParameters.
+`solve_lp(objective, rows, rhs)` minimizes objective . x subject to
+rows . x >= rhs and x >= 0, the covering shape of every LP in the package.
+A caller that maximizes negates the objective; an upper bound a . x <= b
+is the row -a . x >= -b. Every entry is an int or a Fraction; anything
+else is BadParameters. Bland's rule runs everywhere (lowest eligible column
+enters; ratio ties leave by lowest basic variable index), so the solver
+cannot cycle and always returns the same vertex for the same input.
+
+Row i has slack column nvars + i, in one of two shapes. A row with a
+negative right-hand side is negated; its slack enters with +1 and starts
+basic. Every other row gets a surplus -1 and a phase-1 artificial, numbered
+after the nvars + m stored columns in row order. The stored columns [A', D]
+(D diagonal, +-1) have full row rank, so an artificial left basic at zero
+after phase 1 always has a nonzero stored column in its row to leave on.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968). Every row, and
 the cost row, holds Python ints over one common positive denominator d. The
@@ -20,21 +28,15 @@ nonzero columns change, and a row with f = 0 is left as it is. A totally
 unimodular system keeps d = 1 and every pivot +-1, and runs as plain int
 elimination.
 
-Phase 1 gives each ">=" and "==" row an artificial variable, numbered
-after the structural and slack variables in row order, but stores a column
-only for the "==" rows. A ">=" row's artificial has the unit column e_i
-and its surplus -e_i, so in every basis d B^-1 A_art = -d B^-1 A_surplus:
-the artificial's column is the negated surplus column. Its phase-1 cost is
-1 and the surplus's 0, so its reduced cost is d - (the surplus's reduced
-cost). Both identities hold in every basis, so no pivot breaks them (after
-a pivot on p the two cost entries sum to p, the new d). The entering scan
-reads the stored columns, then the artificials in order with their derived
-costs; when a ">=" artificial enters, the ratio test and the pivot read the
-negated surplus column, and the basis records the artificial's number.
-Every sign, ratio and tie-break is then that of the tableau with all
-artificial columns stored, so Bland's rule makes the same pivots and
-returns the same vertex, on n + m columns instead of n + 2m when every row
-is ">=".
+No artificial column is stored. A row's artificial has the unit column e_i
+and its surplus -e_i, so in every basis its tableau column is the negated
+surplus column; with phase-1 costs 1 and 0 its reduced cost is d minus the
+surplus's (after a pivot on p the two sum to p, the new d). The entering
+scan reads the stored columns, then the artificials in row order with those
+derived costs; an entering artificial's ratio test and pivot read the
+negated surplus column. Every sign, ratio and tie-break is that of the
+tableau with the artificial columns stored, so Bland's rule makes the same
+pivots on n + m columns instead of n + 2m.
 
 Bland's rule reads only signs (of reduced costs and pivot-column entries)
 and ratio comparisons, made by cross-multiplication; one positive
@@ -54,8 +56,6 @@ from operator import mul
 
 from .errors import BadParameters, CertificateError
 from .rationals import scaled_to_integers
-
-SENSES = ("<=", ">=", "==")
 
 
 @dataclass
@@ -82,8 +82,9 @@ def _eliminate(row, f, p, pr, pairs, d):
 def _pivot(tab, cost, basis, prow, enter, d, arts):
     """Pivot variable `enter` into row prow of a tableau over denominator d;
     returns the new denominator. `arts` maps each phase-1 artificial label
-    to its (stored column, sign); every other label is its own column."""
-    col, sign = arts.get(enter, (enter, 1))
+    to its row's surplus column, which the artificial's column negates;
+    every other label is its own column."""
+    col, sign = (arts[enter], -1) if enter in arts else (enter, 1)
     pr = tab[prow]
     if sign * pr[col] < 0:
         for j, v in enumerate(pr):
@@ -129,14 +130,15 @@ def _run_simplex(tab, cost, basis, d, ncols, arts):
                 col, sign = enter, 1
                 break
         else:
-            for enter, (col, sign) in arts.items():
-                if (cost[col] if sign > 0 else d - cost[col]) < 0:
+            for enter, col in arts.items():
+                if d - cost[col] < 0:
+                    sign = -1
                     break
             else:
                 return "optimal", d
         leave = None
         for r, row in enumerate(tab):
-            a = row[col] if sign > 0 else -row[col]
+            a = sign * row[col]
             if a > 0:
                 # row[-1] / a against the best ratio num / den, cross-multiplied
                 if leave is not None:
@@ -149,87 +151,49 @@ def _run_simplex(tab, cost, basis, d, ncols, arts):
         d = _pivot(tab, cost, basis, leave, enter, d, arts)
 
 
-def solve_lp(objective, rows, senses, rhs) -> LPResult:
-    """Minimize objective . x subject to rows[i] . x (sense_i) rhs_i, x >= 0."""
-    nvars = len(objective)
-    if not (len(rows) == len(senses) == len(rhs)):
-        raise BadParameters("rows, senses, rhs must have equal length")
-    for s in senses:
-        if s not in SENSES:
-            raise BadParameters(f"unknown sense {s!r}")
-    for row in rows:
-        if len(row) != nvars:
-            raise BadParameters("constraint row of wrong length")
+def solve_lp(objective, rows, rhs) -> LPResult:
+    """Minimize objective . x subject to rows[i] . x >= rhs[i], x >= 0."""
+    if not all(isinstance(v, (list, tuple)) for v in (objective, rows, rhs)):
+        raise BadParameters("objective, rows and rhs must be lists or tuples")
+    nvars, nrows = len(objective), len(rows)
+    if len(rhs) != nrows or not all(
+            isinstance(row, (list, tuple)) and len(row) == nvars for row in rows):
+        raise BadParameters(f"need {nrows} right-hand sides and rows as lists of {nvars} entries")
     obj_scale, obj = scaled_to_integers(objective)
     # one scale for every row and right-hand side keeps Bland's choices
-    flat = [v for row in rows for v in row] + list(rhs)
-    flat = scaled_to_integers(flat)[1]
+    flat = scaled_to_integers([v for row in rows for v in row] + list(rhs))[1]
 
-    work = []
-    for i, s in enumerate(senses):
-        coeffs = flat[i * nvars:(i + 1) * nvars]
-        b = flat[len(rows) * nvars + i]
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-            s = {"<=": ">=", ">=": "<=", "==": "=="}[s]
-        work.append((coeffs, s, b))
-
-    nslack = sum(1 for _, s, _ in work if s != "==")
-    art_base = nvars + nslack
-    width = art_base + sum(1 for _, s, _ in work if s == "==")
-
-    # the artificial of the i-th row without "<=" is variable art_base + i:
-    # a ">=" row's column is its negated surplus column, an "==" row's is
-    # stored past art_base
+    # row i: slack nvars + i, basic if negated, else a surplus under an artificial
+    art_base = nvars + nrows
     tab, basis, arts = [], [], {}
-    si, ei = nvars, art_base  # next slack and stored artificial columns
-    for coeffs, s, b in work:
-        row = coeffs + [0] * (width - nvars) + [b]
-        if s == "<=":
-            row[si] = 1
-            basis.append(si)
-            si += 1
+    for i in range(nrows):
+        row = flat[i * nvars:(i + 1) * nvars] + [0] * nrows + [flat[nrows * nvars + i]]
+        if row[-1] < 0:
+            row = [-v for v in row]
+            row[nvars + i] = 1
+            basis.append(nvars + i)
         else:
-            label = art_base + len(arts)
-            if s == ">=":
-                row[si] = -1
-                arts[label] = (si, -1)
-                si += 1
-            else:
-                row[ei] = 1
-                arts[label] = (ei, 1)
-                ei += 1
-            basis.append(label)
+            row[nvars + i] = -1
+            basis.append(art_base + len(arts))
+            arts[basis[-1]] = nvars + i
         tab.append(row)
 
     d = 1
     if arts:
-        # phase-1 costs: 1 on each artificial, 0 on every other variable
-        c1 = [0] * art_base + [1] * (width - art_base)
-        cost = _reduced_costs(tab, [int(b >= art_base) for b in basis], c1, d)
+        # phase-1 costs: 1 on each artificial, 0 on every stored column
+        cost = _reduced_costs(tab, [int(b >= art_base) for b in basis], [0] * art_base, d)
         status, d = _run_simplex(tab, cost, basis, d, art_base, arts)
         if status != "optimal":
             raise CertificateError("phase 1 came back unbounded")
         if cost[-1] != 0:  # cost[-1] holds -d * (current value)
             return LPResult("infeasible", None, None)
-        # pivot artificials out of the basis, dropping redundant rows
-        keep = []
-        for r in range(len(tab)):
-            if basis[r] < art_base:
-                keep.append(r)
-                continue
-            pcol = next(
-                (j for j in range(art_base) if tab[r][j] != 0), None
-            )
-            if pcol is None:
-                continue  # zero row, redundant constraint
-            d = _pivot(tab, cost, basis, r, pcol, d, arts)
-            keep.append(r)
-        tab = [tab[r][:art_base] + [tab[r][-1]] for r in keep]
-        basis = [basis[r] for r in keep]
+        # full row rank: an artificial basic at zero has a stored column to leave on
+        for r, row in enumerate(tab):
+            if basis[r] >= art_base:
+                pcol = next(j for j in range(art_base) if row[j])
+                d = _pivot(tab, cost, basis, r, pcol, d, arts)
 
-    c = obj + [0] * nslack
+    c = obj + [0] * nrows
     cost = _reduced_costs(tab, [c[b] for b in basis], c, d)
     status, d = _run_simplex(tab, cost, basis, d, art_base, {})
     if status == "unbounded":

@@ -44,7 +44,10 @@ def norm_col(j: int, n: int) -> int:
 
 
 def cover_number(order: int, window: int) -> int:
-    """Minimum cover size of the circulant (order, window): ceil(order/window)."""
+    """Minimum cover size of the circulant (order, window): ceil(order/window).
+    BadParameters unless order is an int and window an int of at least 1."""
+    check_int(order, "order")
+    check_positive_int(window, "window")
     return -(-order // window)
 
 
@@ -113,7 +116,7 @@ class CircularMatrix:
         return self._dominating
 
 
-def _check_int(value, what: str) -> None:
+def check_int(value, what: str) -> None:
     """BadParameters unless value is exactly an int, so not a bool."""
     if type(value) is not int:
         raise BadParameters(f"{what} must be an integer, got {value!r}")
@@ -127,7 +130,7 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
     an empty row list, a row that is not a pair (tuple or list), or an n,
     start or length that is not an int.
     """
-    _check_int(n, "n")
+    check_int(n, "n")
     if n < 3:
         raise BoundViolation(f"need n >= 3 columns, got {n}")
     if not rows:
@@ -153,7 +156,7 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
 
 def circulant_matrix(order: int, window: int) -> CircularMatrix:
     """The circulant (order, window); `circular_matrix` checks the bounds."""
-    _check_int(order, "n")
+    check_int(order, "n")
     return circular_matrix(order, [(i, window) for i in range(1, order + 1)])
 
 
@@ -177,7 +180,7 @@ def circulant_isomorphic(matrix: CircularMatrix, removed: Iterable[int]) -> tupl
     n = matrix.n
     gone = 0
     for j in removed:
-        _check_int(j, "a removed column")
+        check_int(j, "a removed column")
         if not 1 <= j <= n:
             raise BoundViolation(f"column {j} outside 1..{n}")
         gone |= 1 << (j - 1)
@@ -198,10 +201,10 @@ def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) 
     NotInterval when the set is not contiguous on the cycle or misses
     `must_contain`, BadParameters for an n or a node that is not an int.
     """
-    _check_int(n, "n")
+    check_int(n, "n")
     found = set()
     for j in nodes:
-        _check_int(j, "a node")
+        check_int(j, "a node")
         if not 1 <= j <= n:
             raise BoundViolation(f"node {j} outside 1..{n}")
         found.add(j)
@@ -224,8 +227,11 @@ def neighborhood_matrix(neighborhoods: Sequence[Iterable[int]]) -> CircularMatri
     neighborhoods[v-1] must be a circular interval of 1..n containing v,
     with 2 <= size <= n-1 (NotInterval / BoundViolation otherwise). Row v of
     the result is that interval, so covering it with multiplicities solves
-    domination problems on the underlying graph.
+    domination problems on the underlying graph. A layout that is not a
+    list or tuple is BadParameters.
     """
+    if not isinstance(neighborhoods, (list, tuple)):
+        raise BadParameters(f"neighborhoods must be a list, got {type(neighborhoods).__name__}")
     n = len(neighborhoods)
     if n < 3:
         raise BoundViolation(f"need at least 3 nodes, got {n}")
@@ -239,8 +245,8 @@ def neighborhood_matrix(neighborhoods: Sequence[Iterable[int]]) -> CircularMatri
 def web_neighborhoods(n: int, radius: int) -> list[list[int]]:
     """Closed neighborhoods of the web graph on n nodes (distance <= radius);
     BadParameters for an n or radius that is not an int."""
-    _check_int(n, "n")
-    _check_int(radius, "the web radius")
+    check_int(n, "n")
+    check_int(radius, "the web radius")
     if radius < 1 or 2 * radius + 1 > n - 1:
         raise BoundViolation(f"web radius {radius} does not fit on {n} nodes")
     return [
@@ -264,7 +270,7 @@ def check_demands(matrix: CircularMatrix, demands) -> tuple[int, ...]:
 
 def check_positive_int(value, what: str) -> int:
     """A cap, budget or demand level: an int, not a bool, of at least 1."""
-    _check_int(value, what)
+    check_int(value, what)
     if value < 1:
         raise BadParameters(f"{what} must be at least 1, got {value}")
     return value

@@ -209,7 +209,7 @@ def _lexmin_vertex(matrix: CircularMatrix, demands, costs, beta: int) -> tuple[i
         rows.append(row[1:n])
         rhs.append(lengths[a] - beta * row[n])
     objective = [costs[j] - costs[j + 1] for j in range(n - 1)]
-    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
+    res = solve_lp(objective, rows, rhs)
     if res.status != "optimal":
         raise CertificateError(f"the lexmin LP at sum {beta} came back {res.status}")
     return _slice_point(matrix, demands, [0, *res.point, beta], beta)

@@ -171,11 +171,10 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
         point = tuple([Fraction(top) for _ in range(n)])
         return CutLoopResult(Fraction(0), point, ())
     rows = [matrix.row_vector(i) for i in range(1, m + 1)]
-    senses = [">="] * m
     rhs = list(demands)
     steps: list[CutLoopStep] = []
     for _ in range(max_rounds):
-        res = solve_lp(w, rows, senses, rhs)
+        res = solve_lp(w, rows, rhs)
         if res.status != "optimal":
             raise CertificateError(f"covering relaxation came back {res.status}")
         sep = separate(matrix, demands, res.point)
@@ -184,6 +183,5 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
             return CutLoopResult(res.value, res.point, tuple(steps))
         steps.append(CutLoopStep(res.point, res.value, sep.inequality, sep.certificate))
         rows.append(sep.inequality.coeffs)
-        senses.append(">=")
         rhs.append(sep.inequality.rhs)
     raise IterationLimit(f"no convergence within {max_rounds} rounds")

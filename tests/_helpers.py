@@ -871,22 +871,20 @@ def recording(log, implicit=None):
     entering variable, tableau rows then the cost row, every entry divided
     by the new common denominator) to log. In phase 1 the rows and the cost
     row are rebuilt in the layout of `fraction_solve_lp`, one column per
-    artificial: a ">=" row's artificial is its negated surplus column, with
+    artificial: a row's artificial is its negated surplus column, with
     reduced cost d minus the surplus's. With a list `implicit`, appends each
-    such artificial that enters."""
+    artificial that enters."""
     from circover import lp
 
     pivot = lp._pivot
 
     def record(tab, cost, basis, prow, enter, d, arts):
-        if implicit is not None and arts.get(enter, (enter, 1))[1] < 0:
+        if implicit is not None and enter in arts:
             implicit.append(enter)
         d = pivot(tab, cost, basis, prow, enter, d, arts)
         base = next(iter(arts), len(cost) - 1)  # the first artificial label
-        rows = [[*row[:base], *(sign * row[j] for j, sign in arts.values()), row[-1]]
-                for row in tab]
-        costs = [*cost[:base], *(cost[j] if sign > 0 else d - cost[j]
-                                 for j, sign in arts.values()), cost[-1]]
+        rows = [[*row[:base], *(-row[j] for j in arts.values()), row[-1]] for row in tab]
+        costs = [*cost[:base], *(d - cost[j] for j in arts.values()), cost[-1]]
         log.append((prow, enter, [[Fraction(v, d) for v in row] for row in [*rows, costs]]))
         return d
     return record
@@ -921,7 +919,7 @@ def lp_solve_slice(matrix, demands, c, beta):
 
     rows, rhs = _slice_system(matrix, demands, beta)
     objective = [c[j] - c[j + 1] for j in range(matrix.n - 1)]
-    res = solve_lp(objective, rows, [">="] * len(rows), rhs)
+    res = solve_lp(objective, rows, rhs)
     if res.status == "infeasible":
         return None
     if res.status != "optimal":
@@ -983,8 +981,10 @@ def membership(point, covers) -> bool:
     x = parse_rational_vector(point)
     if len(x) != len(covers[0]):
         raise BadParameters(f"{len(x)} entries for covers of {len(covers[0])} columns")
-    rows = [[1] * len(covers)] + [list(column) for column in zip(*covers)]
-    res = solve_lp([0] * len(covers), rows, ["=="] + ["<="] * len(x), [1, *x])
+    # sum lambda = 1 as a pair of >= rows, cover_j . lambda <= x_j negated
+    rows = [[1] * len(covers), [-1] * len(covers)]
+    rows += [[-v for v in column] for column in zip(*covers)]
+    res = solve_lp([0] * len(covers), rows, [1, -1, *[-v for v in x]])
     return res.status == "optimal"
 
 

@@ -170,8 +170,7 @@ def _sampler(matrix, demands):
     leave the relaxation and are simply discarded by the caller.
     """
     rows = [matrix.row_vector(i) for i in range(1, matrix.m + 1)]
-    senses = [">="] * matrix.m
-    base = solve_lp([1] * matrix.n, rows, senses, demands).point
+    base = solve_lp([1] * matrix.n, rows, demands).point
 
     def sample(rng, covers):
         n = matrix.n
@@ -194,7 +193,7 @@ def _sampler(matrix, demands):
             x = [lam * v + (1 - lam) * u for v, u in zip(base, x)]
         elif move < 0.95:
             obj = [rng.randint(1, 9) for _ in range(n)]
-            vert = solve_lp(obj, rows, senses, demands).point
+            vert = solve_lp(obj, rows, demands).point
             lam = F(rng.randint(1, 4), 4)
             x = [lam * v + (1 - lam) * u for v, u in zip(vert, x)]
         return x
@@ -363,7 +362,7 @@ def test_acceptance_8_structural_invariants(acceptance):
         # restricted digraph finds exactly the negative minima of the full one
         covers = enumerate_minimal_covers(m, b)
         rows = [m.row_vector(i) for i in range(1, m.m + 1)]
-        vert = solve_lp([1] * n, rows, [">="] * m.m, b).point
+        vert = solve_lp([1] * n, rows, b).point
         pts = [[F(1, 2)] * n, list(vert)]
         for _ in range(2):
             cv = covers[rng.randrange(len(covers))]

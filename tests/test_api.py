@@ -19,6 +19,7 @@ from circover import (
     circuit_inequality,
     circulant_matrix,
     circular_matrix,
+    cover_number,
     cut_loop,
     domination_solve,
     enumerate_candidates_general,
@@ -29,6 +30,8 @@ from circover import (
     homogeneous_circuit_inequality,
     hull_facets,
     make_inequality,
+    neighborhood_matrix,
+    nonnegativity,
     optimize,
     row_inequalities,
     separate,
@@ -69,7 +72,7 @@ ENTRY_POINTS = {
         ("bw", lambda b, w, x, a: domination_solve(TWINS, _drop_last(w), _drop_last(b))),
     "check_facet": ("a", lambda b, w, x, a: check_facet(make_inequality(a, 2, "test"), COVERS)),
     # the weights as the objective of the covering LP
-    "solve_lp": ("w", lambda b, w, x, a: solve_lp(w, PENTAGON_ROWS, [">="] * 5, [1] * 5)),
+    "solve_lp": ("w", lambda b, w, x, a: solve_lp(w, PENTAGON_ROWS, [1] * 5)),
 }
 
 BAD_INPUTS = {
@@ -166,6 +169,39 @@ def test_circular_matrix_rejects_a_malformed_row(rows):
     shape, never the ValueError or TypeError of unpacking it."""
     with pytest.raises(BadParameters, match="a row must be two integers"):
         circular_matrix(5, rows)
+
+
+# helpers outside the entry points: (call, the name the message starts with)
+HELPER_ARGUMENTS = {
+    "cover_number zero window": (lambda: cover_number(5, 0), "window"),
+    "cover_number string order": (lambda: cover_number("5", 2), "order"),
+    "nonnegativity string": (lambda: nonnegativity("5"), "n"),
+    "neighborhood_matrix None": (lambda: neighborhood_matrix(None), "neighborhoods"),
+    "min_winding string": (lambda: enumerate_circuits(build_digraph(PENTAGON), min_winding="2"),
+                           "min_winding"),
+    "min_winding float": (lambda: enumerate_circuits(build_digraph(PENTAGON), min_winding=1.5),
+                          "min_winding"),
+    "min_winding bool": (lambda: enumerate_circuits(build_digraph(PENTAGON), min_winding=True),
+                         "min_winding"),
+}
+
+
+@pytest.mark.parametrize("call,name", HELPER_ARGUMENTS.values(), ids=HELPER_ARGUMENTS)
+def test_helpers_reject_a_malformed_argument(call, name):
+    """BadParameters, never the ZeroDivisionError or TypeError of using the
+    argument, and never a float or bool taken for an int."""
+    with pytest.raises(BadParameters, match=f"^{name} must be"):
+        call()
+
+
+def test_min_winding_none_filters_nothing():
+    """None keeps every winding; any int, negative or zero too, filters."""
+    digraph = build_digraph(PENTAGON)
+    everything = enumerate_circuits(digraph, min_winding=None).circuits
+    assert everything == enumerate_circuits(digraph).circuits
+    assert {c.winding for c in everything} == {-2, -1, 0, 1, 2}
+    kept = enumerate_circuits(digraph, min_winding=0).circuits
+    assert kept == tuple([c for c in everything if c.winding >= 0])
 
 
 def test_every_entry_point_accepts_good_input():

@@ -233,8 +233,8 @@ def test_cut_loop_replays_the_fraction_simplex(monkeypatch):
             patch.setattr(lp, "_pivot", recording(log))
             result = cut_loop(m, b, w)
         with monkeypatch.context() as patch:
-            patch.setattr(separation, "solve_lp",
-                          lambda *args: fraction_solve_lp(*args, log=ref_log))
+            patch.setattr(separation, "solve_lp", lambda w, rows, rhs: fraction_solve_lp(
+                w, rows, [">="] * len(rows), rhs, log=ref_log))
             ref = cut_loop(m, b, w)
         assert result == ref, (m, b, w)
         assert [(r, c, tab[:-1]) for r, c, tab in log] == \
