@@ -24,7 +24,6 @@ from .errors import (
     NonpositiveWinding,
     NotClosedPath,
     NotInterval,
-    RedundantInequality,
     ReverseRowArcPresent,
 )
 from .rationals import (
@@ -82,7 +81,6 @@ from .inequalities import (
     enumerate_circulant_minors,
     enumerate_facet_candidates,
     extract_minor,
-    homogeneous_circuit_inequality,
     make_inequality,
     nonnegativity,
     row_inequalities,

@@ -43,10 +43,6 @@ class NonpositiveWinding(CircoverError):
     """A closed path winds zero or negative times, no inequality exists."""
 
 
-class RedundantInequality(CircoverError):
-    """The requested inequality is degenerate (never facet-inducing)."""
-
-
 class BadParameters(CircoverError):
     """Parameters are structurally invalid for the requested operation."""
 

@@ -8,9 +8,11 @@ beta = floor(t/p) and remainder r = t - beta*p, the inequality reads
     sum_j (reverse_jumps(j) + r) * x_j  >=  r*(beta+1) + reverse_row_demand.
 
 With homogeneous demands alpha per row the reverse-row-free digraph
-suffices, and on a circuit the coefficients collapse to two values: r+1 on
-crosses (columns whose backward short arc lies on the circuit), r elsewhere,
-with right-hand side r*ceil(alpha*s/p) for s forward row arcs.
+suffices, and there `circuit_inequality` takes two values. A circuit with
+s forward row arcs and no reverse row arc has t = alpha*s, and its only
+reverse arcs are the backward short arcs of its crosses, so the
+coefficients are r+1 on crosses and r elsewhere, with right-hand side
+r*(floor(alpha*s/p) + 1) = r*ceil(alpha*s/p) when r > 0.
 `enumerate_facet_candidates` takes any demand vector: one level alpha >= 1
 on a matrix without dominating rows gets that two-valued family, every
 other instance the circuit inequalities of the full digraph.
@@ -42,7 +44,6 @@ from .errors import (
     CertificateError,
     NoEssentialBullets,
     NonpositiveWinding,
-    RedundantInequality,
     ReverseRowArcPresent,
 )
 from .matrices import (
@@ -98,6 +99,8 @@ class LinearInequality:
 
 
 def make_inequality(coeffs, rhs, kind, witness=None, *, reduce=True) -> LinearInequality:
+    if not isinstance(coeffs, (list, tuple)):
+        raise BadParameters(f"coeffs must be a list, got {type(coeffs).__name__}")
     out = []
     for c in coeffs:
         ci = int(c)
@@ -146,11 +149,12 @@ def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> Lin
     t = t_plus - t_minus
     beta = t // p
     r = t - beta * p
-    reverse_masks = [a.jump_mask for a in path.arcs if not a.is_forward]
-    coeffs = [
-        sum(mask >> (j - 1) & 1 for mask in reverse_masks) + r
-        for j in range(1, matrix.n + 1)
-    ]
+    coeffs = [r] * matrix.n
+    for a in path.arcs:
+        mask = 0 if a.is_forward else a.jump_mask
+        while mask:  # one step per column the reverse arc jumps
+            coeffs[(mask & -mask).bit_length() - 1] += 1
+            mask &= mask - 1
     rhs = r * (beta + 1) + t_minus
     witness = {
         "winding": p,
@@ -195,39 +199,6 @@ def classify_nodes(path: ClosedPath, n: int) -> NodeClasses:
         bullets,
         bullets & path.nodes,
     )
-
-
-def homogeneous_circuit_inequality(
-    matrix: CircularMatrix, path: ClosedPath, alpha: int = 1
-) -> LinearInequality:
-    """Two-valued form of the circuit inequality for demands alpha per row.
-
-    Coefficient r+1 on crosses, r elsewhere, right-hand side
-    r*ceil(alpha*s/p). Raises RedundantInequality when p < 2 or p divides
-    alpha*s (those are never facets).
-    """
-    check_positive_int(alpha, "alpha")
-    classes = classify_nodes(path, matrix.n)
-    p = path.winding
-    s = len(path.row_indices(forward=True))
-    if p < 2:
-        raise RedundantInequality(f"winding {p} < 2")
-    if (alpha * s) % p == 0:
-        raise RedundantInequality(f"winding {p} divides total demand {alpha * s}")
-    r = alpha * s - p * ((alpha * s) // p)
-    coeffs = [
-        r + 1 if j in classes.crosses else r for j in range(1, matrix.n + 1)
-    ]
-    rhs = r * cover_number(alpha * s, p)
-    witness = {
-        "winding": p,
-        "rows": sorted(path.row_indices(forward=True)),
-        "remainder": r,
-        "crosses": sorted(classes.crosses),
-        "circles": sorted(classes.circles),
-        "circuit": path.descriptor(),
-    }
-    return make_inequality(coeffs, rhs, "circuit", witness, reduce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +560,13 @@ def enumerate_facet_candidates(
     Non-negativity and row inequalities, the full-support inequality at the
     exact cover number, and circuit inequalities. When every row demands
     the same alpha >= 1 and no row dominates another, the circuits come
-    from the reverse-row-free digraph in their two-valued form: on
-    circulants, circuits without forward short arcs; on general matrices,
-    bad-row-free circuits for alpha = 1 and all circuits for alpha >= 2.
-    Cross-free circuits only reproduce (scaled, weaker) full-support
-    inequalities, so they are dropped in favor of the exact one. Every
-    other demand vector or matrix gets `enumerate_candidates_general`.
+    from the reverse-row-free digraph, where `circuit_inequality` is
+    two-valued: on circulants, circuits without forward short arcs; on
+    general matrices, bad-row-free circuits for alpha = 1 and all circuits
+    for alpha >= 2. Cross-free circuits only reproduce (scaled, weaker)
+    full-support inequalities, so they are dropped in favor of the exact
+    one, and so are redundant ones (remainder 0). Every other demand vector
+    or matrix gets `enumerate_candidates_general`.
     """
     demands = check_demands(matrix, demands)
     if max_circuits is not None:
@@ -614,13 +586,14 @@ def enumerate_facet_candidates(
         tau = optimize(matrix, demands, (1,) * matrix.n).beta
 
     def rule(path):
-        if not classify_nodes(path, matrix.n).crosses:
+        if not any(a.kind == REVERSE_SHORT for a in path.arcs):
             return None
-        if (alpha * len(path.row_indices(forward=True))) % path.winding == 0:
+        ineq = circuit_inequality(matrix, demands, path)
+        if ineq.witness["redundant"]:
             return None
         if alpha == 1 and window is None and bad_arcs(matrix, path):
             return None
-        return homogeneous_circuit_inequality(matrix, path, alpha)
+        return ineq
 
     return _candidates(matrix, demands, tau, enum, rule)
 

@@ -46,7 +46,8 @@ def _dumps_indented(payload) -> str:
 
 
 def load_instance(data) -> Instance:
-    """Decode an instance object; Instance itself validates b and w."""
+    """Decode an instance object; `circular_matrix` validates n and the
+    rows, Instance b and w."""
     if not isinstance(data, dict):
         raise BadParameters("instance must be a JSON object")
     try:
@@ -54,17 +55,9 @@ def load_instance(data) -> Instance:
         raw_rows = data["rows"]
     except KeyError as exc:
         raise BadParameters(f"instance is missing {exc.args[0]!r}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise BadParameters(f"n must be an integer, got {n!r}")
     if not isinstance(raw_rows, list) or not raw_rows:
         raise BadParameters("rows must be a non-empty array")
-    rows = []
-    for entry in raw_rows:
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)):
-            raise BadParameters(f"each row must be [start, length], got {entry!r}")
-        rows.append((entry[0], entry[1]))
-    matrix = circular_matrix(n, rows)
+    matrix = circular_matrix(n, raw_rows)
     demands = data.get("b")
     if demands is None:
         demands = [1] * matrix.m

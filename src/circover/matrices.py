@@ -199,9 +199,12 @@ def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) 
 
     Raises BoundViolation for nodes outside 1..n or a size outside [2, n-1],
     NotInterval when the set is not contiguous on the cycle or misses
-    `must_contain`, BadParameters for an n or a node that is not an int.
+    `must_contain`, BadParameters for an n or a node that is not an int or
+    nodes that are not iterable.
     """
     check_int(n, "n")
+    if not isinstance(nodes, Iterable):
+        raise BadParameters(f"nodes must be iterable, got {type(nodes).__name__}")
     found = set()
     for j in nodes:
         check_int(j, "a node")
@@ -221,25 +224,26 @@ def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) 
     return starts[0], len(found)
 
 
-def neighborhood_matrix(neighborhoods: Sequence[Iterable[int]]) -> CircularMatrix:
-    """Build the closed-neighborhood matrix of a circular interval layout.
-
-    neighborhoods[v-1] must be a circular interval of 1..n containing v,
-    with 2 <= size <= n-1 (NotInterval / BoundViolation otherwise). Row v of
-    the result is that interval, so covering it with multiplicities solves
-    domination problems on the underlying graph. A layout that is not a
-    list or tuple is BadParameters.
-    """
+def neighborhood_rows(neighborhoods: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
+    """Row v of a circular interval layout: neighborhoods[v-1] as a
+    circular interval of 1..n containing v, with 2 <= size <= n-1
+    (NotInterval / BoundViolation otherwise, see `interval_row`). A layout
+    that is not a list or tuple is BadParameters, one of fewer than 3
+    nodes BoundViolation."""
     if not isinstance(neighborhoods, (list, tuple)):
         raise BadParameters(f"neighborhoods must be a list, got {type(neighborhoods).__name__}")
     n = len(neighborhoods)
     if n < 3:
         raise BoundViolation(f"need at least 3 nodes, got {n}")
-    rows = [
-        interval_row(neighborhoods[v - 1], n, must_contain=v)
-        for v in range(1, n + 1)
-    ]
-    return circular_matrix(n, rows)
+    return [interval_row(neighborhoods[v - 1], n, must_contain=v) for v in range(1, n + 1)]
+
+
+def neighborhood_matrix(neighborhoods: Sequence[Iterable[int]]) -> CircularMatrix:
+    """The closed-neighborhood matrix of a circular interval layout: row v
+    is `neighborhood_rows`' row v, so covering it with multiplicities
+    solves domination problems on the underlying graph."""
+    rows = neighborhood_rows(neighborhoods)
+    return circular_matrix(len(rows), rows)
 
 
 def web_neighborhoods(n: int, radius: int) -> list[list[int]]:

@@ -54,7 +54,7 @@ from .matrices import (
     check_demands,
     check_weights,
     circular_matrix,
-    interval_row,
+    neighborhood_rows,
 )
 from .rationals import scaled_to_integers
 
@@ -281,12 +281,12 @@ def domination_solve(neighborhoods, weights=None, demands=None) -> OptimizationR
     (identical closed neighborhoods) would then duplicate rows, so identical
     neighborhoods are grouped and the group keeps its largest demand.
     """
-    n = len(neighborhoods)
+    rows = neighborhood_rows(neighborhoods)
+    n = len(rows)
     if weights is None:
         weights = (1,) * n
     if demands is None:
         demands = (1,) * n
-    rows = [interval_row(neighborhoods[v - 1], n, must_contain=v) for v in range(1, n + 1)]
     # one row per vertex, twins repeated: this matrix only checks the demands
     demands = check_demands(CircularMatrix(n, tuple(rows)), demands)
     grouped: dict[tuple[int, int], int] = {}

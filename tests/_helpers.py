@@ -988,6 +988,23 @@ def membership(point, covers) -> bool:
     return res.status == "optimal"
 
 
+def two_valued_inequality(matrix: CircularMatrix, path, alpha: int) -> LinearInequality | None:
+    """Reference closed form of `circuit_inequality` at demand alpha per row
+    on a reverse-row-free circuit of winding p with s forward row arcs:
+    r+1 on crosses, r elsewhere, right-hand side r*ceil(alpha*s/p), with
+    r = alpha*s mod p. None when p < 2 or r = 0 (never a facet)."""
+    from circover import classify_nodes, cover_number, make_inequality
+
+    crosses = classify_nodes(path, matrix.n).crosses
+    p = path.winding
+    s = len(path.row_indices(forward=True))
+    r = alpha * s % p if p >= 2 else 0
+    if r == 0:
+        return None
+    coeffs = [r + 1 if j in crosses else r for j in range(1, matrix.n + 1)]
+    return make_inequality(coeffs, r * cover_number(alpha * s, p), "circuit", reduce=False)
+
+
 class NotCirculantMinor(CircoverError):
     """The claimed column set does not leave a circulant minor."""
 

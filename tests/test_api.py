@@ -27,8 +27,8 @@ from circover import (
     enumerate_circulant_minors,
     enumerate_facet_candidates,
     enumerate_minimal_covers,
-    homogeneous_circuit_inequality,
     hull_facets,
+    interval_row,
     make_inequality,
     neighborhood_matrix,
     nonnegativity,
@@ -115,7 +115,7 @@ def test_every_entry_point_rejects_bad_input(entry, case):
         call(**args)
 
 
-# caps, budgets and the demand level: (argument name, whether None is
+# caps and budgets: (argument name, whether None is
 # allowed, the call); every one must be an int, not a bool, at least 1
 POSITIVE_INTS = {
     "cut_loop": ("max_rounds", False,
@@ -133,8 +133,6 @@ POSITIVE_INTS = {
     "enumerate_minimal_covers": ("budget", True,
                                  lambda v: enumerate_minimal_covers(PENTAGON, [1] * 5, budget=v)),
     "hull_facets": ("budget", True, lambda v: hull_facets(PENTAGON, [1] * 5, budget=v)),
-    "homogeneous_circuit_inequality": ("alpha", False,
-                                       lambda v: homogeneous_circuit_inequality(PENTAGON, CIRCUIT, v)),
 }
 
 BAD_POSITIVE_INTS = {"string": "3", "None": None, "float": 1.5, "bool": True, "zero": 0,
@@ -177,6 +175,10 @@ HELPER_ARGUMENTS = {
     "cover_number string order": (lambda: cover_number("5", 2), "order"),
     "nonnegativity string": (lambda: nonnegativity("5"), "n"),
     "neighborhood_matrix None": (lambda: neighborhood_matrix(None), "neighborhoods"),
+    "neighborhood_matrix int neighborhood": (lambda: neighborhood_matrix([1, 2, 3]), "nodes"),
+    "interval_row int nodes": (lambda: interval_row(5, 5), "nodes"),
+    "domination_solve None": (lambda: domination_solve(None), "neighborhoods"),
+    "make_inequality None": (lambda: make_inequality(None, 1, "x"), "coeffs"),
     "min_winding string": (lambda: enumerate_circuits(build_digraph(PENTAGON), min_winding="2"),
                            "min_winding"),
     "min_winding float": (lambda: enumerate_circuits(build_digraph(PENTAGON), min_winding=1.5),

@@ -406,8 +406,19 @@ def test_non_integer_n_rejected(n, capsys, monkeypatch):
     code, out, err = run(capsys, ["solve", "-"])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+    assert err == f"error: n must be an integer, got {n!r}\n"
+
+
+@pytest.mark.parametrize("row", [[1, 2, 3], 5, ["1", 2], [1.0, 2], [True, 2], {"1": 2}],
+                         ids=["three entries", "bare int", "string", "float", "bool", "object"])
+def test_malformed_row_rejected(row, capsys, monkeypatch):
+    """`circular_matrix` checks the rows of an instance file, so the message
+    is the library's."""
+    bad = json.dumps({"n": 5, "rows": [[1, 2], row]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(bad))
+    code, out, err = run(capsys, ["solve", "-"])
+    assert (code, out) == (1, "")
+    assert err == f"error: a row must be two integers, got {row!r}\n"
 
 
 def test_negative_weight_rejected_by_every_verb(tmp_path, capsys):

@@ -16,6 +16,7 @@ from _helpers import (
     minor_inequalities,
     row_family_inequality,
     scanned_circulant_minors,
+    two_valued_inequality,
     unfiltered_circulant_minors,
     walk_circulant_isomorphic,
 )
@@ -29,7 +30,6 @@ from circover import (
     ClosedPath,
     NoEssentialBullets,
     NonpositiveWinding,
-    RedundantInequality,
     ReverseRowArcPresent,
     bad_arcs,
     block_decomposition,
@@ -46,7 +46,6 @@ from circover import (
     enumerate_candidates_general,
     enumerate_minimal_covers,
     extract_minor,
-    homogeneous_circuit_inequality,
     hull_facets,
     make_inequality,
     nonnegativity,
@@ -190,61 +189,73 @@ def test_classify_nodes_rejects_the_winding_0_two_cycle():
     assert walk.winding == 0
     with pytest.raises(BadParameters, match="column 3 is both a circle and a cross"):
         classify_nodes(walk, 5)
-    with pytest.raises(BadParameters, match="column 3 is both a circle and a cross"):
-        homogeneous_circuit_inequality(m, walk)
 
 
 def test_classify_nodes_rejects_the_two_cycle_under_dash_O():
     script = """
-from circover import (BadParameters, ClosedPath, build_digraph, circulant_matrix,
-                      classify_nodes, homogeneous_circuit_inequality)
+from circover import BadParameters, ClosedPath, build_digraph, circulant_matrix, classify_nodes
 assert False, "asserts must be stripped here"
 m = circulant_matrix(5, 2)
 d = build_digraph(m, restricted=True)
 walk = ClosedPath([a for a in d.arcs if a.index == 3 and a.kind.endswith("short")], d.n)
-for call in (lambda: classify_nodes(walk, 5), lambda: homogeneous_circuit_inequality(m, walk)):
-    try:
-        print(call())
-    except BadParameters as exc:
-        print(exc)
+try:
+    print(classify_nodes(walk, 5))
+except BadParameters as exc:
+    print(exc)
 """
     code, out = run_python("-O", "-c", script)
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 2, out
-    assert all("column 3 is both a circle and a cross" in line for line in lines), out
+    assert len(lines) == 1, out
+    assert "column 3 is both a circle and a cross" in lines[0], out
 
 
 def test_homogeneous_matches_the_general_form():
-    """On reverse-row-free circuits with homogeneous demands the two
-    constructions must produce the same inequality."""
+    """On reverse-row-free circuits with homogeneous demands
+    `circuit_inequality` is the two-valued closed form, and it is redundant
+    exactly where the closed form has remainder 0."""
+    compared = 0
     for n, k in [(5, 2), (7, 3), (8, 3)]:
         m = circulant_matrix(n, k)
         d = build_digraph(m, restricted=True)
         enum = enumerate_circuits(d, min_winding=2)
         for alpha in (1, 2):
             for path in enum.circuits:
-                s = len(path.row_indices(forward=True))
-                p = path.winding
-                if p < 2 or (alpha * s) % p == 0:
-                    continue
-                a = homogeneous_circuit_inequality(m, path, alpha)
-                b = circuit_inequality(m, (alpha,) * m.m, path)
-                assert a.key() == b.key()
+                ref = two_valued_inequality(m, path, alpha)
+                gen = circuit_inequality(m, (alpha,) * m.m, path)
+                assert gen.witness["redundant"] == (ref is None)
+                if ref is not None:
+                    assert gen.key() == ref.key()
+                    compared += 1
+    assert compared > 0
 
 
 def test_homogeneous_redundant_cases():
+    """Winding 1, and a winding dividing the total demand, give remainder
+    0; the uniform-demand candidates drop such circuits."""
     m = circulant_matrix(6, 2)
     path = all_row_circuit(m, (2, 4, 6))  # 1 -> 3 -> 5 -> 1
     assert path.winding == 1
-    with pytest.raises(RedundantInequality):
-        homogeneous_circuit_inequality(m, path, 1)
+    assert circuit_inequality(m, [1] * 6, path).witness["redundant"]
     m5 = circulant_matrix(5, 2)
     path5 = all_row_circuit(m5, (2, 4, 1, 3, 5))
-    with pytest.raises(RedundantInequality):
-        homogeneous_circuit_inequality(m5, path5, 2)  # alpha*s = 10, p = 2
-    with pytest.raises(BadParameters):
-        homogeneous_circuit_inequality(m5, path5, 0)
+    assert circuit_inequality(m5, [2] * 5, path5).witness["redundant"]  # alpha*s = 10, p = 2
+    for matrix, alpha, dropped in [(m, 1, path), (m5, 2, path5)]:
+        kept = enumerate_facet_candidates(matrix, [alpha] * matrix.m).inequalities
+        assert dropped.descriptor() not in [q.witness["circuit"] for q in kept if q.kind == "circuit"]
+    # circuits with a cross and remainder 0 pass the cross test and stop at
+    # the remainder test: at alpha = 2, (7,3) has 7 and (8,6) 16 of them
+    for (n, k), count in [((7, 3), 7), ((8, 6), 16)]:
+        matrix = circulant_matrix(n, k)
+        circuits = enumerate_circuits(build_digraph(matrix, restricted=True), min_winding=2,
+                                      forbid_kinds={"forward-short"}).circuits
+        redundant = [path.descriptor() for path in circuits
+                     if any(a.kind == REVERSE_SHORT for a in path.arcs)
+                     and circuit_inequality(matrix, [2] * n, path).witness["redundant"]]
+        assert len(redundant) == count
+        kept = [q.witness for q in enumerate_facet_candidates(matrix, [2] * n).inequalities
+                if q.kind == "circuit"]
+        assert not [w for w in kept if w["redundant"] or w["circuit"] in redundant]
 
 
 def test_block_structure_all_plain():
