@@ -44,7 +44,8 @@ With `early` set, the kernel also walks the whole predecessor graph after
 every round that changed something and returns its first cycle at once,
 usually after a few rounds instead of n (Cherkassky & Goldberg,
 "Negative-cycle detection algorithms", Math. Programming 85, 1999).
-Either way the cycle's cost is summed and checked to be negative.
+Both modes read their cycle through one predecessor walk, and the
+cycle's cost is summed and checked to be negative.
 
 It has two callers. `separation.negative_circuit` runs it on this digraph
 in the fixed global arc order, with n the number of columns, and returns
@@ -209,21 +210,22 @@ def bellman_ford(n: int, tails, heads, costs, *,
     index order, in place. The first round without a change returns
     (None, distances), a potential with dist[head] <= dist[tail] + cost on
     every arc. Otherwise the first arc still improving in round n triggers
-    a walk back along the predecessor arcs, and the cycle it closes comes
-    back as its arc indices in path order, with the distances of that
-    moment.
+    a walk back along the predecessor arcs from its head, and the cycle it
+    closes comes back as its arc indices in path order, with the distances
+    of that moment.
 
     With `early`, every round that changed something is followed by one
-    walk over the predecessor graph (one mark per node), and its first
-    cycle comes back at once. A cycle of the predecessor graph is negative
-    (Cherkassky & Goldberg, Math. Programming 85, 1999), so a digraph with
-    a negative cycle usually returns after a few rounds, not n; one without
-    returns the same distances either way, after the same rounds. Which
-    cycle comes back may differ, so only a caller that accepts any
-    negative cycle sets it: `optimize._slice_flow` does, for emptiness and
-    cycle cancelling. `separation.negative_circuit` does not, because its
-    circuit is the cut it returns, pinned arc for arc by the Fraction
-    reference of the round-n sweep.
+    walk over the predecessor graph from every node (one mark per node),
+    and its first cycle comes back at once. Both modes read their cycle
+    through the one walk `_predecessor_cycle`. A cycle of the predecessor
+    graph is negative (Cherkassky & Goldberg, Math. Programming 85, 1999),
+    so a digraph with a negative cycle usually returns after a few rounds,
+    not n; one without returns the same distances either way, after the
+    same rounds. Which cycle comes back may differ, so only a caller that
+    accepts any negative cycle sets it: `optimize._slice_flow` does, for
+    emptiness and cycle cancelling. `separation.negative_circuit` does not,
+    because its circuit is the cut it returns, pinned arc for arc by the
+    Fraction reference of the round-n sweep.
     """
     sweep = list(zip(range(len(costs)), tails, heads, costs))
     dist = [0] * (n + 1)
@@ -244,32 +246,25 @@ def bellman_ford(n: int, tails, heads, costs, *,
         if not changed:
             return None, dist
         if early and rnd < last:
-            cycle = _predecessor_cycle(pred, tails)
+            cycle = _predecessor_cycle(pred, tails, range(len(pred)))
             if cycle is not None:
                 return _negative(cycle, costs), dist
-    # walk predecessors from the improved head; a cycle must appear
-    seen: dict[int, int] = {}
-    node = heads[trigger]
-    chain: list[int] = []
-    while node not in seen:
-        seen[node] = len(chain)
-        k = pred[node]
-        if k < 0:
-            raise CertificateError(f"node {node} improved without a predecessor arc")
-        chain.append(k)
-        node = tails[k]
-    return _negative(chain[seen[node]:], costs), dist
+    # the walk back from the improved head must close a cycle
+    cycle = _predecessor_cycle(pred, tails, (heads[trigger],))
+    if cycle is None:
+        raise CertificateError(f"the walk back from node {heads[trigger]} closed no cycle")
+    return _negative(cycle, costs), dist
 
 
-def _predecessor_cycle(pred, tails) -> list[int] | None:
+def _predecessor_cycle(pred, tails, roots) -> list[int] | None:
     """The arcs of the first cycle of the predecessor graph, in the order
-    walked back (each arc's tail is the next one's head), walking from node
-    0, 1, ... in turn, or None. Each walk marks its nodes with its
-    root and stops at a node without a predecessor arc or marked before, so
-    no node is walked twice; a node marked by the current walk closes a
-    cycle."""
+    walked back (each arc's tail is the next one's head), walking from each
+    root in turn, or None. Each walk marks its nodes with its root and
+    stops at a node without a predecessor arc or marked before, so no node
+    is walked twice; a node marked by the current walk closes a cycle,
+    whose arcs come back from that node on."""
     mark = [-1] * len(pred)
-    for root in range(len(pred)):
+    for root in roots:
         node = root
         while mark[node] < 0:
             mark[node] = root

@@ -101,17 +101,19 @@ class LinearInequality:
 def make_inequality(coeffs, rhs, kind, witness=None, *, reduce=True) -> LinearInequality:
     if not isinstance(coeffs, (list, tuple)):
         raise BadParameters(f"coeffs must be a list, got {type(coeffs).__name__}")
-    out = []
-    for c in coeffs:
-        ci = int(c)
-        if ci != c:
-            raise BadParameters(f"non-integer coefficient {c}")
-        out.append(ci)
-    ri = int(rhs)
-    if ri != rhs:
-        raise BadParameters(f"non-integer right-hand side {rhs}")
-    ineq = LinearInequality(tuple(out), ri, kind, witness)
+    out = tuple([c if type(c) is int else _integer(c, "coefficient") for c in coeffs])
+    rhs = rhs if type(rhs) is int else _integer(rhs, "right-hand side")
+    ineq = LinearInequality(out, rhs, kind, witness)
     return ineq.normalized() if reduce else ineq
+
+
+def _integer(value, what: str) -> int:
+    """A value that is not an exact int: an integral Fraction as its int."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        raise BadParameters(f"non-integer {what} {value}")
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise BadParameters(f"{what} must be an int or an integral Fraction, got {value!r}")
+    return int(value)
 
 
 def nonnegativity(n: int) -> list[LinearInequality]:

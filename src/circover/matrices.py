@@ -63,17 +63,9 @@ class CircularMatrix:
         return len(self.rows)
 
     def support(self, i: int) -> frozenset[int]:
-        """Column support of row i (1-based)."""
-        return self.row_supports[i - 1]
-
-    @cached_property
-    def row_supports(self) -> tuple[frozenset[int], ...]:
-        """Row supports as column sets, in row order, computed once per matrix."""
-        n = self.n
-        return tuple([
-            frozenset([(start - 1 + t) % n + 1 for t in range(length)])
-            for start, length in self.rows
-        ])
+        """Column support of row i (1-based), read off its bitmask."""
+        mask = self.row_masks[i - 1]
+        return frozenset([j for j in range(1, self.n + 1) if mask >> (j - 1) & 1])
 
     @cached_property
     def row_masks(self) -> tuple[int, ...]:

@@ -18,9 +18,9 @@ uncapacitated min-cost flow (Ahuja, Magnanti & Orlin, Network Flows, 1993;
 Bartholdi, Orlin & Ratliff, Oper. Res. 1980, for circular ones), solved
 in the int-scaled weights by cycle cancelling on the same kernel. Its final
 distances d give the primal point y_j = d_0 - d_j, and the answer is
-certified in ints: y meets every arc, y_0 = 0, y_n = beta, the flow is
-non-negative and conserves, and both sides are equal. No simplex runs for
-a slice.
+certified in ints: the flow is non-negative and conserves, both sides are
+equal, and one arc pass checks that y is integral, runs from 0 to beta and
+meets every arc. No simplex runs for a slice.
 
 The kernel runs with `early`: it returns the first cycle of its
 predecessor graph, not the one round n + 1 would show, so each cancel
@@ -36,7 +36,8 @@ never its value, and `optimize` reads only the values.
 Ties: the smallest optimal sum wins, then the lexicographically smallest
 optimal integer point: one LP at that sum, with digit-perturbed costs, over
 the slice graph's row and column arcs. That system is totally unimodular,
-so the LP pivots in integers, and its vertex passes the flow point's check.
+so the LP pivots in integers, and its vertex passes the same arc pass: the
+one point certificate, for flows and for the lexmin LP.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 from .digraph import bellman_ford
 from .errors import CertificateError
@@ -142,24 +142,21 @@ def _slice_flow(graph, flow) -> tuple[list[int], list[int]] | None:
                 flow[used[k - arcs]] -= delta
 
 
-def _slice_point(matrix: CircularMatrix, demands, y, beta: int) -> tuple[int, ...]:
+def _slice_point(graph, y, beta: int) -> tuple[int, ...]:
     """The point x_j = y_j - y_{j-1} of the prefix sums y_0..y_n, checked to
-    be non-negative and integral, to cover every row and to sum to beta.
-    With y_0 = 0, x is integral exactly when y is. The cover is checked on
-    prefix sums of x, doubled for the wrapping rows."""
+    be integral, to run from 0 to beta and to meet every slice arc. This arc
+    pass is the one point certificate, for the flow's potential and for the
+    lexmin LP's vertex: a column arc says x_j >= 0, a row arc that its row is
+    covered, and the pins that x sums to beta."""
     if any(v.denominator != 1 for v in y):
         raise CertificateError(f"non-integral slice vertex {[b - a for a, b in zip(y, y[1:])]}")
     y = [int(v) for v in y]
-    xi = tuple([b - a for a, b in zip(y, y[1:])])
-    if min(xi) < 0:
-        raise CertificateError(f"non-integral slice vertex {list(xi)}")
-    prefix = list(accumulate(xi + xi, initial=0))
-    for i, ((start, length), b) in enumerate(zip(matrix.rows, demands), 1):
-        if prefix[start - 1 + length] - prefix[start - 1] < b:
-            raise CertificateError(f"slice point {xi} leaves row {i} uncovered")
-    if prefix[len(xi)] != beta:
-        raise CertificateError(f"slice point {xi} does not sum to {beta}")
-    return xi
+    if y[0] != 0 or y[-1] != beta:
+        raise CertificateError(f"slice potential {y} does not run from 0 to {beta}")
+    for tail, head, length in zip(*graph):
+        if y[head] - y[tail] < length:
+            raise CertificateError(f"slice potential {y} violates arc {tail} -> {head}")
+    return tuple([b - a for a, b in zip(y, y[1:])])
 
 
 def solve_slice(matrix: CircularMatrix, demands, c, beta: int, start) -> SliceSolution | None:
@@ -179,11 +176,7 @@ def solve_slice(matrix: CircularMatrix, demands, c, beta: int, start) -> SliceSo
     if found is None:
         return None
     flow, y = found
-    if y[0] != 0 or y[n] != beta:
-        raise CertificateError(f"slice potential {y} does not run from 0 to {beta}")
-    for tail, head, length in zip(*graph):
-        if y[head] - y[tail] < length:
-            raise CertificateError(f"slice potential {y} violates arc {tail} -> {head}")
+    point = _slice_point(graph, y, beta)
     if min(flow) < 0:
         raise CertificateError(f"negative slice flow {flow}")
     if _net_inflow(graph, flow, n) != inflow:
@@ -192,13 +185,13 @@ def solve_slice(matrix: CircularMatrix, demands, c, beta: int, start) -> SliceSo
     if sum([s * v for s, v in zip(inflow, y)]) != cost:
         raise CertificateError(f"slice flow {flow} and potential {y} differ in cost")
     # the inflows telescope: sum_j C_j y_j is c . x for x_j = y_j - y_{j-1}
-    return SliceSolution(beta, cost, _slice_point(matrix, demands, y, beta), tuple(flow))
+    return SliceSolution(beta, cost, point, tuple(flow))
 
 
 def _lexmin_vertex(matrix: CircularMatrix, demands, costs, beta: int) -> tuple[int, ...]:
     """The certified LP vertex minimizing costs . x over the slice at sum beta."""
     n = matrix.n
-    tails, heads, lengths = _slice_graph(matrix, demands, beta)
+    graph = tails, heads, lengths = _slice_graph(matrix, demands, beta)
     rows, rhs = [], []
     # the row arcs, then the column arcs: y_v - y_u >= l over y_1..y_{n-1},
     # with y_0 = 0 and y_n = beta moved to the right-hand side
@@ -212,7 +205,7 @@ def _lexmin_vertex(matrix: CircularMatrix, demands, costs, beta: int) -> tuple[i
     res = solve_lp(objective, rows, rhs)
     if res.status != "optimal":
         raise CertificateError(f"the lexmin LP at sum {beta} came back {res.status}")
-    return _slice_point(matrix, demands, [0, *res.point, beta], beta)
+    return _slice_point(graph, [0, *res.point, beta], beta)
 
 
 @dataclass(frozen=True)

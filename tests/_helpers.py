@@ -903,6 +903,15 @@ def _slice_system(matrix, demands, beta):
     return rows, rhs
 
 
+# integral lexmin vertices y_1..y_4 of the pentagon at its optimal sum 3:
+# x = (2, -1, 1, 0, 1) breaks the column arc 1 -> 2, and x = (0, 0, 1, 1, 1)
+# leaves row 1 = {1, 2} uncovered, so it breaks that row's arc 0 -> 2
+BROKEN_VERTICES = {
+    "column arc": ((2, 1, 2, 2), "slice potential [0, 2, 1, 2, 2, 3] violates arc 1 -> 2"),
+    "row arc": ((0, 0, 1, 2), "slice potential [0, 0, 0, 1, 2, 3] violates arc 0 -> 2"),
+}
+
+
 def cold_flow(matrix, c):
     """The start flow of `optimize`'s first probe: c_j on column arc j,
     nothing on the row arcs and the two pins."""
@@ -915,7 +924,7 @@ def lp_solve_slice(matrix, demands, c, beta):
     from `solve_lp`, with its value c . x, or None when the slice is
     empty."""
     from circover import solve_lp
-    from circover.optimize import SliceSolution, _slice_point
+    from circover.optimize import SliceSolution, _slice_graph, _slice_point
 
     rows, rhs = _slice_system(matrix, demands, beta)
     objective = [c[j] - c[j + 1] for j in range(matrix.n - 1)]
@@ -924,7 +933,7 @@ def lp_solve_slice(matrix, demands, c, beta):
         return None
     if res.status != "optimal":
         raise AssertionError(f"the slice LP at sum {beta} came back {res.status}")
-    xi = _slice_point(matrix, demands, [0, *res.point, beta], beta)
+    xi = _slice_point(_slice_graph(matrix, demands, beta), [0, *res.point, beta], beta)
     return SliceSolution(beta, sum(cv * v for cv, v in zip(c, xi)), xi)
 
 

@@ -92,6 +92,10 @@ BAD_INPUTS = {
     "long point": ("x", [F(1, 2)] * 6),
     "short coefficients": ("a", [1] * 4),
     "long coefficients": ("a", [1] * 6),
+    "None coefficient": ("a", [1, 1, None, 1, 1]),
+    "string coefficient": ("a", [1, 1, "2", 1, 1]),
+    "float coefficient": ("a", [1, 1, 2.0, 1, 1]),
+    "bool coefficient": ("a", [1, 1, True, 1, 1]),
     "float point coordinate": ("x", [0.5] * 5),
 }
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from _helpers import BROKEN_VERTICES
 
 import circover
 from circover import circular_matrix, cli
@@ -462,6 +463,26 @@ except CertificateError as exc:
     code, out = run_python("-O", "-c", script)
     assert code == 0
     assert out.startswith("non-integral slice vertex")
+
+
+def test_integral_slice_vertex_checks_survive_dash_O():
+    """The vertices of `test_integral_slice_vertex_off_an_arc_raises`, one
+    off a column arc and one off a row arc, under -O."""
+    script = f"""
+import sys
+from fractions import Fraction
+from circover import CertificateError, LPResult, circulant_matrix, optimize
+assert False, "asserts must be stripped here"
+for point, _ in {list(BROKEN_VERTICES.values())!r}:
+    vertex = LPResult("optimal", Fraction(0), tuple(map(Fraction, point)))
+    sys.modules["circover.optimize"].solve_lp = lambda *args, **kwargs: vertex
+    try:
+        optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
+    except CertificateError as exc:
+        print(exc)
+"""
+    expected = "".join(f"{message}\n" for _, message in BROKEN_VERTICES.values())
+    assert run_python("-O", "-c", script) == (0, expected)
 
 
 def test_slice_certificates_survive_dash_O():

@@ -76,6 +76,23 @@ def test_make_inequality_rejects_non_integers():
         make_inequality([1, 1], F(3, 2), "x")
 
 
+@pytest.mark.parametrize("coeffs,rhs,message", [
+    ([None], 1, "coefficient must be an int or an integral Fraction, got None"),
+    ([1], None, "right-hand side must be an int or an integral Fraction, got None"),
+    (["x"], 1, "coefficient must be an int or an integral Fraction, got 'x'"),
+    (["2"], 2, "coefficient must be an int or an integral Fraction, got '2'"),
+    ([2.0], 2, "coefficient must be an int or an integral Fraction, got 2.0"),
+    ([True], 1, "coefficient must be an int or an integral Fraction, got True"),
+    ([1], 1.0, "right-hand side must be an int or an integral Fraction, got 1.0"),
+])
+def test_make_inequality_names_a_malformed_entry(coeffs, rhs, message):
+    """BadParameters naming the entry, strings quoted: never the TypeError
+    or ValueError of int(), and never a float or bool taken for an int."""
+    with pytest.raises(BadParameters) as got:
+        make_inequality(coeffs, rhs, "x")
+    assert str(got.value) == message
+
+
 def test_evaluate_rejects_a_point_of_the_wrong_length():
     """zip would stop at the shorter side: [1, 1] once read as slack -1."""
     q = make_inequality([1] * 5, 3, "t")

@@ -171,11 +171,10 @@ def test_row_masks_are_the_supports():
         n = rng.randint(3, 12)
         rows = {(rng.randint(1, n), rng.randint(2, n - 1)) for _ in range(rng.randint(1, 8))}
         m = circular_matrix(n, sorted(rows))
-        for i, mask in enumerate(m.row_masks, 1):
-            assert {j for j in range(1, n + 1) if mask >> (j - 1) & 1} == m.support(i)
+        for i, (start, length) in enumerate(m.rows, 1):
+            assert {(start - 1 + t) % n + 1 for t in range(length)} == m.support(i)
             assert m.row_vector(i) == tuple([int(j in m.support(i)) for j in range(1, n + 1)])
     assert m.row_masks is m.row_masks  # computed once per matrix
-    assert m.row_supports is m.row_supports
 
 
 def _reference_outcome(matrix, removed):

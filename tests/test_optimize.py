@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from _helpers import _slice_system, cold_flow, lp_solve_slice
+from _helpers import BROKEN_VERTICES, _slice_system, cold_flow, lp_solve_slice
 
 from circover import (
     BadParameters,
@@ -166,6 +166,18 @@ def test_fractional_slice_vertex_raises(monkeypatch):
     monkeypatch.setattr(module, "solve_lp", lambda *args, **kwargs: half)
     with pytest.raises(CertificateError, match="non-integral"):
         optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
+
+
+@pytest.mark.parametrize("point,message", BROKEN_VERTICES.values(), ids=BROKEN_VERTICES)
+def test_integral_slice_vertex_off_an_arc_raises(monkeypatch, point, message):
+    """An integral lexmin LP vertex that breaks a slice arc is a
+    CertificateError naming that arc: the arc pass is its only check."""
+    module = sys.modules["circover.optimize"]
+    vertex = LPResult("optimal", F(0), tuple(map(F, point)))
+    monkeypatch.setattr(module, "solve_lp", lambda *args, **kwargs: vertex)
+    with pytest.raises(CertificateError) as got:
+        optimize(circulant_matrix(5, 2), [1] * 5, [1] * 5)
+    assert str(got.value) == message
 
 
 def test_tampered_slice_certificate_raises(monkeypatch):
