@@ -10,7 +10,7 @@ positive column has every row above demand (sums only grow, so no extension
 is minimal). Every leaf is then minimal: single decrements decide it, since
 feasibility is monotone in x. The facet test reads one value a.c per cover
 for validity and tightness, then one exact rank on the inequality's
-support.
+support less its last column, which the tight covers make redundant.
 
 The hull is a double description on the dual cone, in Python ints. The base
 of the n unit constraints and the first cover's constraint (1, c) has the
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import BadParameters, BudgetExceeded, CertificateError, NegativeCoefficient
 from .linalg import exact_rank
@@ -104,11 +105,12 @@ def enumerate_minimal_covers(
 def _cover_values(inequality, covers) -> list[int]:
     """a.c for every cover c; NegativeCoefficient if a has a negative entry."""
     coeffs = inequality.coeffs
-    if covers and len(coeffs) != len(covers[0]):
-        raise BadParameters(f"{len(coeffs)} entries for covers of {len(covers[0])} columns")
-    if any(c < 0 for c in coeffs):
+    if set(map(len, covers)) - {len(coeffs)}:
+        k = next(k for k, cover in enumerate(covers) if len(cover) != len(coeffs))
+        raise BadParameters(f"cover {k} has {len(covers[k])} entries, the inequality {len(coeffs)}")
+    if min(coeffs, default=0) < 0:
         raise NegativeCoefficient(f"negative coefficient in {coeffs}")
-    return [sum([c * v for c, v in zip(coeffs, cover)]) for cover in covers]
+    return [sum(map(mul, coeffs, cover)) for cover in covers]
 
 
 def check_facet(inequality, covers) -> bool:
@@ -120,19 +122,24 @@ def check_facet(inequality, covers) -> bool:
     tight covers plus the cone of the unit rays e_j, j in the zero set Z of
     a. The rays span exactly the Z coordinates, so the face has dimension
     |Z| + rank(D_S), with D_S the differences of the tight covers read on
-    the support S of a only: a facet iff rank(D_S) = |S| - 1.
+    the support S of a only: a facet iff rank(D_S) = |S| - 1. Every row d
+    of D_S has a_S.d = 0 and every a_j, j in S, is non-zero, so the last
+    column of D_S is a combination of the others. Dropping it keeps the
+    rank: a facet is a D_S less that column of full column rank, and
+    `exact_rank` stops there, after about |S| - 1 rows.
     """
     rhs = inequality.rhs
     values = _cover_values(inequality, covers)
-    if any(v < rhs for v in values):
+    if min(values, default=rhs) < rhs:
         return False
     tight = [cover for cover, v in zip(covers, values) if v == rhs]
     if not tight:
         return False
     support = [j for j, c in enumerate(inequality.coeffs) if c]
-    base = [tight[0][j] for j in support]
-    diffs = [[cover[j] - b for j, b in zip(support, base)] for cover in tight[1:]]
-    return exact_rank(diffs) == len(support) - 1
+    columns = support[:-1]
+    base = [tight[0][j] for j in columns]
+    diffs = [[cover[j] - b for j, b in zip(columns, base)] for cover in tight[1:]]
+    return exact_rank(diffs) == len(support) - 1  # never for an empty support
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,10 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
     zero on every unit constraint. Rays stay primitive int vectors, and a
     ray's zero set is kept as a bitmask over the constraints added so far:
     the ray combined from an adjacent pair across constraint t is zero on
-    the pair's common zero set and on t, nowhere else.
+    the pair's common zero set and on t, nowhere else. Extreme rays of the
+    (n+1)-dimensional cone are adjacent only if they share n - 1 zeros, so
+    a pair with fewer is skipped before the scan for a third ray (Fukuda &
+    Prodon, "Double description method revisited", 1996).
     """
     from .inequalities import make_inequality  # local import, no cycle
 
@@ -171,7 +181,7 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
 
     for t, cover in enumerate(covers[1:], n + 1):
         h = (1, *cover)
-        vals = [sum([a * b for a, b in zip(h, r)]) for r in rays]
+        vals = [sum(map(mul, h, r)) for r in rays]
         if all(v >= 0 for v in vals):
             masks = [m | ((v == 0) << t) for m, v in zip(masks, vals)]
             continue
@@ -189,6 +199,8 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
         for rp, vp, mp in pos:
             for rn, vn, mn in neg:
                 common = mp & mn
+                if common.bit_count() < n - 1:
+                    continue  # too few common zeros to span a 2-face: not adjacent
                 for r2, m2 in zip(rays, masks):
                     if common & m2 == common and r2 is not rp and r2 is not rn:
                         break  # a third ray is zero wherever both are: not adjacent

@@ -37,6 +37,7 @@ from circover import (
     separate,
     solve_lp,
 )
+from circover.linalg import exact_rank
 
 PENTAGON = circulant_matrix(5, 2)
 # a circuit of winding 2 through the pentagon's five rows
@@ -117,6 +118,25 @@ def test_every_entry_point_rejects_bad_input(entry, case):
     args = dict(GOOD, **{field: value})
     with pytest.raises(CircoverError):
         call(**args)
+
+
+# ragged input, where a truncated zip used to read it: (call, message)
+RAGGED = {
+    "check_facet short cover": (
+        lambda: check_facet(make_inequality([1, 1], 1, "x"), ((1, 0), (0, 1), (1,))),
+        "^cover 2 has 1 entries, the inequality 2$"),
+    "check_facet long cover": (
+        lambda: check_facet(make_inequality([1, 1], 1, "x"), ((1, 0), (0, 1, 5))),
+        "^cover 1 has 3 entries, the inequality 2$"),
+    "exact_rank short row": (lambda: exact_rank([[1, 2], [3]]), "^row 1 has 1 entries, row 0 has 2$"),
+}
+
+
+@pytest.mark.parametrize("call,message", RAGGED.values(), ids=RAGGED)
+def test_ragged_input_is_bad_parameters(call, message):
+    """Every cover and every row is measured, not only the first."""
+    with pytest.raises(BadParameters, match=message):
+        call()
 
 
 # caps and budgets: (argument name, whether None is

@@ -105,6 +105,45 @@ def test_check_facet_details():
     assert not check_facet(make_inequality([3, 1, 1, 1, 1], 3, "weak"), covers)
 
 
+@pytest.mark.parametrize("n,k,b", [(5, 2, 1), (7, 3, 1), (6, 3, 2), (8, 3, 2)])
+def test_check_facet_edge_verdicts(n, k, b):
+    """An all-zero left side is never a facet: 0 >= 0 is tight at every
+    cover, but its support has no column to drop, and 0 >= -1 is tight
+    nowhere. Each x_j >= 0 (support of one column, none left after the
+    drop) keeps the dense reference's verdict."""
+    m = circulant_matrix(n, k)
+    covers = enumerate_minimal_covers(m, [b] * n)
+    for rhs in (0, -1):
+        assert not check_facet(make_inequality([0] * n, rhs, "zero"), covers)
+    for j in range(n):
+        q = make_inequality([int(t == j) for t in range(n)], 0, "nonneg")
+        assert check_facet(q, covers) == dense_check_facet(q, covers, n) is True
+
+
+def test_check_facet_reads_the_support_less_its_last_column(monkeypatch):
+    """One exact rank per tight inequality, on rows one column narrower
+    than the support: a_S.d = 0 on every difference d makes the last
+    support column a combination of the others."""
+    import circover.oracle as oracle
+
+    widths = []
+    real = oracle.exact_rank
+
+    def recording(rows):
+        widths.append({len(row) for row in rows})
+        return real(rows)
+
+    monkeypatch.setattr(oracle, "exact_rank", recording)
+    m = circulant_matrix(9, 4)
+    covers = enumerate_minimal_covers(m, [1] * 9)
+    hull = hull_facets(m, [1] * 9)
+    for q in (*hull.facets, *enumerate_facet_candidates(m, [1] * 9).inequalities):
+        before = len(widths)
+        check_facet(q, covers)
+        support = sum(c > 0 for c in q.coeffs)
+        assert widths[before:] == [{support - 1}], q
+
+
 def test_membership():
     m = circulant_matrix(5, 2)
     covers = enumerate_minimal_covers(m, [1] * 5)
