@@ -120,7 +120,7 @@ def test_every_entry_point_rejects_bad_input(entry, case):
         call(**args)
 
 
-# ragged input, where a truncated zip used to read it: (call, message)
+# ragged input, which a zip would silently truncate: (call, message)
 RAGGED = {
     "check_facet short cover": (
         lambda: check_facet(make_inequality([1, 1], 1, "x"), ((1, 0), (0, 1), (1,))),

@@ -108,9 +108,9 @@ def test_check_facet_details():
 @pytest.mark.parametrize("n,k,b", [(5, 2, 1), (7, 3, 1), (6, 3, 2), (8, 3, 2)])
 def test_check_facet_edge_verdicts(n, k, b):
     """An all-zero left side is never a facet: 0 >= 0 is tight at every
-    cover, but its support has no column to drop, and 0 >= -1 is tight
-    nowhere. Each x_j >= 0 (support of one column, none left after the
-    drop) keeps the dense reference's verdict."""
+    cover, but no rank equals |S| - 1 = -1, and 0 >= -1 is tight nowhere.
+    Each x_j >= 0 (one support column, none left after the drop) keeps the
+    dense reference's verdict."""
     m = circulant_matrix(n, k)
     covers = enumerate_minimal_covers(m, [b] * n)
     for rhs in (0, -1):
