@@ -62,6 +62,7 @@ the negative cycles of its min-cost flow: any negative cycle serves there.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,6 +155,9 @@ class ClosedPath:
         arcs = tuple(arcs)
         if not arcs:
             raise NotClosedPath("empty arc sequence")
+        for a in arcs:
+            if not isinstance(a, Arc):
+                raise BadParameters(f"arcs must be Arc objects, got {a!r}")
         for a, b in zip(arcs, arcs[1:]):
             if a.head != b.tail:
                 raise NotClosedPath(
@@ -311,8 +315,9 @@ def enumerate_circuits(
     The DFS walks a per-node adjacency built here from `digraph.arcs`, in
     the global arc order. min_winding filters on the winding number at
     emission time (the search itself is not pruned by it); one that is not
-    None or an int raises BadParameters. forbid_kinds
-    drops whole arc kinds from that adjacency before searching. Hitting
+    None or an int raises BadParameters. forbid_kinds, a collection of
+    arc kinds (a string or an unknown kind is BadParameters), drops whole
+    arc kinds from that adjacency before searching. Hitting
     max_count stops the search and flags the result incomplete instead of
     raising; a max_count that is not an int of at least 1 raises
     BadParameters.
@@ -321,6 +326,8 @@ def enumerate_circuits(
         check_positive_int(max_count, "max_count")
     if min_winding is not None:
         check_int(min_winding, "min_winding")
+    if isinstance(forbid_kinds, str) or not isinstance(forbid_kinds, Iterable):
+        raise BadParameters(f"forbid_kinds must be a set of arc kinds, got {forbid_kinds!r}")
     for k in forbid_kinds:
         if k not in ARC_KINDS:
             raise BadParameters(f"unknown arc kind {k!r}")

@@ -25,7 +25,7 @@ what can spoil the minor being the full contraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -51,7 +51,6 @@ from .matrices import (
     check_demands,
     check_positive_int,
     circulant_isomorphic,
-    circular_matrix,
     cover_number,
     norm_col,
 )
@@ -61,11 +60,12 @@ from .rationals import parse_rational_vector
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """coeffs . x >= rhs with non-negative integer coefficients.
+    """coeffs . x >= rhs with non-negative int coefficients, stored as given
+    (outside input goes through `make_inequality`, which checks and normalizes).
 
-    Circuit inequalities keep the coefficients exactly as constructed,
-    common factors included; the slack-equals-cost certificate depends on
-    that scale. Use normalized() before comparing against a facet list. A
+    Circuit inequalities keep their coefficients, common factors included,
+    for the slack-equals-cost certificate: normalize one before comparing it
+    against a facet list. Every other inequality built here is primitive. A
     witness holds JSON values only (ints, bools, strings, lists and dicts),
     so `inequality_json` writes it out as built.
     """
@@ -87,28 +87,22 @@ class LinearInequality:
 
     def normalized(self) -> "LinearInequality":
         """The same halfspace with the coefficient gcd divided out."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        g = gcd(g, abs(self.rhs))
+        g = gcd(*self.coeffs, self.rhs)
         if g <= 1:
             return self
-        return LinearInequality(
-            tuple([c // g for c in self.coeffs]), self.rhs // g, self.kind, self.witness
-        )
+        return replace(self, coeffs=tuple([c // g for c in self.coeffs]), rhs=self.rhs // g)
 
 
-def make_inequality(coeffs, rhs, kind, witness=None, *, reduce=True) -> LinearInequality:
+def make_inequality(coeffs, rhs, kind, witness=None) -> LinearInequality:
+    """Checked constructor for outside input: ints or integral Fractions, gcd divided out."""
     if not isinstance(coeffs, (list, tuple)):
         raise BadParameters(f"coeffs must be a list, got {type(coeffs).__name__}")
-    out = tuple([c if type(c) is int else _integer(c, "coefficient") for c in coeffs])
-    rhs = rhs if type(rhs) is int else _integer(rhs, "right-hand side")
-    ineq = LinearInequality(out, rhs, kind, witness)
-    return ineq.normalized() if reduce else ineq
+    out = tuple([_integer(c, "coefficient") for c in coeffs])
+    return LinearInequality(out, _integer(rhs, "right-hand side"), kind, witness).normalized()
 
 
 def _integer(value, what: str) -> int:
-    """A value that is not an exact int: an integral Fraction as its int."""
+    """An int, or an integral Fraction as its int; BadParameters otherwise."""
     if isinstance(value, Fraction) and value.denominator != 1:
         raise BadParameters(f"non-integer {what} {value}")
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -119,21 +113,13 @@ def _integer(value, what: str) -> int:
 def nonnegativity(n: int) -> list[LinearInequality]:
     """x_j >= 0 for each of n columns; BadParameters unless n is an int >= 1."""
     check_positive_int(n, "n")
-    return [
-        make_inequality([int(t == j) for t in range(n)], 0, "nonneg")
-        for j in range(n)
-    ]
+    return [LinearInequality(tuple([int(t == j) for t in range(n)]), 0, "nonneg") for j in range(n)]
 
 
 def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
     """One inequality per row: its support summed to at least its demand."""
-    demands = check_demands(matrix, demands)
-    out = []
-    for i in range(1, matrix.m + 1):
-        out.append(make_inequality(
-            matrix.row_vector(i), demands[i - 1], "boolean", {"row": i}
-        ))
-    return out
+    return [LinearInequality(matrix.row_vector(i), b, "boolean", {"row": i})
+            for i, b in enumerate(check_demands(matrix, demands), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +129,8 @@ def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
 def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> LinearInequality:
     """The inequality induced by a closed path with positive winding."""
     demands = check_demands(matrix, demands)
+    if not isinstance(path, ClosedPath):
+        raise BadParameters(f"path must be a ClosedPath, got {type(path).__name__}")
     p = path.winding
     if p <= 0:
         raise NonpositiveWinding(f"winding {p}, need >= 1")
@@ -166,7 +154,7 @@ def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> Lin
         "redundant": r == 0,
         "circuit": path.descriptor(),
     }
-    return make_inequality(coeffs, rhs, "circuit", witness, reduce=False)
+    return LinearInequality(tuple(coeffs), rhs, "circuit", witness)
 
 
 @dataclass(frozen=True)
@@ -195,12 +183,7 @@ def classify_nodes(path: ClosedPath, n: int) -> NodeClasses:
         raise BadParameters(f"column {min(both)} is both a circle and a cross "
                             f"on a path of winding {path.winding}")
     bullets = frozenset(range(1, n + 1)) - circles - crosses
-    return NodeClasses(
-        frozenset(circles),
-        frozenset(crosses),
-        bullets,
-        bullets & path.nodes,
-    )
+    return NodeClasses(frozenset(circles), frozenset(crosses), bullets, bullets & path.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +228,17 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
         raise NoEssentialBullets("the circuit has no essential plain node")
     s = len(ess)
 
-    def succ(j):
-        return norm_col(j + 1, n)
-
     blocks = []
     for b in ess:
-        nxt = succ(b)
-        if nxt in classes.circles:
-            v = nxt
-            while succ(v) in classes.circles:
-                v = succ(v)
-            kind, entry, exit_ = "circle", b, v
-        elif nxt in classes.crosses:
-            v = nxt
-            while succ(v) in classes.crosses:
-                v = succ(v)
-            kind, entry, exit_ = "cross", v, b
-        else:
-            v = b
-            kind, entry, exit_ = "plain", b, b
+        # the run after b, if any: a circle run enters at b, a cross run leaves there
+        circle = norm_col(b + 1, n) in classes.circles
+        run = classes.circles if circle else classes.crosses
         members = [b]
-        c = b
-        while c != v:
-            c = succ(c)
-            members.append(c)
+        while norm_col(members[-1] + 1, n) in run:
+            members.append(norm_col(members[-1] + 1, n))
+        v = members[-1]
+        kind = "plain" if v == b else "circle" if circle else "cross"
+        entry, exit_ = (v, b) if kind == "cross" else (b, v)
         blocks.append(Block(b, v, kind, entry, exit_, tuple(members)))
 
     seen: set[int] = set()
@@ -295,9 +265,7 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
         raise CertificateError(
             f"the row arcs do not join each block's exit to the entry "
             f"of the block {p} places further")
-    ess_mask = 0
-    for j in ess:
-        ess_mask |= 1 << (j - 1)
+    ess_mask = sum([1 << (j - 1) for j in ess])
     for a in row_arcs:
         cnt = (a.jump_mask & ess_mask).bit_count()
         if cnt != p:
@@ -321,10 +289,7 @@ def bad_arcs(
     p = blocks.winding
     ess = set(blocks.essential)
     classes = classify_nodes(path, matrix.n)
-    circle_nodes: set[int] = set()
-    for blk in blocks.blocks:
-        if blk.kind == "circle":
-            circle_nodes.update(blk.members)
+    circle_nodes = {j for blk in blocks.blocks if blk.kind == "circle" for j in blk.members}
     nodes = path.nodes
     n = matrix.n
     bad = []
@@ -375,7 +340,7 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
     # s rows whose restrictions include all s windows give one row per window
     if len(rows) != s or circulant_isomorphic(
-        circular_matrix(matrix.n, [matrix.rows[i - 1] for i in rows]), removed
+        CircularMatrix(matrix.n, tuple([matrix.rows[i - 1] for i in rows])), removed
     ) != (s, p):
         raise CertificateError(
             f"the circuit's rows on its {s} essential columns are not the "
@@ -542,7 +507,7 @@ def _candidates(matrix, demands, tau, enum, rule) -> CandidateEnumeration:
     cands = [
         *nonnegativity(matrix.n),
         *row_inequalities(matrix, demands),
-        make_inequality([1] * matrix.n, tau, "rank"),
+        LinearInequality((1,) * matrix.n, tau, "rank"),
     ]
     for path in enum.circuits:
         ineq = rule(path)
@@ -582,10 +547,8 @@ def enumerate_facet_candidates(
         build_digraph(matrix, restricted=True),
         min_winding=2, forbid_kinds=forbid, max_count=max_circuits,
     )
-    if window and alpha == 1:
-        tau = cover_number(matrix.n, window)
-    else:
-        tau = optimize(matrix, demands, (1,) * matrix.n).beta
+    tau = (cover_number(matrix.n, window) if window and alpha == 1
+           else optimize(matrix, demands, (1,) * matrix.n).beta)
 
     def rule(path):
         if not any(a.kind == REVERSE_SHORT for a in path.arcs):

@@ -72,11 +72,10 @@ def load_instance(data) -> Instance:
 
 
 def inequality_json(ineq, facet=None) -> dict:
-    out = {
-        "coeffs": [int(c) for c in ineq.coeffs],
-        "rhs": int(ineq.rhs),
-        "kind": ineq.kind,
-    }
+    """The stored ints as they are; any other value is BadParameters."""
+    if not set(map(type, (*ineq.coeffs, ineq.rhs))) <= {int}:
+        raise BadParameters(f"inequality values must be ints, got {ineq.coeffs} >= {ineq.rhs!r}")
+    out = {"coeffs": list(ineq.coeffs), "rhs": ineq.rhs, "kind": ineq.kind}
     if facet is not None:
         out["facet"] = facet
     if ineq.witness:

@@ -7,6 +7,7 @@ column count.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain
 from math import gcd
 
@@ -21,9 +22,12 @@ def exact_rank(rows) -> int:
     k[p]*r - r[p]*k with p the pivot column of k, where the rows kept after
     k are zero: the span stays and column p clears. What is left is zero,
     or it is kept, divided by its gcd, with its first non-zero column as
-    pivot. Every row is checked first: a row of another length than the
-    first, or an entry that is not an int or a Fraction, is BadParameters.
+    pivot. Every row is checked first: rows that are not iterable, a row of
+    another length than the first, or an entry that is not an int or a
+    Fraction is BadParameters.
     """
+    if not isinstance(rows, Iterable):
+        raise BadParameters(f"rows must be iterable, got {type(rows).__name__}")
     work = list(rows)
     width = len(work[0]) if work else 0
     if set(map(len, work)) - {width}:

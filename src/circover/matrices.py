@@ -166,9 +166,11 @@ def circulant_isomorphic(matrix: CircularMatrix, removed: Iterable[int]) -> tupl
     windows. The check runs on the bitmasks of `matrix.row_masks`.
 
     removed may be empty. Raises BadParameters for a column that is not an
-    int, BoundViolation for a column outside 1..n, EmptyColumnSet if every
-    column would be deleted.
+    int or a `removed` that is not iterable, BoundViolation for a column
+    outside 1..n, EmptyColumnSet if every column would be deleted.
     """
+    if not isinstance(removed, Iterable):
+        raise BadParameters(f"removed must be iterable, got {type(removed).__name__}")
     n = matrix.n
     gone = 0
     for j in removed:

@@ -53,7 +53,6 @@ from .matrices import (
     CircularMatrix,
     check_demands,
     check_weights,
-    circular_matrix,
     neighborhood_rows,
 )
 from .rationals import scaled_to_integers
@@ -285,5 +284,5 @@ def domination_solve(neighborhoods, weights=None, demands=None) -> OptimizationR
     grouped: dict[tuple[int, int], int] = {}
     for row, d in zip(rows, demands):
         grouped[row] = max(grouped.get(row, d), d)
-    matrix = circular_matrix(n, list(grouped))
+    matrix = CircularMatrix(n, tuple(grouped))
     return optimize(matrix, list(grouped.values()), weights)

@@ -18,7 +18,7 @@ closed-form inverse with columns (-c_j, e_j), then (1, 0, ..., 0): these
 are the start rays, already primitive. A new ray is a gcd-reduced int
 combination of two rays, zero exactly where both are and on the new
 constraint, since both weights are positive and both rays meet every
-earlier constraint with >= 0.
+earlier constraint with >= 0. Rays stay primitive, so each facet is its ray as is.
 
 The search is guarded by a budget in box points, default (3+1)^9: every
 instance with n <= 9 and demands up to 3, the intended desk scale. It
@@ -32,6 +32,7 @@ from math import gcd
 from operator import mul
 
 from .errors import BadParameters, BudgetExceeded, CertificateError, NegativeCoefficient
+from .inequalities import LinearInequality
 from .linalg import exact_rank
 from .matrices import CircularMatrix, check_demands, check_positive_int
 
@@ -103,7 +104,13 @@ def enumerate_minimal_covers(
 
 
 def _cover_values(inequality, covers) -> list[int]:
-    """a.c for every cover c; NegativeCoefficient if a has a negative entry."""
+    """a.c for every cover c; BadParameters for an argument of the wrong type or
+    a cover of the wrong length, NegativeCoefficient for a negative entry of a."""
+    if not isinstance(inequality, LinearInequality):
+        raise BadParameters(
+            f"inequality must be a LinearInequality, got {type(inequality).__name__}")
+    if not isinstance(covers, (list, tuple)):
+        raise BadParameters(f"covers must be a list, got {type(covers).__name__}")
     coeffs = inequality.coeffs
     if set(map(len, covers)) - {len(coeffs)}:
         k = next(k for k, cover in enumerate(covers) if len(cover) != len(coeffs))
@@ -128,8 +135,8 @@ def check_facet(inequality, covers) -> bool:
     rank: a facet is a D_S less that column of full column rank, and
     `exact_rank` stops there, after about |S| - 1 rows.
     """
-    rhs = inequality.rhs
     values = _cover_values(inequality, covers)
+    rhs = inequality.rhs
     if min(values, default=rhs) < rhs:
         return False
     tight = [cover for cover, v in zip(covers, values) if v == rhs]
@@ -168,8 +175,6 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
     a pair with fewer is skipped before the scan for a third ray (Fukuda &
     Prodon, "Double description method revisited", 1996).
     """
-    from .inequalities import make_inequality  # local import, no cycle
-
     covers = enumerate_minimal_covers(matrix, demands, budget)
     n = matrix.n
     first = covers[0]
@@ -218,6 +223,6 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
             continue  # the trivial ray (1, 0, ..., 0)
         if any(c < 0 for c in coeffs):
             raise CertificateError(f"hull ray {vec} has a negative coefficient")
-        facets.append(make_inequality(coeffs, -a0, kind="hull"))
+        facets.append(LinearInequality(coeffs, -a0, "hull"))
     facets.sort(key=lambda q: (q.coeffs, q.rhs))
     return HullDescription(tuple(facets), covers, n)

@@ -973,11 +973,15 @@ def cold_optimize(matrix, demands, weights):
 
 
 def check_validity(inequality, covers) -> bool:
-    """Does every cover satisfy the inequality? (coefficients must be >= 0)"""
-    from circover.oracle import _cover_values
+    """Does every cover satisfy the inequality? (coefficients must be >= 0)
+    Each a.c is its own sum here, so that `dense_check_facet` shares no
+    cover-value pass with `oracle.check_facet`, the code it checks."""
+    from circover import NegativeCoefficient
 
-    rhs = inequality.rhs
-    return all(v >= rhs for v in _cover_values(inequality, covers))
+    coeffs = inequality.coeffs
+    if any(c < 0 for c in coeffs):
+        raise NegativeCoefficient(f"negative coefficient in {coeffs}")
+    return all(sum(c * v for c, v in zip(coeffs, cover)) >= inequality.rhs for cover in covers)
 
 
 def membership(point, covers) -> bool:
@@ -1002,7 +1006,7 @@ def two_valued_inequality(matrix: CircularMatrix, path, alpha: int) -> LinearIne
     on a reverse-row-free circuit of winding p with s forward row arcs:
     r+1 on crosses, r elsewhere, right-hand side r*ceil(alpha*s/p), with
     r = alpha*s mod p. None when p < 2 or r = 0 (never a facet)."""
-    from circover import classify_nodes, cover_number, make_inequality
+    from circover import classify_nodes, cover_number
 
     crosses = classify_nodes(path, matrix.n).crosses
     p = path.winding
@@ -1011,7 +1015,7 @@ def two_valued_inequality(matrix: CircularMatrix, path, alpha: int) -> LinearIne
     if r == 0:
         return None
     coeffs = [r + 1 if j in crosses else r for j in range(1, matrix.n + 1)]
-    return make_inequality(coeffs, r * cover_number(alpha * s, p), "circuit", reduce=False)
+    return LinearInequality(tuple(coeffs), r * cover_number(alpha * s, p), "circuit")
 
 
 class NotCirculantMinor(CircoverError):
@@ -1030,7 +1034,7 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
     """
     # circulant_isomorphic is read from circover.inequalities at call time,
     # so a test that patches it there reaches this check too
-    from circover import BadParameters, CertificateError, MinorWitness, make_inequality
+    from circover import BadParameters, CertificateError, MinorWitness
     from circover.inequalities import circulant_isomorphic
     from circover.matrices import cover_number, norm_col
 
@@ -1068,11 +1072,11 @@ def minor_inequalities(matrix: CircularMatrix, removed, mode: str = "plain") -> 
     if mode == "plain":
         coeffs = [2 if j in doubled else 1 for j in range(1, matrix.n + 1)]
         witness["facet_condition"] = (r == 1)
-        return make_inequality(coeffs, lower, "minor", witness, reduce=False)
+        return LinearInequality(tuple(coeffs), lower, "minor", witness)
     if mode == "rfi":
         coeffs = [r + 1 if j in doubled else r for j in range(1, matrix.n + 1)]
         witness["redundant"] = (r == 0)
-        return make_inequality(coeffs, r * lower, "minor-rfi", witness, reduce=False)
+        return LinearInequality(tuple(coeffs), r * lower, "minor-rfi", witness)
     raise BadParameters(f"unknown mode {mode!r}")
 
 
@@ -1128,7 +1132,7 @@ def row_family_inequality(
     a multiple of a non-default p; at the default p with p | s the r = 0
     degenerate inequality is returned flagged redundant.
     """
-    from circover import BadParameters, make_inequality
+    from circover import BadParameters
     from circover.matrices import cover_number
 
     family, colsum = _family_multiplicities(matrix, rows)
@@ -1156,7 +1160,7 @@ def row_family_inequality(
         "outer": outer,
         "redundant": r == 0,
     }
-    ineq = make_inequality(coeffs, r * cover_number(s, p), "rfi", witness, reduce=False)
+    ineq = LinearInequality(tuple(coeffs), r * cover_number(s, p), "rfi", witness)
     if covers is not None:
         inner_set = set(inner)
         outer_set = set(outer)

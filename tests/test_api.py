@@ -12,11 +12,13 @@ import circover
 from circover import (
     BadParameters,
     CircoverError,
+    ClosedPath,
     Instance,
     assign_costs,
     build_digraph,
     check_facet,
     circuit_inequality,
+    circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
     cover_number,
@@ -209,6 +211,19 @@ HELPER_ARGUMENTS = {
                           "min_winding"),
     "min_winding bool": (lambda: enumerate_circuits(build_digraph(PENTAGON), min_winding=True),
                          "min_winding"),
+    "forbid_kinds None": (lambda: enumerate_circuits(build_digraph(PENTAGON), forbid_kinds=None),
+                          "forbid_kinds"),
+    # a string is a collection of letters, not of arc kinds
+    "forbid_kinds string": (
+        lambda: enumerate_circuits(build_digraph(PENTAGON), forbid_kinds="forward-row"),
+        "forbid_kinds"),
+    "circulant_isomorphic None": (lambda: circulant_isomorphic(PENTAGON, None), "removed"),
+    "check_facet None covers": (lambda: check_facet(make_inequality([1] * 5, 2, "x"), None),
+                                "covers"),
+    "check_facet None inequality": (lambda: check_facet(None, COVERS), "inequality"),
+    "exact_rank None": (lambda: exact_rank(None), "rows"),
+    "ClosedPath int arcs": (lambda: ClosedPath([1, 2], 5), "arcs"),
+    "circuit_inequality None path": (lambda: circuit_inequality(PENTAGON, [1] * 5, None), "path"),
 }
 
 

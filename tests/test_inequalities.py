@@ -28,6 +28,7 @@ from circover import (
     BadParameters,
     CertificateError,
     ClosedPath,
+    LinearInequality,
     NoEssentialBullets,
     NonpositiveWinding,
     ReverseRowArcPresent,
@@ -979,3 +980,41 @@ def test_witnesses_hold_json_values_and_are_written_as_built():
         got = inequality_json(q)
         assert got == want and json.dumps(got) == json.dumps(want)
     assert kinds == {"boolean", "circuit", "minor", "minor-rfi", "rfi"}, kinds
+
+
+def test_inequality_json_writes_the_stored_ints_and_refuses_anything_else():
+    """Coefficients and right-hand side are written as stored; a Fraction,
+    integral or not, a bool or a float is BadParameters, never truncated."""
+    q = LinearInequality((2, 0, 1), 3, "x")
+    assert inequality_json(q) == {"coeffs": [2, 0, 1], "rhs": 3, "kind": "x"}
+    for coeffs, rhs in [((F(1, 2), F(3, 2)), F(5, 2)), ((1, 1), F(2)), ((1, True), 1),
+                        ((1, 1.0), 1), ((1, 1), 1.5)]:
+        with pytest.raises(BadParameters, match="must be ints"):
+            inequality_json(LinearInequality(coeffs, rhs, "x"))
+
+
+def test_built_inequalities_are_already_normalized():
+    """Non-negativity, the rows, the candidate lists' rank row and the hull
+    facets are built without a gcd division, so each must already be
+    primitive: `cli._cmd_verify` compares hull facets by their own keys.
+    Every unit circulant with 4 <= n <= 9, and 60 seeded random circular
+    matrices with n 4-9 and demands 0-3. A hull ray left undivided by its
+    gcd shows here."""
+    rng = random.Random(3030)
+    instances = [(circulant_matrix(n, k), [1] * n) for n in range(4, 10) for k in range(2, n)]
+    for _ in range(60):
+        n = rng.randint(4, 9)
+        pool = [(s, l) for s in range(1, n + 1) for l in range(2, n)]
+        m = circular_matrix(n, rng.sample(pool, rng.randint(2, n)))
+        instances.append((m, [rng.randint(0, 3) for _ in range(m.m)]))
+    kinds = set()
+    for m, demands in instances:
+        ineqs = [*nonnegativity(m.n), *row_inequalities(m, demands)]
+        ineqs += hull_facets(m, demands).facets
+        for enum in (enumerate_facet_candidates, enumerate_candidates_general):
+            cands = enum(m, demands, max_circuits=200).inequalities
+            ineqs += [q for q in cands if q.kind == "rank"]
+        for q in ineqs:
+            kinds.add(q.kind)
+            assert q.normalized().key() == q.key(), (q, demands)
+    assert kinds == {"nonneg", "boolean", "rank", "hull"}

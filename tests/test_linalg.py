@@ -112,3 +112,29 @@ RAGGED_ROWS = {
 def test_exact_rank_rejects_ragged_rows(rows, message):
     with pytest.raises(BadParameters, match=message):
         exact_rank(rows)
+
+
+class _CountedRow(list):
+    """A row that counts how often it is indexed (len and iteration do not count)."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+def test_exact_rank_stops_at_full_column_rank():
+    """Once the rank reaches the column count no later row is indexed: w
+    unit rows, then rows that count their reads. The length and type checks
+    read every row by len and iteration only. A counted row before full
+    rank is indexed, so the counter does count."""
+    for w in (1, 3, 6):
+        counted = [_CountedRow(range(1, w + 1)), _CountedRow([0] * w), _CountedRow([5] * w)]
+        assert exact_rank([[int(t == j) for t in range(w)] for j in range(w)] + counted) == w
+        assert [row.reads for row in counted] == [0, 0, 0]
+    first = _CountedRow([1, 0])
+    assert exact_rank([first, [0, 1]]) == 2
+    assert first.reads > 0

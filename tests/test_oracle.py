@@ -8,6 +8,7 @@ from _helpers import (check_validity, dense_check_facet, fraction_hull_facets, m
 from circover import (
     BadParameters,
     BudgetExceeded,
+    LinearInequality,
     NegativeCoefficient,
     check_facet,
     circulant_matrix,
@@ -287,7 +288,7 @@ def _facet_verdicts(m, demands, candidates, rng):
     for _ in range(6):
         coeffs = [rng.choice((0, 0, 1, 2, 3)) for _ in range(m.n)]
         low = min(sum(c * v for c, v in zip(coeffs, cover)) for cover in covers)
-        ineqs.append(make_inequality(coeffs, low + rng.randint(-1, 1), "random", reduce=False))
+        ineqs.append(LinearInequality(tuple(coeffs), low + rng.randint(-1, 1), "random"))
     found = 0
     for q in ineqs:
         got = check_facet(q, covers)
