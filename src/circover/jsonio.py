@@ -7,6 +7,8 @@ library promises exact arithmetic.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import BadParameters
 from .matrices import Instance, circular_matrix
 from .rationals import format_rational
@@ -64,8 +66,8 @@ def load_instance(data) -> Instance:
     if not isinstance(demands, list):
         raise BadParameters("b must be an array of demands")
     weights = data.get("w")
-    if weights is None:
-        weights = [1] * matrix.n
+    if weights is None:     # one shared Fraction: check_weights passes it through
+        weights = [Fraction(1)] * matrix.n
     if not isinstance(weights, list):
         raise BadParameters("w must be an array of weights")
     return Instance(matrix, demands, weights)

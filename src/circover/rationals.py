@@ -6,17 +6,35 @@ accepted on input too. Floats are rejected everywhere: a float in a point
 file is a user error, not something to silently round.
 
 The common spellings, an ASCII "-p/q" or "-p" with plain digits, are read
-with `int`; every other string goes through `Fraction(str)`, so a string is
-accepted or rejected, with the same value or message, exactly as
-`Fraction(value.strip())` would.
+with `int` (`_plain_parts`); every other string goes through `Fraction(str)`,
+so a string is accepted or rejected, with the same value or message, exactly
+as `Fraction(value.strip())` would. `parse_scaled_vector` reads a vector
+straight to ints (D, D * x), with no Fraction for ints and plain spellings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BadParameters
+
+
+def _plain_parts(value: str) -> tuple[int, int] | None:
+    """(p, q) in lowest terms for an ASCII "-p/q" or "-p" with plain digits,
+    None for any other spelling; q = 0 is BadParameters."""
+    num, slash, den = value.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (value.isascii() and digits.isdigit() and (not slash or den.isdigit())):
+        return None
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError:      # more digits than int() reads
+        q = 0
+    if q == 0:
+        raise BadParameters(f"not a rational: {value!r}")
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def parse_rational(value) -> Fraction:
@@ -33,11 +51,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
+        parts = _plain_parts(value)
+        if parts is not None:
+            return Fraction(*parts)
         try:
-            if value.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParameters(f"not a rational: {value!r}") from exc
@@ -55,6 +72,23 @@ def parse_rational_vector(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
         raise BadParameters("expected a list of rationals")
     return tuple([parse_rational(v) for v in values])
+
+
+def parse_scaled_vector(values) -> tuple[int, list[int]]:
+    """(D, D * x as ints), D the lcm of x's reduced denominators: the value,
+    accepts, rejects and messages of
+    `scaled_to_integers(parse_rational_vector(values))`."""
+    if not isinstance(values, (list, tuple)):
+        raise BadParameters("expected a list of rationals")
+    pairs = []
+    for v in values:
+        parts = _plain_parts(v) if type(v) is str else None
+        if parts is None:   # an int or a Fraction has both parts
+            v = v if type(v) is int else parse_rational(v)
+            parts = v.numerator, v.denominator
+        pairs.append(parts)
+    scale = lcm(*[q for _, q in pairs])
+    return scale, [p * (scale // q) for p, q in pairs]
 
 
 def scaled_to_integers(values) -> tuple[int, list[int]]:

@@ -15,14 +15,17 @@ identity is checked on every violated answer, and a mismatch raises
 CertificateError). Integral coordinate sums (mu = 0) short-circuit to
 membership: the point sits in one integral slice.
 
-All of this runs in integers. With D the lcm of the point's denominators,
-D * x is integral, so are D * slack and D * mu, and every cost above is an
-integer over D^2. `assign_costs` builds the row slacks from prefix sums of
-the doubled column vector D * x and keeps only the costs scaled by D^2; a
-circuit's Fraction cost is its scaled sum over D^2. Multiplying every cost
-by the same positive integer preserves every comparison the Bellman-Ford
-kernel of `digraph` makes, so the circuit it returns is identical, arc for
-arc, to the one the same sweep finds over the Fraction costs.
+All of this runs in integers. With D the lcm of the point's reduced
+denominators, D * x is integral, so are D * slack and D * mu, and every cost
+above is an integer over D^2. `assign_costs` reads the point straight to
+(D, D * x), builds the row slacks from prefix sums of the doubled column
+vector D * x and keeps only the costs scaled by D^2; a circuit's Fraction
+cost is its scaled sum over D^2. Multiplying every cost by the same
+positive integer preserves every comparison the Bellman-Ford kernel of
+`digraph` makes, so the circuit it returns is identical, arc for arc, to
+the one the same sweep finds over the Fraction costs. The certificate is
+checked in ints as well, as D^2 times the cut's slack, and one Fraction is
+built for the output.
 """
 
 from __future__ import annotations
@@ -30,18 +33,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 from .digraph import AuxDigraph, ClosedPath, bellman_ford, build_digraph
 from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands, check_positive_int, check_weights
-from .rationals import parse_rational_vector, scaled_to_integers
+from .rationals import parse_scaled_vector
 
 
 @dataclass(frozen=True)
 class CostAssignment:
-    point: tuple[Fraction, ...]
+    scaled_point: tuple[int, ...]   # D * point
     scale: int                      # D, the lcm of the point's denominators
     gap: Fraction                   # distance from sum(point) up to the next integer
     # forward and reverse costs times D^2, over the extended stack: rows,
@@ -49,10 +53,17 @@ class CostAssignment:
     scaled_forward: tuple[int, ...]
     scaled_reverse: tuple[int, ...]
 
-    def path_cost(self, path: ClosedPath) -> Fraction:
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(v, self.scale) for v in self.scaled_point])
+
+    def scaled_cost(self, path: ClosedPath) -> int:
+        """The path's cost times D^2."""
         fwd, rev = self.scaled_forward, self.scaled_reverse
-        total = sum([fwd[a.slot] if a.is_forward else rev[a.slot] for a in path.arcs])
-        return Fraction(total, self.scale * self.scale)
+        return sum([fwd[a.slot] if a.is_forward else rev[a.slot] for a in path.arcs])
+
+    def path_cost(self, path: ClosedPath) -> Fraction:
+        return Fraction(self.scaled_cost(path), self.scale * self.scale)
 
 
 def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
@@ -63,10 +74,9 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     """
     n = matrix.n
     demands = check_demands(matrix, demands)
-    x = parse_rational_vector(point)
-    if len(x) != n:
-        raise BadParameters(f"{len(x)} coordinates for {n} columns")
-    d, dx = scaled_to_integers(x)
+    d, dx = parse_scaled_vector(point)
+    if len(dx) != n:
+        raise BadParameters(f"{len(dx)} coordinates for {n} columns")
     prefix = list(accumulate(dx + dx, initial=0))
     slack = []
     last = []   # whether the extended row covers column n
@@ -78,14 +88,14 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
         last.append(start + length - 1 >= n)
     for j, v in enumerate(dx, 1):
         if v < 0:
-            raise InfeasiblePoint(f"column {j} is negative: {x[j - 1]}")
+            raise InfeasiblePoint(f"column {j} is negative: {Fraction(v, d)}")
     slack += dx
     last += [False] * (n - 1) + [True]
     g = -prefix[n] % d              # D * mu
     h = d - g                       # D * (1 - mu)
     forward = tuple([g * (s - h) if v else g * s for s, v in zip(slack, last)])
     reverse = tuple([h * (s + g) if v else h * s for s, v in zip(slack, last)])
-    return CostAssignment(x, d, Fraction(g, d), forward, reverse)
+    return CostAssignment(tuple(dx), d, Fraction(g, d), forward, reverse)
 
 
 def negative_circuit(digraph: AuxDigraph, costs: CostAssignment) -> ClosedPath | None:
@@ -129,12 +139,13 @@ def separate(matrix: CircularMatrix, demands, point) -> SeparationResult:
     if cyc is None:
         return SeparationResult("member", None, None, None, costs)
     ineq = circuit_inequality(matrix, demands, cyc)
-    cert = ineq.evaluate(costs.point)
-    cost = costs.path_cost(cyc)
-    if cert != cost:
+    d = costs.scale                 # slack and cost times D^2
+    slack = d * (sum(map(mul, ineq.coeffs, costs.scaled_point)) - d * ineq.rhs)
+    cert, cost = Fraction(slack, d * d), costs.scaled_cost(cyc)
+    if slack != cost:
         raise CertificateError(
-            f"inequality slack {cert} differs from the circuit cost {cost}")
-    if cert >= 0:
+            f"inequality slack {cert} differs from the circuit cost {costs.path_cost(cyc)}")
+    if slack >= 0:
         raise CertificateError(f"circuit inequality is not violated: slack {cert}")
     return SeparationResult("violated", ineq, cyc, cert, costs)
 
