@@ -29,7 +29,7 @@ def _plain_parts(value: str) -> tuple[int, int] | None:
         return None
     try:
         p, q = int(num), int(den or 1)
-    except ValueError:      # more digits than int() reads
+    except ValueError:      # more digits than int() reads: rejected as q = 0 is
         q = 0
     if q == 0:
         raise BadParameters(f"not a rational: {value!r}")

@@ -139,7 +139,7 @@ def separate(matrix: CircularMatrix, demands, point) -> SeparationResult:
     if cyc is None:
         return SeparationResult("member", None, None, None, costs)
     ineq = circuit_inequality(matrix, demands, cyc)
-    d = costs.scale                 # slack and cost times D^2
+    d = costs.scale                 # slack and cost below are both times D^2
     slack = d * (sum(map(mul, ineq.coeffs, costs.scaled_point)) - d * ineq.rhs)
     cert, cost = Fraction(slack, d * d), costs.scaled_cost(cyc)
     if slack != cost:

@@ -19,8 +19,10 @@ from test_cli import run_python
 from circover import (
     BadParameters,
     CertificateError,
+    ClosedPath,
     IterationLimit,
     InfeasiblePoint,
+    LPResult,
     NegativeWeight,
     assign_costs,
     build_digraph,
@@ -28,10 +30,13 @@ from circover import (
     circular_matrix,
     cut_loop,
     enumerate_minimal_covers,
+    load_instance,
     negative_circuit,
+    parse_rational_vector,
     separate,
 )
 from circover import lp, separation
+from circover.rationals import parse_scaled_vector, scaled_to_integers
 
 HALF5 = (F(1, 2),) * 5
 
@@ -393,3 +398,152 @@ def test_separate_builds_no_arc_objects_for_a_member(monkeypatch):
     assert res.verdict == "violated"
     assert len(built) == 2 and not any("arcs" in d.__dict__ for d in built)
     assert all(a in built[1].arcs for a in res.circuit.arcs)
+
+
+def _zero_cost_circuit(digraph, costs):
+    """The (5,2) circuit forward-row 2, forward-row 4, forward-short 1: at
+    HALF5 its cost and its inequality's slack are both 0."""
+    arcs = {(a.kind, a.index): a for a in digraph.arcs}
+    return ClosedPath([arcs["forward-row", 2], arcs["forward-row", 4],
+                       arcs["forward-short", 1]], digraph.n)
+
+
+def test_unviolated_circuit_raises(monkeypatch):
+    """A circuit whose cost equals its inequality's slack but is not
+    negative is a CertificateError, never a reported cut."""
+    monkeypatch.setattr(separation, "negative_circuit", _zero_cost_circuit)
+    with pytest.raises(CertificateError, match=r"^circuit inequality is not violated: slack 0$"):
+        separate(circulant_matrix(5, 2), [1] * 5, HALF5)
+
+
+def test_cut_loop_rejects_an_infeasible_relaxation(monkeypatch):
+    monkeypatch.setattr(separation, "solve_lp", lambda *args: LPResult("infeasible", None, None))
+    with pytest.raises(CertificateError, match=r"^covering relaxation came back infeasible$"):
+        cut_loop(circulant_matrix(5, 2), [1] * 5, [1] * 5)
+
+
+def test_unviolated_circuit_and_infeasible_relaxation_survive_dash_O():
+    script = """
+from fractions import Fraction
+from circover import CertificateError, ClosedPath, LPResult, circulant_matrix, cut_loop, separate
+from circover import separation
+assert False, "asserts must be stripped here"
+def zero_cost_circuit(digraph, costs):
+    arcs = {(a.kind, a.index): a for a in digraph.arcs}
+    return ClosedPath([arcs["forward-row", 2], arcs["forward-row", 4],
+                       arcs["forward-short", 1]], digraph.n)
+separation.negative_circuit = zero_cost_circuit
+separation.solve_lp = lambda *args: LPResult("infeasible", None, None)
+m = circulant_matrix(5, 2)
+for call in (lambda: separate(m, [1] * 5, [Fraction(1, 2)] * 5),
+             lambda: cut_loop(m, [1] * 5, [1] * 5)):
+    try:
+        call()
+    except CertificateError as exc:
+        print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    assert out.splitlines() == ["circuit inequality is not violated: slack 0",
+                                "covering relaxation came back infeasible"]
+
+
+def _outcome(read, values):
+    try:
+        return read(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_scaled_reader_matches_the_fraction_reader():
+    """`parse_scaled_vector` gives the value, accepts, rejects and messages of
+    `scaled_to_integers(parse_rational_vector(...))` on a seeded stream of
+    vectors mixing plain, unreduced and loose spellings with values that
+    every reader rejects."""
+    good = ["2/4", "-6/8", "007/014", "-0", " 1/2", "+1", "1.5", "1_000", "\u0661\u0662",
+            "3", "-5/7", 0, 4, -9, F(5, 6), F(-7, 4), "1" + "0" * 29 + "/3", 10 ** 30]
+    bad = ["1/0", "0/0", "1/-2", "-", "1/", "\u00b2", True, False, 1.5, None]
+    rng = random.Random(2017)
+    accepted = rejected = 0
+    for _ in range(3000):
+        values = [rng.choice(good if rng.random() < 0.93 else bad)
+                  for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.1:
+            values = tuple(values) if rng.random() < 0.5 else rng.choice(["1/2", None, {}])
+        want = _outcome(lambda v: scaled_to_integers(parse_rational_vector(v)), values)
+        got = _outcome(parse_scaled_vector, values)
+        assert got == want, values
+        if type(got[0]) is int:
+            accepted += 1
+            assert all(type(v) is int for v in got[1])
+        else:
+            rejected += 1
+    assert accepted > 1500 and rejected > 500, (accepted, rejected)
+
+
+def _spelled(rng, v):
+    """v as a Fraction, an int, or a string over an unreduced denominator,
+    sometimes padded so that it takes the Fraction(str) fallback."""
+    k = rng.randint(1, 3)
+    text = f"{v.numerator * k}/{v.denominator * k}"
+    return rng.choice([v, text, f" {text}", v.numerator if v.denominator == 1 else text])
+
+
+def test_int_certificate_equals_the_fraction_slack():
+    """The certificate, checked in ints, equals LinearInequality.evaluate at
+    the point and the circuit's Fraction cost: at seeded circulant points
+    spelled several ways, and at points b/k plus bumps of seeded random
+    circular matrices with rows of length k to k + 2."""
+    rng = random.Random(31)
+    cases = _replay_cases(rng, 120)
+    for _ in range(300):
+        n = rng.randint(5, 30)
+        k = rng.randint(2, max(2, n // 2))
+        pool = [(s, l) for s in range(1, n + 1) for l in range(k, min(k + 2, n - 1) + 1)]
+        m = circular_matrix(n, rng.sample(pool, rng.randint(n // 2, min(len(pool), 2 * n))))
+        b = rng.randint(1, 2)
+        cases.append((m, [b] * m.m, [F(b, k) + F(rng.choice((0, 0, 0, 1)), 3 * k)
+                                     for _ in range(n)]))
+    violated = 0
+    for m, demands, x in cases:
+        res = separate(m, demands, [_spelled(rng, v) for v in x])
+        assert res.costs.point == tuple(x)
+        if res.verdict == "violated":
+            violated += 1
+            assert res.certificate == res.inequality.evaluate(x) < 0
+            assert res.certificate == res.costs.path_cost(res.circuit)
+    assert violated >= 90, violated
+
+
+def _count_fractions(monkeypatch, call):
+    """(call(), the number of Fractions built while it ran)."""
+    real, built = F.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    try:
+        return call(), len(built)
+    finally:
+        monkeypatch.undo()
+
+
+def test_separate_builds_no_fraction_per_coordinate(monkeypatch):
+    """On a plain-spelling point, a member builds one Fraction (the gap) and
+    a violated point two (the gap and the certificate), whatever n is."""
+    n = 60
+    m = circulant_matrix(n, 7)
+    for point, verdict, most in ((["1/7"] * n, "violated", 2), (["2/7"] * n, "member", 1),
+                                 ([1] * n, "member", 1)):
+        res, built = _count_fractions(monkeypatch, lambda: separate(m, [1] * n, point))
+        assert res.verdict == verdict and built <= most, (point[0], built)
+
+
+def test_default_weights_build_one_fraction(monkeypatch):
+    n = 60
+    doc = {"n": n, "rows": [[i, 7] for i in range(1, n + 1)]}
+    inst, built = _count_fractions(monkeypatch, lambda: load_instance(doc))
+    assert built == 1
+    assert inst.weights == (1,) * n and all(type(w) is F for w in inst.weights)
