@@ -8,24 +8,7 @@ and a brute-force oracle for cross-checking on small instances.
 
 from types import ModuleType as _ModuleType
 
-from .errors import (
-    BadParameters,
-    BoundViolation,
-    BudgetExceeded,
-    CertificateError,
-    CircoverError,
-    DuplicateRow,
-    EmptyColumnSet,
-    InfeasiblePoint,
-    IterationLimit,
-    NegativeCoefficient,
-    NegativeWeight,
-    NoEssentialBullets,
-    NonpositiveWinding,
-    NotClosedPath,
-    NotInterval,
-    ReverseRowArcPresent,
-)
+from .errors import BadParameters, BudgetExceeded, CertificateError, CircoverError
 from .rationals import (
     format_rational,
     format_rational_vector,

@@ -26,7 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BadParameters, BudgetExceeded, CircoverError, IterationLimit
+from .errors import BadParameters, BudgetExceeded, CircoverError
 from .inequalities import enumerate_circulant_minors, enumerate_facet_candidates
 from .jsonio import (
     _dumps_indented,
@@ -182,7 +182,7 @@ def _cmd_cut_loop(inst, args) -> tuple[dict, int]:
             inst.matrix, inst.demands, inst.weights,
             max_rounds=_cap(args.max_rounds, "--max-rounds"),
         )
-    except IterationLimit as exc:
+    except BudgetExceeded as exc:
         return {"instance": _instance_json(inst), "error": str(exc)}, 2
     steps = []
     for step in res.steps:

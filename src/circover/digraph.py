@@ -66,7 +66,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BadParameters, CertificateError, NotClosedPath
+from .errors import BadParameters, CertificateError
 from .matrices import CircularMatrix, check_int, check_positive_int
 
 FORWARD_ROW = "forward-row"
@@ -154,24 +154,24 @@ class ClosedPath:
     def __init__(self, arcs, n: int):
         arcs = tuple(arcs)
         if not arcs:
-            raise NotClosedPath("empty arc sequence")
+            raise BadParameters("empty arc sequence")
         for a in arcs:
             if not isinstance(a, Arc):
                 raise BadParameters(f"arcs must be Arc objects, got {a!r}")
         for a, b in zip(arcs, arcs[1:]):
             if a.head != b.tail:
-                raise NotClosedPath(
+                raise BadParameters(
                     f"arc into {a.head} followed by arc out of {b.tail}"
                 )
         if arcs[-1].head != arcs[0].tail:
-            raise NotClosedPath(
+            raise BadParameters(
                 f"path ends at {arcs[-1].head} but started at {arcs[0].tail}"
             )
         self.arcs = arcs
         self.n = n
         total = sum(a.length for a in arcs)
         if total % n:
-            raise NotClosedPath(f"arc lengths sum to {total}, not a multiple of {n}")
+            raise BadParameters(f"arc lengths sum to {total}, not a multiple of {n}")
         self.winding = total // n
 
     def __len__(self):

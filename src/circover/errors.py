@@ -1,9 +1,19 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from CircoverError so callers (and the
-CLI) can tell library errors from genuine bugs. Every failed check raises a
-CircoverError subclass, internal cross-checks included (CertificateError):
-the package holds no assert statement, so `python -O` keeps every check.
+CLI) can tell library errors from genuine bugs. The classes below it are the
+three things a caller does next:
+
+- BadParameters: fix the input. The CLI prints the message and exits 1.
+- BudgetExceeded: a cap was hit, so the answer is partial. The CLI writes
+  the partial JSON with the message under "error" and exits 2 (`facets`
+  instead flags every facet "unknown" and exits 0).
+- CertificateError: an exact answer failed its check, which is a bug to
+  report. The CLI prints the message and exits 1.
+
+The message says which check failed. Every failed check raises, internal
+cross-checks included: the package holds no assert statement, so
+`python -O` keeps every check.
 """
 
 
@@ -11,61 +21,13 @@ class CircoverError(Exception):
     """Base class for all library errors."""
 
 
-class CertificateError(CircoverError):
-    """An exact answer failed its certificate check (raised, so -O keeps it)."""
-
-
-class BoundViolation(CircoverError):
-    """A structural parameter is outside its allowed range."""
-
-
-class DuplicateRow(CircoverError):
-    """Two rows of a circular matrix coincide."""
-
-
-class EmptyColumnSet(CircoverError):
-    """A column deletion would remove every column."""
-
-
-class NotInterval(CircoverError):
-    """A node set is not a circular interval (or misses its own node)."""
-
-
-class NotClosedPath(CircoverError):
-    """An arc sequence does not chain into a closed path."""
-
-
-class InfeasiblePoint(CircoverError):
-    """The queried point violates the fractional covering constraints."""
-
-
-class NonpositiveWinding(CircoverError):
-    """A closed path winds zero or negative times, no inequality exists."""
-
-
 class BadParameters(CircoverError):
-    """Parameters are structurally invalid for the requested operation."""
-
-
-class ReverseRowArcPresent(CircoverError):
-    """Node classification is defined only without reverse row arcs."""
-
-
-class NoEssentialBullets(CircoverError):
-    """Block decomposition needs at least one essential plain node."""
-
-
-class NegativeWeight(CircoverError):
-    """Optimization over an up-closed region needs non-negative weights."""
+    """The input is invalid for the requested operation."""
 
 
 class BudgetExceeded(CircoverError):
-    """The instance is beyond the configured enumeration budget."""
+    """An enumeration or iteration cap was hit before the answer was complete."""
 
 
-class NegativeCoefficient(CircoverError):
-    """Validity checking is restricted to non-negative coefficients."""
-
-
-class IterationLimit(CircoverError):
-    """The cutting-plane loop hit its iteration cap."""
+class CertificateError(CircoverError):
+    """An exact answer failed its certificate check (raised, so -O keeps it)."""

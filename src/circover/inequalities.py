@@ -39,13 +39,7 @@ from .digraph import (
     build_digraph,
     enumerate_circuits,
 )
-from .errors import (
-    BadParameters,
-    CertificateError,
-    NoEssentialBullets,
-    NonpositiveWinding,
-    ReverseRowArcPresent,
-)
+from .errors import BadParameters, CertificateError
 from .matrices import (
     CircularMatrix,
     check_demands,
@@ -133,7 +127,7 @@ def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> Lin
         raise BadParameters(f"path must be a ClosedPath, got {type(path).__name__}")
     p = path.winding
     if p <= 0:
-        raise NonpositiveWinding(f"winding {p}, need >= 1")
+        raise BadParameters(f"winding {p}, need >= 1")
     t_plus = sum(demands[a.index - 1] for a in path.arcs if a.kind == FORWARD_ROW)
     t_minus = sum(demands[a.index - 1] for a in path.arcs if a.kind == REVERSE_ROW)
     t = t_plus - t_minus
@@ -172,7 +166,7 @@ def classify_nodes(path: ClosedPath, n: int) -> NodeClasses:
     crosses = set()
     for a in path.arcs:
         if a.kind == REVERSE_ROW:
-            raise ReverseRowArcPresent("node classes need a reverse-row-free path")
+            raise BadParameters("node classes need a reverse-row-free path")
         if a.kind == FORWARD_SHORT:
             circles.add(a.index)
         elif a.kind == REVERSE_SHORT:
@@ -225,7 +219,7 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
     classes = classify_nodes(path, n)
     ess = sorted(classes.essential)
     if not ess:
-        raise NoEssentialBullets("the circuit has no essential plain node")
+        raise BadParameters("the circuit has no essential plain node")
     s = len(ess)
 
     blocks = []
@@ -464,10 +458,15 @@ def enumerate_circulant_minors(
 def _circuit_minors(matrix: CircularMatrix, max_count: int | None) -> MinorEnumeration:
     """The minors certified by the restricted circuits of winding >= 2.
 
-    Circuits without an essential plain node are skipped. Each removed set
-    is listed once, by size and then by its columns, with an exact witness
-    when some circuit gives one. max_count caps the circuits, and the
-    enumeration is complete when the cap was not hit.
+    Each such circuit has an essential plain node, so `extract_minor`
+    takes every one. Winding >= 2 needs a row arc. Its head is a bullet
+    unless a reverse short leaves it, and the next row arc's tail is one
+    unless a forward short enters it; the short arcs between the two run
+    one way on a simple circuit, so one of these nodes is a bullet.
+
+    Each removed set is listed once, by size and then by its columns, with
+    an exact witness when some circuit gives one. max_count caps the
+    circuits, and the enumeration is complete when the cap was not hit.
     """
     if matrix.dominating_rows():
         raise BadParameters("minors need a matrix without dominating rows")
@@ -476,10 +475,7 @@ def _circuit_minors(matrix: CircularMatrix, max_count: int | None) -> MinorEnume
     )
     seen: dict[tuple[int, ...], MinorWitness] = {}
     for path in enum.circuits:
-        try:
-            w = extract_minor(matrix, path)
-        except NoEssentialBullets:
-            continue
+        w = extract_minor(matrix, path)
         prev = seen.get(w.removed_columns)
         if prev is None or (w.exact and not prev.exact):
             seen[w.removed_columns] = w

@@ -27,14 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadParameters,
-    BoundViolation,
-    DuplicateRow,
-    EmptyColumnSet,
-    NegativeWeight,
-    NotInterval,
-)
+from .errors import BadParameters
 from .rationals import parse_rational_vector
 
 
@@ -117,14 +110,13 @@ def check_int(value, what: str) -> None:
 def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
     """Validated constructor.
 
-    Raises BoundViolation for n < 3, a start outside 1..n, or a length
-    outside [2, n-1]; DuplicateRow when two rows coincide; BadParameters for
-    an empty row list, a row that is not a pair (tuple or list), or an n,
-    start or length that is not an int.
+    Raises BadParameters for n < 3, a start outside 1..n, a length outside
+    [2, n-1], two rows that coincide, an empty row list, a row that is not
+    a pair (tuple or list), or an n, start or length that is not an int.
     """
     check_int(n, "n")
     if n < 3:
-        raise BoundViolation(f"need n >= 3 columns, got {n}")
+        raise BadParameters(f"need n >= 3 columns, got {n}")
     if not rows:
         raise BadParameters("a circular matrix needs at least one row")
     seen = set()
@@ -135,12 +127,12 @@ def circular_matrix(n: int, rows: Sequence[tuple[int, int]]) -> CircularMatrix:
             raise BadParameters(f"a row must be two integers, got {row!r}")
         start, length = row
         if not 1 <= start <= n:
-            raise BoundViolation(f"row start {start} outside 1..{n}")
+            raise BadParameters(f"row start {start} outside 1..{n}")
         if not 2 <= length <= n - 1:
-            raise BoundViolation(f"row length {length} outside [2, {n - 1}]")
+            raise BadParameters(f"row length {length} outside [2, {n - 1}]")
         key = (start, length)
         if key in seen:
-            raise DuplicateRow(f"row {key} appears twice")
+            raise BadParameters(f"row {key} appears twice")
         seen.add(key)
         normed.append(key)
     return CircularMatrix(n, tuple(normed))
@@ -166,8 +158,8 @@ def circulant_isomorphic(matrix: CircularMatrix, removed: Iterable[int]) -> tupl
     windows. The check runs on the bitmasks of `matrix.row_masks`.
 
     removed may be empty. Raises BadParameters for a column that is not an
-    int or a `removed` that is not iterable, BoundViolation for a column
-    outside 1..n, EmptyColumnSet if every column would be deleted.
+    int or outside 1..n, a `removed` that is not iterable, or when every
+    column would be deleted.
     """
     if not isinstance(removed, Iterable):
         raise BadParameters(f"removed must be iterable, got {type(removed).__name__}")
@@ -176,10 +168,10 @@ def circulant_isomorphic(matrix: CircularMatrix, removed: Iterable[int]) -> tupl
     for j in removed:
         check_int(j, "a removed column")
         if not 1 <= j <= n:
-            raise BoundViolation(f"column {j} outside 1..{n}")
+            raise BadParameters(f"column {j} outside 1..{n}")
         gone |= 1 << (j - 1)
     if gone == (1 << n) - 1:
-        raise EmptyColumnSet("cannot delete every column")
+        raise BadParameters("cannot delete every column")
     s = n - gone.bit_count()
     sizes = [sup.bit_count() for sup in {row & ~gone for row in matrix.row_masks}]
     p = min(sizes)
@@ -191,10 +183,9 @@ def circulant_isomorphic(matrix: CircularMatrix, removed: Iterable[int]) -> tupl
 def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) -> tuple[int, int]:
     """Validate a node set as a circular interval, return (start, length).
 
-    Raises BoundViolation for nodes outside 1..n or a size outside [2, n-1],
-    NotInterval when the set is not contiguous on the cycle or misses
-    `must_contain`, BadParameters for an n or a node that is not an int or
-    nodes that are not iterable.
+    Raises BadParameters for nodes outside 1..n, a size outside [2, n-1],
+    a set that is not contiguous on the cycle or misses `must_contain`, an
+    n or a node that is not an int, or nodes that are not iterable.
     """
     check_int(n, "n")
     if not isinstance(nodes, Iterable):
@@ -203,17 +194,17 @@ def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) 
     for j in nodes:
         check_int(j, "a node")
         if not 1 <= j <= n:
-            raise BoundViolation(f"node {j} outside 1..{n}")
+            raise BadParameters(f"node {j} outside 1..{n}")
         found.add(j)
     if must_contain is not None and must_contain not in found:
-        raise NotInterval(f"the set must contain {must_contain}")
+        raise BadParameters(f"the set must contain {must_contain}")
     if not 2 <= len(found) <= n - 1:
-        raise BoundViolation(f"set of size {len(found)}, need 2..{n - 1}")
+        raise BadParameters(f"set of size {len(found)}, need 2..{n - 1}")
     # a proper subset of the cycle is a circular interval iff exactly one
     # member has its successor outside the set
     ends = [j for j in found if norm_col(j + 1, n) not in found]
     if len(ends) != 1:
-        raise NotInterval("not a circular interval")
+        raise BadParameters("not a circular interval")
     starts = [j for j in found if norm_col(j - 1, n) not in found]
     return starts[0], len(found)
 
@@ -221,14 +212,13 @@ def interval_row(nodes: Iterable[int], n: int, must_contain: int | None = None) 
 def neighborhood_rows(neighborhoods: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
     """Row v of a circular interval layout: neighborhoods[v-1] as a
     circular interval of 1..n containing v, with 2 <= size <= n-1
-    (NotInterval / BoundViolation otherwise, see `interval_row`). A layout
-    that is not a list or tuple is BadParameters, one of fewer than 3
-    nodes BoundViolation."""
+    (BadParameters otherwise, see `interval_row`), as is a layout that is
+    not a list or tuple or has fewer than 3 nodes."""
     if not isinstance(neighborhoods, (list, tuple)):
         raise BadParameters(f"neighborhoods must be a list, got {type(neighborhoods).__name__}")
     n = len(neighborhoods)
     if n < 3:
-        raise BoundViolation(f"need at least 3 nodes, got {n}")
+        raise BadParameters(f"need at least 3 nodes, got {n}")
     return [interval_row(neighborhoods[v - 1], n, must_contain=v) for v in range(1, n + 1)]
 
 
@@ -246,7 +236,7 @@ def web_neighborhoods(n: int, radius: int) -> list[list[int]]:
     check_int(n, "n")
     check_int(radius, "the web radius")
     if radius < 1 or 2 * radius + 1 > n - 1:
-        raise BoundViolation(f"web radius {radius} does not fit on {n} nodes")
+        raise BadParameters(f"web radius {radius} does not fit on {n} nodes")
     return [
         [norm_col(v + d, n) for d in range(-radius, radius + 1)]
         for v in range(1, n + 1)
@@ -281,7 +271,7 @@ def check_weights(matrix: CircularMatrix, weights) -> tuple[Fraction, ...]:
         raise BadParameters(f"{len(w)} weights for {matrix.n} columns")
     for v in w:
         if v.numerator < 0:
-            raise NegativeWeight(f"negative weight {v}")
+            raise BadParameters(f"negative weight {v}")
     return w
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import BadParameters, BudgetExceeded, CertificateError, NegativeCoefficient
+from .errors import BadParameters, BudgetExceeded, CertificateError
 from .inequalities import LinearInequality
 from .linalg import exact_rank
 from .matrices import CircularMatrix, check_demands, check_positive_int
@@ -104,8 +104,8 @@ def enumerate_minimal_covers(
 
 
 def _cover_values(inequality, covers) -> list[int]:
-    """a.c for every cover c; BadParameters for an argument of the wrong type or
-    a cover of the wrong length, NegativeCoefficient for a negative entry of a."""
+    """a.c for every cover c; BadParameters for an argument of the wrong type,
+    a cover of the wrong length or a negative entry of a."""
     if not isinstance(inequality, LinearInequality):
         raise BadParameters(
             f"inequality must be a LinearInequality, got {type(inequality).__name__}")
@@ -116,7 +116,7 @@ def _cover_values(inequality, covers) -> list[int]:
         k = next(k for k, cover in enumerate(covers) if len(cover) != len(coeffs))
         raise BadParameters(f"cover {k} has {len(covers[k])} entries, the inequality {len(coeffs)}")
     if min(coeffs, default=0) < 0:
-        raise NegativeCoefficient(f"negative coefficient in {coeffs}")
+        raise BadParameters(f"negative coefficient in {coeffs}")
     return [sum(map(mul, coeffs, cover)) for cover in covers]
 
 

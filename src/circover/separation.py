@@ -36,7 +36,7 @@ from itertools import accumulate
 from operator import mul
 
 from .digraph import AuxDigraph, ClosedPath, bellman_ford, build_digraph
-from .errors import BadParameters, CertificateError, InfeasiblePoint, IterationLimit
+from .errors import BadParameters, BudgetExceeded, CertificateError
 from .inequalities import LinearInequality, circuit_inequality
 from .lp import solve_lp
 from .matrices import CircularMatrix, check_demands, check_positive_int, check_weights
@@ -69,7 +69,7 @@ class CostAssignment:
 def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     """Check the point against the fractional constraints and split slacks.
 
-    Raises InfeasiblePoint naming an offending row (or column) if the point
+    Raises BadParameters naming an offending row (or column) if the point
     is outside the fractional relaxation.
     """
     n = matrix.n
@@ -83,12 +83,12 @@ def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     for i, (start, length) in enumerate(matrix.rows, 1):
         s = prefix[start - 1 + length] - prefix[start - 1] - d * demands[i - 1]
         if s < 0:
-            raise InfeasiblePoint(f"row {i} is short by {Fraction(-s, d)}")
+            raise BadParameters(f"row {i} is short by {Fraction(-s, d)}")
         slack.append(s)
         last.append(start + length - 1 >= n)
     for j, v in enumerate(dx, 1):
         if v < 0:
-            raise InfeasiblePoint(f"column {j} is negative: {Fraction(v, d)}")
+            raise BadParameters(f"column {j} is negative: {Fraction(v, d)}")
     slack += dx
     last += [False] * (n - 1) + [True]
     g = -prefix[n] % d              # D * mu
@@ -195,4 +195,4 @@ def cut_loop(matrix: CircularMatrix, demands, weights, *, max_rounds: int = 200)
         steps.append(CutLoopStep(res.point, res.value, sep.inequality, sep.certificate))
         rows.append(sep.inequality.coeffs)
         rhs.append(sep.inequality.rhs)
-    raise IterationLimit(f"no convergence within {max_rounds} rounds")
+    raise BudgetExceeded(f"no convergence within {max_rounds} rounds")

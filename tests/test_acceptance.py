@@ -11,12 +11,12 @@ import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
-from _helpers import (check_validity, frozenset_contract, membership, two_valued_inequality,
+from _helpers import (INFEASIBLE_POINT, NO_ESSENTIAL_NODE, check_validity, frozenset_contract,
+                      membership, reraise_unless, two_valued_inequality,
                       walk_circulant_isomorphic)
 
 from circover import (
-    InfeasiblePoint,
-    NoEssentialBullets,
+    BadParameters,
     bad_arcs,
     block_decomposition,
     build_digraph,
@@ -74,7 +74,8 @@ def test_acceptance_1_complete_description(acceptance):
             try:
                 if any(bad_arcs(m, path)):
                     continue
-            except NoEssentialBullets:
+            except BadParameters as exc:
+                reraise_unless(exc, NO_ESSENTIAL_NODE)
                 continue
             if check_facet(ineq, covers):
                 union.add(ineq.normalized().key())
@@ -223,7 +224,8 @@ def test_acceptance_5_separation_oracle_agreement(acceptance):
             x = sample(rng, covers)
             try:
                 res = separate(m, b, x)
-            except InfeasiblePoint:
+            except BadParameters as exc:
+                reraise_unless(exc, INFEASIBLE_POINT)
                 continue
             checked += 1
             queries += 1
@@ -371,7 +373,8 @@ def test_acceptance_8_structural_invariants(acceptance):
         for x in pts:
             try:
                 costs = assign_costs(m, b, x)
-            except InfeasiblePoint:
+            except BadParameters as exc:
+                reraise_unless(exc, INFEASIBLE_POINT)
                 continue
             points_checked += 1
             dd = costs.scale * costs.scale
@@ -400,7 +403,8 @@ def test_acceptance_8_structural_invariants(acceptance):
             s = sum(1 for a in path.arcs if a.kind == FORWARD_ROW)
             try:
                 blocks = block_decomposition(m, path)
-            except NoEssentialBullets:
+            except BadParameters as exc:
+                reraise_unless(exc, NO_ESSENTIAL_NODE)
                 blocks = None
             if blocks is not None:
                 bad = bad_arcs(m, path, blocks)

@@ -239,9 +239,11 @@ def test_cut_loop(pentagon_file, capsys):
 
 
 def test_cut_loop_round_cap(pentagon_file, capsys):
-    code, out, _ = run(capsys, ["cut-loop", pentagon_file, "--max-rounds", "1"])
-    assert code == 2
-    assert "error" in json.loads(out)
+    code, out, err = run(capsys, ["cut-loop", pentagon_file, "--max-rounds", "1"])
+    assert (code, err) == (2, "")
+    data = json.loads(out)
+    assert list(data) == ["instance", "error"]
+    assert data["error"] == "no convergence within 1 rounds"
 
 
 def test_caps_below_one_rejected(pentagon_file, tmp_path, capsys):
@@ -349,9 +351,15 @@ def test_non_utf8_stdin_rejected(capsys, monkeypatch):
 def test_duplicate_row_rejected(capsys, monkeypatch):
     bad = json.dumps({"n": 5, "rows": [[1, 2], [1, 2]]})
     monkeypatch.setattr("sys.stdin", io.StringIO(bad))
-    code, _, err = run(capsys, ["solve", "-"])
-    assert code == 1
-    assert "twice" in err
+    code, out, err = run(capsys, ["solve", "-"])
+    assert (code, out, err) == (1, "", "error: row (1, 2) appears twice\n")
+
+
+def test_row_start_out_of_range_rejected(capsys, monkeypatch):
+    bad = json.dumps({"n": 3, "rows": [[4, 1]]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(bad))
+    code, out, err = run(capsys, ["solve", "-"])
+    assert (code, out, err) == (1, "", "error: row start 4 outside 1..3\n")
 
 
 def test_float_point_rejected(pentagon_file, capsys):
@@ -389,9 +397,8 @@ def test_undecodable_json_is_one_error_line(tmp_path, pentagon_file, capsys, tex
 
 
 def test_point_outside_relaxation(pentagon_file, capsys):
-    code, _, err = run(capsys, ["separate", pentagon_file, "--point", '["0","0","1","1","1"]'])
-    assert code == 1
-    assert err.startswith("error:")
+    code, out, err = run(capsys, ["separate", pentagon_file, "--point", '["0","0","1","1","1"]'])
+    assert (code, out, err) == (1, "", "error: row 1 is short by 1\n")
 
 
 def test_point_bad_json(pentagon_file, capsys):
@@ -428,8 +435,7 @@ def test_negative_weight_rejected_by_every_verb(tmp_path, capsys):
     for verb in (["solve"], ["separate", "--point", '["1","1","1","1","1"]'],
                  ["facets"], ["verify"], ["minors"], ["cut-loop"]):
         code, out, err = run(capsys, [verb[0], str(path)] + verb[1:])
-        assert code == 1, verb
-        assert err.startswith("error:"), verb
+        assert (code, out, err) == (1, "", "error: negative weight -1\n"), verb
 
 
 def run_python(*args):

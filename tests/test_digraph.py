@@ -12,7 +12,6 @@ from circover import (
     BadParameters,
     CertificateError,
     ClosedPath,
-    NotClosedPath,
     build_digraph,
     circular_matrix,
     circulant_matrix,
@@ -21,6 +20,7 @@ from circover import (
 from _helpers import determinant, eager_digraph, find_arc, incidence_matrix
 from test_cli import run_python
 
+from circover import digraph
 from circover.digraph import bellman_ford
 
 
@@ -123,14 +123,14 @@ def test_closed_path_winding_and_errors():
     assert path.is_simple
     assert sorted(path.nodes) == [1, 2, 3, 4, 5]
     assert path.row_indices(forward=True) == (2, 4, 1, 3, 5)
-    with pytest.raises(NotClosedPath):
+    with pytest.raises(BadParameters, match="^path ends at "):
         ClosedPath(rows[:3], d.n)
-    with pytest.raises(NotClosedPath):
+    with pytest.raises(BadParameters, match="^arc into "):
         ClosedPath([rows[0], rows[0]], d.n)
-    with pytest.raises(NotClosedPath):
+    with pytest.raises(BadParameters, match="^empty arc sequence$"):
         ClosedPath([], d.n)
     # chained, yet its lengths do not wind a whole number of times
-    with pytest.raises(NotClosedPath, match="not a multiple of 5"):
+    with pytest.raises(BadParameters, match="not a multiple of 5"):
         ClosedPath([replace(rows[0], length=3)] + rows[1:], d.n)
 
 
@@ -261,3 +261,28 @@ for early in (False, True):
         print(exc)
 """
     assert run_python("-O", "-c", script) == (0, "the predecessor circuit is not negative\n" * 2)
+
+
+def test_walk_back_that_closes_no_cycle_raises(monkeypatch):
+    """An arc still improving in round n means a negative cycle, and the walk
+    back from its head must close one: a walk that closes none (the walk
+    patched to return None) raises in both modes, the early mode after the
+    walks of its earlier rounds came back empty too."""
+    monkeypatch.setattr(digraph, "_predecessor_cycle", lambda *args: None)
+    for early in (False, True):
+        with pytest.raises(CertificateError, match=r"^the walk back from node 1 closed no cycle$"):
+            bellman_ford(*TRIANGLE, early=early)
+
+
+def test_walk_back_that_closes_no_cycle_raises_under_dash_O():
+    script = """
+from circover import CertificateError, digraph
+assert False, "asserts must be stripped here"
+digraph._predecessor_cycle = lambda *args: None
+for early in (False, True):
+    try:
+        digraph.bellman_ford(3, [0, 1, 2], [1, 2, 0], [-1, -1, -1], early=early)
+    except CertificateError as exc:
+        print(exc)
+"""
+    assert run_python("-O", "-c", script) == (0, "the walk back from node 1 closed no cycle\n" * 2)

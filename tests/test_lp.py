@@ -5,8 +5,9 @@ from math import lcm
 
 import pytest
 from _helpers import fraction_solve_lp, recording
+from test_cli import run_python
 
-from circover import BadParameters, lp, solve_lp
+from circover import BadParameters, CertificateError, lp, solve_lp
 
 
 def test_tiny_minimization():
@@ -306,3 +307,26 @@ def test_negated_rows_replay_the_less_or_equal_reference(monkeypatch):
         seen["<= rows, b > 0"] += sum(s == "<=" and b > 0 for s, b in zip(senses, rhs))
         seen["<= rows, b < 0"] += sum(s == "<=" and b < 0 for s, b in zip(senses, rhs))
     assert min(seen.values()) >= 100, seen
+
+
+def test_unbounded_phase_one_raises(monkeypatch):
+    """Phase 1 minimizes a sum of artificials, which is at least 0, so a
+    correct simplex never finds it unbounded: a pivot loop patched to say
+    so raises on an LP with a >= row that needs an artificial."""
+    monkeypatch.setattr(lp, "_run_simplex", lambda tab, cost, basis, d, ncols, arts:
+                        ("unbounded", d))
+    with pytest.raises(CertificateError, match=r"^phase 1 came back unbounded$"):
+        solve_lp([1, 1], [[1, 1]], [1])
+
+
+def test_unbounded_phase_one_raises_under_dash_O():
+    script = """
+from circover import CertificateError, lp, solve_lp
+assert False, "asserts must be stripped here"
+lp._run_simplex = lambda tab, cost, basis, d, ncols, arts: ("unbounded", d)
+try:
+    solve_lp([1, 1], [[1, 1]], [1])
+except CertificateError as exc:
+    print(exc)
+"""
+    assert run_python("-O", "-c", script) == (0, "phase 1 came back unbounded\n")

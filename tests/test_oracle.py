@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from _helpers import (check_validity, dense_check_facet, fraction_hull_facets, membership,
                       product_minimal_covers)
+from test_cli import run_python
 
 from circover import (
     BadParameters,
     BudgetExceeded,
+    CertificateError,
     LinearInequality,
-    NegativeCoefficient,
     check_facet,
     circulant_matrix,
     circular_matrix,
@@ -80,7 +82,7 @@ def test_check_validity():
     assert check_validity(rank, covers)
     too_strong = make_inequality([1] * 5, 4, "rank")
     assert not check_validity(too_strong, covers)
-    with pytest.raises(NegativeCoefficient):
+    with pytest.raises(BadParameters, match="^negative coefficient in "):
         check_validity(make_inequality([1, 1, 1, 1, -1], 0, "x"), covers)
 
 
@@ -213,6 +215,34 @@ def _assert_covers_match_the_product_scan(m, demands):
     with pytest.raises(below) as expected:
         product_minimal_covers(m, demands, box - 1)
     assert str(got.value) == str(expected.value)
+
+
+def test_hull_ray_with_a_negative_coefficient_raises(monkeypatch):
+    """Every ray of the double description is a non-negative combination of
+    the start rays, whose coefficients are non-negative, so no hull ray has
+    a negative one. A gcd patched to come back negated flips each combined
+    ray, and on (5,2) a flipped ray is left at the end: it raises."""
+    import circover.oracle as oracle
+
+    monkeypatch.setattr(oracle, "gcd", lambda *values: -gcd(*values))
+    with pytest.raises(CertificateError, match=r"^hull ray \(.*\) has a negative coefficient$"):
+        hull_facets(circulant_matrix(5, 2), [1] * 5)
+
+
+def test_hull_ray_with_a_negative_coefficient_raises_under_dash_O():
+    script = """
+from math import gcd
+from circover import CertificateError, circulant_matrix, hull_facets, oracle
+assert False, "asserts must be stripped here"
+oracle.gcd = lambda *values: -gcd(*values)
+try:
+    hull_facets(circulant_matrix(5, 2), [1] * 5)
+except CertificateError as exc:
+    print(exc)
+"""
+    code, out = run_python("-O", "-c", script)
+    assert code == 0
+    assert out.startswith("hull ray (") and out.endswith(") has a negative coefficient\n")
 
 
 def test_minimal_covers_match_the_product_scan():

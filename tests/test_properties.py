@@ -10,8 +10,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from _helpers import (check_validity, cold_optimize, frozenset_contract, fraction_solve_lp,
-                      membership, walk_circulant_isomorphic)
+from _helpers import (INFEASIBLE_POINT, check_validity, cold_optimize, frozenset_contract,
+                      fraction_solve_lp, membership, reraise_unless, walk_circulant_isomorphic)
 from test_acceptance import _brute_force_key
 from test_optimize import _assert_slice_matches_the_lp
 from test_oracle import _assert_covers_match_the_product_scan
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from circover import (
     BadParameters,
     CircularMatrix,
-    InfeasiblePoint,
     build_digraph,
     circulant_isomorphic,
     circulant_matrix,
@@ -119,15 +118,16 @@ def separation_queries(draw):
 @fixed
 @given(separation_queries())
 def test_separate_agrees_with_the_hull_oracle(query):
-    """"member" exactly on hull points, InfeasiblePoint only off the hull,
-    and every cut a valid inequality whose certificate is both the circuit
-    cost and the slack at the point, and negative."""
+    """"member" exactly on hull points, the infeasible-point error only off
+    the hull, and every cut a valid inequality whose certificate is both the
+    circuit cost and the slack at the point, and negative."""
     m, demands, x = query
     covers = enumerate_minimal_covers(m, demands)
     inside = membership(x, covers)
     try:
         res = separate(m, demands, x)
-    except InfeasiblePoint:
+    except BadParameters as exc:
+        reraise_unless(exc, INFEASIBLE_POINT)
         assert not inside
         return
     assert (res.verdict == "member") == inside

@@ -7,23 +7,23 @@ from fractions import Fraction as F
 import pytest
 
 from _helpers import (
+    INFEASIBLE_POINT,
     check_validity,
     fraction_costs,
     fraction_negative_circuit,
     fraction_solve_lp,
     membership,
     recording,
+    reraise_unless,
 )
 from test_cli import run_python
 
 from circover import (
     BadParameters,
+    BudgetExceeded,
     CertificateError,
     ClosedPath,
-    IterationLimit,
-    InfeasiblePoint,
     LPResult,
-    NegativeWeight,
     assign_costs,
     build_digraph,
     circulant_matrix,
@@ -113,15 +113,15 @@ def test_member_with_fractional_sum():
 
 def test_infeasible_points_are_rejected():
     m = circulant_matrix(5, 2)
-    with pytest.raises(InfeasiblePoint, match="row 1"):
+    with pytest.raises(BadParameters, match="^row 1 is short by "):
         separate(m, [1] * 5, (0, 0, 1, 1, 1))
-    with pytest.raises(InfeasiblePoint, match="column 2"):
+    with pytest.raises(BadParameters, match="^column 2 is negative: "):
         # rows all covered, column 2 dips below zero
         separate(m, [1] * 5, (2, F(-1, 4), 2, 1, 1))
     # a short row is reported before a negative column
-    with pytest.raises(InfeasiblePoint, match=r"^row 1 is short by 1/3$"):
+    with pytest.raises(BadParameters, match=r"^row 1 is short by 1/3$"):
         separate(m, [1] * 5, (F(-1, 3), 1, 0, 1, 1))
-    with pytest.raises(InfeasiblePoint, match=r"^column 1 is negative: -1/3$"):
+    with pytest.raises(BadParameters, match=r"^column 1 is negative: -1/3$"):
         separate(m, [1] * 5, (F(-1, 3), F(4, 3), 0, 1, F(4, 3)))
 
 
@@ -158,7 +158,8 @@ def test_verdicts_agree_with_the_oracle(mk):
         x = _random_relaxation_point(rng, covers, m.n)
         try:
             res = separate(m, demands, x)
-        except InfeasiblePoint:
+        except BadParameters as exc:
+            reraise_unless(exc, INFEASIBLE_POINT)
             continue
         checked += 1
         inside = membership(x, covers)
@@ -189,11 +190,11 @@ def test_cut_loop_weighted():
 
 def test_cut_loop_guards():
     m = circulant_matrix(5, 2)
-    with pytest.raises(NegativeWeight):
+    with pytest.raises(BadParameters, match="^negative weight -1$"):
         cut_loop(m, [1] * 5, [1, 1, 1, 1, -1])
     zero = cut_loop(m, [1] * 5, [0] * 5)
     assert zero.value == 0 and zero.steps == ()
-    with pytest.raises(IterationLimit):
+    with pytest.raises(BudgetExceeded, match="^no convergence within 1 rounds$"):
         cut_loop(m, [1] * 5, [1] * 5, max_rounds=1)
 
 
@@ -319,7 +320,7 @@ def test_restricted_digraph_replays_the_fraction_sweep():
 def test_assign_costs_matches_the_fraction_definition():
     """Field by field against the Fraction definition, on random matrices
     (rows wrapping past column n included) and points that are sometimes
-    infeasible, where the InfeasiblePoint message must be the same."""
+    infeasible, where the infeasible-point message must be the same."""
     rng = random.Random(1980)
     wrapped = errors = 0
     for _ in range(300):
@@ -330,9 +331,10 @@ def test_assign_costs_matches_the_fraction_definition():
         x = [F(rng.randint(-2, 30), rng.randint(1, 12)) for _ in range(n)]
         try:
             ref = fraction_costs(m, demands, x)
-        except InfeasiblePoint as exc:
+        except BadParameters as exc:
+            reraise_unless(exc, INFEASIBLE_POINT)
             errors += 1
-            with pytest.raises(InfeasiblePoint) as got:
+            with pytest.raises(BadParameters) as got:
                 assign_costs(m, demands, x)
             assert str(got.value) == str(exc)
             continue
