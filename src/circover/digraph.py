@@ -152,6 +152,9 @@ class ClosedPath:
     """A chained closed arc sequence (arcs may repeat)."""
 
     def __init__(self, arcs, n: int):
+        check_positive_int(n, "n")
+        if not isinstance(arcs, Iterable):
+            raise BadParameters(f"arcs must be a sequence of Arc objects, got {arcs!r}")
         arcs = tuple(arcs)
         if not arcs:
             raise BadParameters("empty arc sequence")
@@ -183,13 +186,13 @@ class ClosedPath:
     def __hash__(self):
         return hash(self.arcs)
 
-    @property
+    @cached_property
     def nodes(self) -> frozenset[int]:
-        return frozenset(a.tail for a in self.arcs)
+        return frozenset([a.tail for a in self.arcs])
 
     @property
     def is_simple(self) -> bool:
-        return len({a.tail for a in self.arcs}) == len(self.arcs)
+        return len(self.nodes) == len(self.arcs)
 
     def row_indices(self, *, forward: bool) -> tuple[int, ...]:
         kind = FORWARD_ROW if forward else REVERSE_ROW
@@ -313,14 +316,15 @@ def enumerate_circuits(
     """All simple circuits, canonical, deterministic order.
 
     The DFS walks a per-node adjacency built here from `digraph.arcs`, in
-    the global arc order. min_winding filters on the winding number at
-    emission time (the search itself is not pruned by it); one that is not
-    None or an int raises BadParameters. forbid_kinds, a collection of
-    arc kinds (a string or an unknown kind is BadParameters), drops whole
-    arc kinds from that adjacency before searching. Hitting
-    max_count stops the search and flags the result incomplete instead of
-    raising; a max_count that is not an int of at least 1 raises
-    BadParameters.
+    the global arc order, summing the arc lengths along its path. When a
+    walk closes, min_winding filters on that sum, n times the winding, and
+    a `ClosedPath` is built only for a circuit kept; the search itself is
+    not pruned by it. A min_winding that is not None or an int raises
+    BadParameters. forbid_kinds, a collection of arc kinds (a string or an
+    unknown kind is BadParameters), drops whole arc kinds from that
+    adjacency before searching. Hitting max_count stops the search and
+    flags the result incomplete instead of raising; a max_count that is
+    not an int of at least 1 raises BadParameters.
     """
     if max_count is not None:
         check_positive_int(max_count, "max_count")
@@ -339,26 +343,24 @@ def enumerate_circuits(
         if a.kind not in forbid_kinds:
             out[a.tail].append(a)
 
-    path: list[Arc] = []
-    on_path: set[int] = set()
+    path: list[Arc] = []   # visit pops every arc it pushes
 
-    def visit(start: int, v: int) -> bool:
-        # returns False to abort the whole search (cap hit)
+    def visit(start: int, v: int, total: int) -> bool:
+        # total: the arc lengths summed along the path; False aborts (cap hit)
         for a in out[v]:
             h = a.head
             if h != start and (h < start or h in on_path):
                 continue
             path.append(a)
             if h == start:
-                cand = ClosedPath(path, n)
-                if min_winding is None or cand.winding >= min_winding:
-                    found.append(cand)
+                if min_winding is None or total + a.length >= n * min_winding:
+                    found.append(ClosedPath(path, n))
                     if max_count is not None and len(found) >= max_count:
                         path.pop()
                         return False
             else:
                 on_path.add(h)
-                ok = visit(start, h)
+                ok = visit(start, h, total + a.length)
                 on_path.discard(h)
                 if not ok:
                     path.pop()
@@ -368,8 +370,7 @@ def enumerate_circuits(
 
     for start in range(1, n + 1):
         on_path = {start}
-        path = []
-        if not visit(start, start):
+        if not visit(start, start, 0):
             complete = False
             break
     return CircuitEnumeration(tuple(found), complete)

@@ -123,8 +123,7 @@ def row_inequalities(matrix: CircularMatrix, demands) -> list[LinearInequality]:
 def circuit_inequality(matrix: CircularMatrix, demands, path: ClosedPath) -> LinearInequality:
     """The inequality induced by a closed path with positive winding."""
     demands = check_demands(matrix, demands)
-    if not isinstance(path, ClosedPath):
-        raise BadParameters(f"path must be a ClosedPath, got {type(path).__name__}")
+    _check_path(path, matrix.n)
     p = path.winding
     if p <= 0:
         raise BadParameters(f"winding {p}, need >= 1")
@@ -161,7 +160,16 @@ class NodeClasses:
     essential: frozenset[int]  # bullets that are nodes of the path
 
 
+def _check_path(path, n: int) -> None:
+    """BadParameters unless path is a ClosedPath of a matrix on n columns."""
+    if not isinstance(path, ClosedPath):
+        raise BadParameters(f"path must be a ClosedPath, got {type(path).__name__}")
+    if path.n != n:
+        raise BadParameters(f"path must be a circuit on {n} nodes, got one on {path.n}")
+
+
 def classify_nodes(path: ClosedPath, n: int) -> NodeClasses:
+    _check_path(path, n)
     circles = set()
     crosses = set()
     for a in path.arcs:
@@ -196,9 +204,12 @@ class Block:
 
 @dataclass(frozen=True)
 class BlockStructure:
+    """The blocks of a circuit, with the node classes they were read from."""
+
     blocks: tuple[Block, ...]
     winding: int
     essential: tuple[int, ...]
+    classes: NodeClasses = field(compare=False)
 
 
 def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStructure:
@@ -213,10 +224,10 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
     if matrix.dominating_rows():
         raise BadParameters("block structure needs a matrix without dominating rows")
     n = matrix.n
+    classes = classify_nodes(path, n)
     p = path.winding
     if p < 1:
         raise BadParameters(f"winding {p} < 1")
-    classes = classify_nodes(path, n)
     ess = sorted(classes.essential)
     if not ess:
         raise BadParameters("the circuit has no essential plain node")
@@ -265,7 +276,7 @@ def block_decomposition(matrix: CircularMatrix, path: ClosedPath) -> BlockStruct
         if cnt != p:
             raise CertificateError(
                 f"row arc {a.index} jumps {cnt} essential plain nodes at winding {p}")
-    return BlockStructure(tuple(blocks), p, tuple(ess))
+    return BlockStructure(tuple(blocks), p, tuple(ess), classes)
 
 
 def bad_arcs(
@@ -275,28 +286,25 @@ def bad_arcs(
 
     Every row jumps p-1, p, or p+1 of them; the p-1 ones (the bad rows) are
     exactly the rows whose arc starts inside a circle block and ends on a
-    circle or off the circuit. Both facts are checked, and CertificateError
-    is raised when either fails.
+    circle or off the circuit. A failed check raises CertificateError. The
+    blocks and their node classes come from `block_decomposition`.
     """
     if blocks is None:
         blocks = block_decomposition(matrix, path)
+    elif not isinstance(blocks, BlockStructure):
+        raise BadParameters(f"blocks must be a BlockStructure, got {type(blocks).__name__}")
     p = blocks.winding
-    ess = set(blocks.essential)
-    classes = classify_nodes(path, matrix.n)
+    ess_mask = sum([1 << (j - 1) for j in blocks.essential])
     circle_nodes = {j for blk in blocks.blocks if blk.kind == "circle" for j in blk.members}
-    nodes = path.nodes
-    n = matrix.n
     bad = []
-    for i in range(1, matrix.m + 1):
-        start, length = matrix.rows[i - 1]
-        tail = norm_col(start - 1, n)
-        head = norm_col(start + length - 1, n)
-        cnt = len(matrix.support(i) & ess)
+    for i, ((start, length), mask) in enumerate(zip(matrix.rows, matrix.row_masks), 1):
+        tail = norm_col(start - 1, matrix.n)
+        head = norm_col(start + length - 1, matrix.n)
+        cnt = (mask & ess_mask).bit_count()
         if not p - 1 <= cnt <= p + 1:
             raise CertificateError(f"row {i} jumps {cnt} essential nodes at winding {p}")
         expect_bad = tail in circle_nodes and (
-            head in classes.circles or head not in nodes
-        )
+            head in blocks.classes.circles or head not in path.nodes)
         if (cnt == p - 1) != expect_bad:
             raise CertificateError(f"bad-row criterion failed on row {i}")
         if cnt == p - 1:

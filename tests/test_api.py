@@ -1,6 +1,7 @@
 """Package surface: one validation rule behind every entry point, clean exports."""
 
 import ast
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,12 +16,15 @@ from circover import (
     ClosedPath,
     Instance,
     assign_costs,
+    bad_arcs,
+    block_decomposition,
     build_digraph,
     check_facet,
     circuit_inequality,
     circulant_isomorphic,
     circulant_matrix,
     circular_matrix,
+    classify_nodes,
     cover_number,
     cut_loop,
     domination_solve,
@@ -29,6 +33,7 @@ from circover import (
     enumerate_circulant_minors,
     enumerate_facet_candidates,
     enumerate_minimal_covers,
+    extract_minor,
     hull_facets,
     interval_row,
     make_inequality,
@@ -223,7 +228,14 @@ HELPER_ARGUMENTS = {
     "check_facet None inequality": (lambda: check_facet(None, COVERS), "inequality"),
     "exact_rank None": (lambda: exact_rank(None), "rows"),
     "ClosedPath int arcs": (lambda: ClosedPath([1, 2], 5), "arcs"),
+    "ClosedPath None arcs": (lambda: ClosedPath(None, 8), "arcs"),
+    "ClosedPath zero n": (lambda: ClosedPath(CIRCUIT.arcs, 0), "n"),
     "circuit_inequality None path": (lambda: circuit_inequality(PENTAGON, [1] * 5, None), "path"),
+    "classify_nodes None path": (lambda: classify_nodes(None, 8), "path"),
+    "block_decomposition None path": (lambda: block_decomposition(PENTAGON, None), "path"),
+    "bad_arcs None path": (lambda: bad_arcs(PENTAGON, None), "path"),
+    "bad_arcs string blocks": (lambda: bad_arcs(PENTAGON, CIRCUIT, "x"), "blocks"),
+    "extract_minor None path": (lambda: extract_minor(PENTAGON, None), "path"),
 }
 
 
@@ -235,6 +247,32 @@ def test_helpers_reject_a_malformed_argument(call, name):
         call()
 
 
+def test_a_circuit_of_another_order_is_bad_input():
+    """A winding-2 circuit of the circulant (8,3) handed to a helper with a
+    matrix on 9 or 7 columns is BadParameters, not an inequality on the
+    wrong columns, an IndexError or a failed certificate."""
+    path = enumerate_circuits(build_digraph(circulant_matrix(8, 3), restricted=True),
+                              min_winding=2).circuits[0]
+    for m in (circulant_matrix(9, 3), circulant_matrix(7, 3)):
+        calls = [lambda: circuit_inequality(m, [1] * m.n, path),
+                 lambda: classify_nodes(path, m.n),
+                 lambda: block_decomposition(m, path),
+                 lambda: bad_arcs(m, path),
+                 lambda: extract_minor(m, path)]
+        for call in calls:
+            with pytest.raises(BadParameters,
+                               match=f"^path must be a circuit on {m.n} nodes, got one on 8$"):
+                call()
+
+
+def _random_matrices(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        rows = {(rng.randint(1, n), rng.randint(2, n - 1)) for _ in range(rng.randint(1, n))}
+        yield circular_matrix(n, sorted(rows))
+
+
 def test_min_winding_none_filters_nothing():
     """None keeps every winding; any int, negative or zero too, filters."""
     digraph = build_digraph(PENTAGON)
@@ -243,6 +281,24 @@ def test_min_winding_none_filters_nothing():
     assert {c.winding for c in everything} == {-2, -1, 0, 1, 2}
     kept = enumerate_circuits(digraph, min_winding=0).circuits
     assert kept == tuple([c for c in everything if c.winding >= 0])
+    # the search filters on its running length sum: on seeded random
+    # matrices and both digraphs, each min_winding keeps exactly the
+    # unfiltered circuits of that winding or more, in order, and a cap cuts
+    # that list, flagged incomplete once it is reached
+    windings = set()
+    for m in _random_matrices(60, 3311):
+        for restricted in (False, True):
+            digraph = build_digraph(m, restricted=restricted)
+            everything = enumerate_circuits(digraph).circuits
+            windings.update(c.winding for c in everything)
+            for min_winding in (0, 1, 2, 3):
+                kept = tuple([c for c in everything if c.winding >= min_winding])
+                enum = enumerate_circuits(digraph, min_winding=min_winding)
+                assert (enum.circuits, enum.complete) == (kept, True)
+                for cap in {1, 3, len(kept), len(kept) + 1} - {0}:
+                    enum = enumerate_circuits(digraph, min_winding=min_winding, max_count=cap)
+                    assert (enum.circuits, enum.complete) == (kept[:cap], len(kept) < cap)
+    assert windings >= {-3, -2, -1, 0, 1, 2, 3}, windings
 
 
 def test_every_entry_point_accepts_good_input():

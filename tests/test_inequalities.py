@@ -621,6 +621,38 @@ def test_minors_of_other_matrices_are_incomplete_exactly_at_the_circuit_cap():
     assert capped >= 30, capped
 
 
+def test_minor_circuits_are_built_and_classified_once(monkeypatch):
+    """On the unit circulant (16,7) less its row 2, `enumerate_circuits`
+    builds one ClosedPath per circuit it returns, `classify_nodes` runs once
+    per circuit handed to `extract_minor` (`bad_arcs` reads the classes off
+    the blocks), and no row support is built as a set."""
+    from circover.matrices import CircularMatrix
+
+    counts = dict.fromkeys(["built", "returned", "extracted", "classified", "supports"], 0)
+
+    def counting(key, call, size=lambda result: 1):
+        def wrapper(*args, **kwargs):
+            result = call(*args, **kwargs)
+            counts[key] += size(result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ClosedPath, "__init__", counting("built", ClosedPath.__init__))
+    monkeypatch.setattr(inequalities, "enumerate_circuits",
+                        counting("returned", inequalities.enumerate_circuits,
+                                 lambda enum: len(enum.circuits)))
+    monkeypatch.setattr(inequalities, "extract_minor",
+                        counting("extracted", inequalities.extract_minor))
+    monkeypatch.setattr(inequalities, "classify_nodes",
+                        counting("classified", inequalities.classify_nodes))
+    monkeypatch.setattr(CircularMatrix, "support", counting("supports", CircularMatrix.support))
+    m = circular_matrix(16, [(i, 7) for i in range(1, 17) if i != 2])
+    assert len(enumerate_circulant_minors(m).witnesses) == 724
+    assert counts["built"] == counts["returned"] == counts["extracted"] > 0, counts
+    assert counts["classified"] == counts["extracted"], counts
+    assert counts["supports"] == 0, counts
+
+
 def test_minors_reject_dominating_rows():
     m = circular_matrix(6, [(1, 2), (1, 3), (3, 2), (4, 3), (5, 2)])
     for cap in (None, 1):
