@@ -105,8 +105,7 @@ class AuxDigraph:
         self.matrix = matrix
         self.restricted = restricted
         n = matrix.n
-        row_tails = [start - 1 or n for start, _ in matrix.rows]
-        row_heads = [(start + length - 2) % n + 1 for start, length in matrix.rows]
+        row_tails, row_heads = map(list, matrix.row_ends)
         cols = list(range(1, n + 1))
         prev = [n] + cols[:-1]      # column j-1, with 0 read as n
         if restricted:

@@ -297,9 +297,7 @@ def bad_arcs(
     ess_mask = sum([1 << (j - 1) for j in blocks.essential])
     circle_nodes = {j for blk in blocks.blocks if blk.kind == "circle" for j in blk.members}
     bad = []
-    for i, ((start, length), mask) in enumerate(zip(matrix.rows, matrix.row_masks), 1):
-        tail = norm_col(start - 1, matrix.n)
-        head = norm_col(start + length - 1, matrix.n)
+    for i, (tail, head, mask) in enumerate(zip(*matrix.row_ends, matrix.row_masks), 1):
         cnt = (mask & ess_mask).bit_count()
         if not p - 1 <= cnt <= p + 1:
             raise CertificateError(f"row {i} jumps {cnt} essential nodes at winding {p}")
@@ -341,9 +339,7 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     rows = tuple(sorted(path.row_indices(forward=True)))
     removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
     # s rows whose restrictions include all s windows give one row per window
-    if len(rows) != s or circulant_isomorphic(
-        CircularMatrix(matrix.n, tuple([matrix.rows[i - 1] for i in rows])), removed
-    ) != (s, p):
+    if len(rows) != s or circulant_isomorphic(matrix.row_subset(rows), removed) != (s, p):
         raise CertificateError(
             f"the circuit's rows on its {s} essential columns are not the "
             f"circulant ({s}, {p})"
@@ -379,20 +375,22 @@ def _rotation_sets(n: int, k: int, m: int, r: int) -> list[tuple[int, ...]]:
     s_u + n - (a + 1)(k + 1) .. s_u + n - (a + 1)k. Once the first r nodes
     are placed every node is tried only inside its range; for the last r
     nodes (a = 0) that range is the wrap-around gap itself.
+
+    Every bound is a difference of two nodes but the cap at n, so the sets are
+    those with s_0 = 1 translated by d = 0..n-1 where they fit, d outermost.
     """
     ranges = []
     for t in range(m):
         a = (m - 1 - t) // r
         ranges.append((t + (a + 1) * r - m, n - (a + 1) * (k + 1), n - (a + 1) * k))
     sets = []
-    for first in range(1, n + 1):
-        for rest in combinations(range(first + 1, min(first + k, n) + 1), r - 1):
-            head = (first, *rest)
-            if all(
-                head[u] + lo <= head[t] <= head[u] + hi
-                for t, (u, lo, hi) in enumerate(ranges[:r])
-            ):
-                sets.append(head)
+    for rest in combinations(range(2, min(1 + k, n) + 1), r - 1):
+        head = (1, *rest)
+        if all(
+            head[u] + lo <= head[t] <= head[u] + hi
+            for t, (u, lo, hi) in enumerate(ranges[:r])
+        ):
+            sets.append(head)
     # each level extends its sets in order, by increasing values: lex order holds
     for t in range(r, m):
         u, lo, hi = ranges[t]
@@ -404,7 +402,7 @@ def _rotation_sets(n: int, k: int, m: int, r: int) -> list[tuple[int, ...]]:
                 min(n, s[t - r] + k + 1, s[u] + hi) + 1,
             )
         ]
-    return sets
+    return [tuple([v + d for v in s]) for d in range(n) for s in sets if s[-1] + d <= n]
 
 
 def enumerate_circulant_minors(

@@ -22,29 +22,31 @@ def _dumps_indented(payload) -> str:
     # imported here so that `import circover` does not load json
     from json.encoder import encode_basestring_ascii as quote
 
+    scalars = {str: quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+               type(None): lambda _: "null"}.get
+    keys = {}  # quote(key) + ": ", once per key
+
     def write(value, indent: str) -> str:  # `indent` opens the value's line
-        if isinstance(value, str):
-            return quote(value)
-        if value is None or value is True or value is False:
-            return "null" if value is None else "true" if value else "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
         inner = indent + "  "
-        # plain ints, written in place, are most entries (coefficients, covers)
         if isinstance(value, (list, tuple)):
-            items = [int.__repr__(v) if type(v) is int else write(v, inner) for v in value]
+            items = [f(v) if (f := scalars(type(v))) else write(v, inner) for v in value]
             brackets = "[]"
         elif isinstance(value, dict):
-            items = [quote(key) + ": " + (int.__repr__(v) if type(v) is int else write(v, inner))
-                     for key, v in value.items()]
+            items = []
+            for key, v in value.items():
+                k = keys.get(key) or keys.setdefault(key, quote(key) + ": ")
+                items.append(k + (f(v) if (f := scalars(type(v))) else write(v, inner)))
             brackets = "{}"
+        elif isinstance(value, (str, int)):  # a subclass (an IntEnum): its str or int
+            return quote(value) if isinstance(value, str) else int.__repr__(value)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         if not items:
             return brackets
         return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
-    return write(payload, "\n")
+    f = scalars(type(payload))
+    return f(payload) if f else write(payload, "\n")
 
 
 def load_instance(data) -> Instance:

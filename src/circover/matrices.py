@@ -72,6 +72,19 @@ class CircularMatrix:
             out.append((run | run >> n) & full)  # fold the wrap-around bits
         return tuple(out)
 
+    @cached_property
+    def row_ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each row's column before its start and its last column: two tuples, computed once."""
+        n = self.n
+        return (tuple([start - 1 or n for start, _ in self.rows]),
+                tuple([(start + length - 2) % n + 1 for start, length in self.rows]))
+
+    def row_subset(self, indices) -> "CircularMatrix":
+        """The rows at the 1-based `indices` as a matrix, reusing their row masks."""
+        sub = CircularMatrix(self.n, tuple([self.rows[i - 1] for i in indices]))
+        sub.__dict__["row_masks"] = tuple([self.row_masks[i - 1] for i in indices])
+        return sub
+
     def row_vector(self, i: int) -> tuple[int, ...]:
         mask = self.row_masks[i - 1]
         return tuple([mask >> j & 1 for j in range(self.n)])

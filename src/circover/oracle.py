@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import BadParameters, BudgetExceeded, CertificateError
 from .inequalities import LinearInequality
@@ -185,8 +185,11 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
     masks.append(units)
 
     for t, cover in enumerate(covers[1:], n + 1):
-        h = (1, *cover)
-        vals = [sum(map(mul, h, r)) for r in rays]
+        # (1, cover).r on slot 0 and the cover's support (slot 0 keeps the read a tuple)
+        read = itemgetter(0, *[j for j, c in enumerate(cover, 1) if c])
+        weights = (1, *[c for c in cover if c])
+        vals = ([sum(read(r)) for r in rays] if max(cover) == 1
+                else [sum(map(mul, weights, read(r))) for r in rays])
         if all(v >= 0 for v in vals):
             masks = [m | ((v == 0) << t) for m, v in zip(masks, vals)]
             continue

@@ -562,6 +562,38 @@ def rotation_cover(nodes, n, k):
     return None
 
 
+def lexicographic_rotation_sets(n, k, m, r):
+    """Reference of `inequalities._rotation_sets`: the level-wise search run
+    from every least node 1..n in turn, so the sets come out in lex order
+    without translation."""
+    from itertools import combinations
+
+    ranges = []
+    for t in range(m):
+        a = (m - 1 - t) // r
+        ranges.append((t + (a + 1) * r - m, n - (a + 1) * (k + 1), n - (a + 1) * k))
+    sets = []
+    for first in range(1, n + 1):
+        for rest in combinations(range(first + 1, min(first + k, n) + 1), r - 1):
+            head = (first, *rest)
+            if all(
+                head[u] + lo <= head[t] <= head[u] + hi
+                for t, (u, lo, hi) in enumerate(ranges[:r])
+            ):
+                sets.append(head)
+    for t in range(r, m):
+        u, lo, hi = ranges[t]
+        sets = [
+            s + (v,)
+            for s in sets
+            for v in range(
+                max(s[-1] + 1, s[t - r] + k, s[u] + lo),
+                min(n, s[t - r] + k + 1, s[u] + hi) + 1,
+            )
+        ]
+    return sets
+
+
 def _certified_witness(parent, nodes, window):
     """The exact MinorWitness for deleting `nodes`, after checking with the
     reference contraction that the minor is the circulant promised."""

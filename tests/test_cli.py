@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,41 @@ def test_stdout_is_what_json_dumps_writes(verb, instance, tmp_path, capsys):
 def test_indented_writer_rejects_floats_and_non_str_keys(value):
     with pytest.raises(TypeError):
         _dumps_indented(value)
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Record(dict):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = -(10 ** 30)
+
+
+@pytest.mark.parametrize("value", [
+    _Text("caf\u00e9 \"q\""), _Count(7), _Level.HIGH, _Items(), _Pair(), _Record(),
+    _Items([_Count(3), _Level.LOW, _Pair((_Text("x"), None, True)), _Record()]),
+    _Record({_Text("k\u00e9y"): _Items([_Level.HIGH, False]), "b": _Pair((1, _Count(-2))),
+             "c": _Record({"d": _Text("")}), "e": [_Level.LOW, {"f": _Pair()}]}),
+], ids=["str", "int", "int-enum", "empty-list", "empty-tuple", "empty-dict", "list", "dict"])
+def test_indented_writer_matches_json_dumps_on_subclasses(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2)
 
 
 def test_minors_circulant(tmp_path, capsys):

@@ -14,6 +14,7 @@ from _helpers import (
     find_arc,
     frozenset_contract,
     jsonable,
+    lexicographic_rotation_sets,
     minor_inequalities,
     reraise_unless,
     row_family_inequality,
@@ -750,6 +751,22 @@ def test_circulant_minors_match_the_subset_scan_at_orders_14_to_16():
         scanned_circulant_minors, range(14, 17), uncapped_window_n_minus_1=False
     )
     assert found >= 10000, found
+
+
+def test_translated_rotation_sets_equal_the_search_from_every_least_node():
+    """The sets with least node 1, translated, against the level-wise search
+    run from every least node: the same list in the same order for every
+    (n, k, m, r) `enumerate_circulant_minors` asks for with n <= 18."""
+    cases = 0
+    for n in range(3, 19):
+        for k in range(2, n):
+            for m in range(1, n - 2):
+                for r in range(1, k - 1):
+                    if m * k <= r * n <= m * (k + 1):
+                        want = lexicographic_rotation_sets(n, k, m, r)
+                        assert inequalities._rotation_sets(n, k, m, r) == want, (n, k, m, r)
+                        cases += 1
+    assert cases == 555
 
 
 def _wrong_match(matrix, removed):

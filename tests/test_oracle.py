@@ -306,6 +306,20 @@ def test_hull_facets_match_the_fraction_construction():
     assert levels == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("matrix, demands", [
+    (circulant_matrix(6, 3), [3] * 6),
+    (circular_matrix(7, [(1, 3), (2, 4), (4, 2), (5, 3), (6, 4)]), [1, 3, 2, 1, 2]),
+], ids=["circulant-6-3-b3", "mixed-demands"])
+def test_hull_facets_on_weighted_covers_match_the_fraction_construction(matrix, demands):
+    """Covers with entries 2 and 3 take the weighted read of each ray on
+    the cover's support; the facets are those of the Fraction construction."""
+    hull = hull_facets(matrix, demands)
+    assert {2, 3} <= {c for cover in hull.covers[1:] for c in cover}
+    want = fraction_hull_facets(matrix, demands)
+    assert [(q.coeffs, q.rhs, q.kind) for q in hull.facets] == [
+        (q.coeffs, q.rhs, q.kind) for q in want.facets]
+
+
 def _facet_verdicts(m, demands, candidates, rng):
     """check_facet against the dense reference on the candidates, the hull
     facets and six random inequalities, valid, tight or not (rhs the least
