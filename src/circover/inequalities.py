@@ -384,7 +384,7 @@ def _rotation_sets(n: int, k: int, m: int, r: int) -> list[tuple[int, ...]]:
         a = (m - 1 - t) // r
         ranges.append((t + (a + 1) * r - m, n - (a + 1) * (k + 1), n - (a + 1) * k))
     sets = []
-    for rest in combinations(range(2, min(1 + k, n) + 1), r - 1):
+    for rest in combinations(range(2, k + 2), r - 1):  # k <= n - 1
         head = (1, *rest)
         if all(
             head[u] + lo <= head[t] <= head[u] + hi

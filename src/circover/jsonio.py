@@ -22,6 +22,7 @@ def _dumps_indented(payload) -> str:
     # imported here so that `import circover` does not load json
     from json.encoder import encode_basestring_ascii as quote
 
+    # by exact type, so that True is no int and a subclass goes to `write`
     scalars = {str: quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                type(None): lambda _: "null"}.get
     keys = {}  # quote(key) + ": ", once per key

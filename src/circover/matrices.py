@@ -75,9 +75,8 @@ class CircularMatrix:
     @cached_property
     def row_ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Each row's column before its start and its last column: two tuples, computed once."""
-        n = self.n
-        return (tuple([start - 1 or n for start, _ in self.rows]),
-                tuple([(start + length - 2) % n + 1 for start, length in self.rows]))
+        return (tuple([start - 1 or self.n for start, _ in self.rows]),
+                tuple([(start + length - 2) % self.n + 1 for start, length in self.rows]))
 
     def row_subset(self, indices) -> "CircularMatrix":
         """The rows at the 1-based `indices` as a matrix, reusing their row masks."""
