@@ -338,8 +338,8 @@ def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     s = len(ess)
     rows = tuple(sorted(path.row_indices(forward=True)))
     removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
-    # s rows whose restrictions include all s windows give one row per window
-    if len(rows) != s or circulant_isomorphic(matrix.row_subset(rows), removed) != (s, p):
+    # the s rows (block_decomposition counts them) hit all s windows: one per window
+    if circulant_isomorphic(matrix.row_subset(rows), removed) != (s, p):
         raise CertificateError(
             f"the circuit's rows on its {s} essential columns are not the "
             f"circulant ({s}, {p})"
@@ -423,13 +423,15 @@ def enumerate_circulant_minors(
     r-th gap L(t + r) - L(t) is k or k+1. The cover then has d = gcd(r, m)
     circuits of winding q = r/d, and the minor is the circulant
     (n - m, k - d*q) = (n - m, k - r). So only r <= k - 2 counts, and as
-    the m r-th gaps add up to r*n, only m*k <= r*n <= m*(k+1).
+    the m r-th gaps add up to r*n, only m*k <= r*n <= m*(k+1): a range
+    m/n < 1 wide (m <= n - 3), so one r at most per size, ceil(m*k/n).
 
-    The sets are generated rather than searched: for each size m and each
-    such r, `_rotation_sets` places the least node, the next r - 1 nodes
+    The sets are generated rather than searched: for each size m with such
+    an r, `_rotation_sets` places the least node, the next r - 1 nodes
     within k of it, every later node k or k+1 past the node r places back,
-    and closes with the wrap-around gaps. Output order: by size, then
-    lexicographic in the sorted removed columns; max_count cuts that list.
+    and closes with the wrap-around gaps, in lex order. Output order, as
+    generated: by size, then lex in the sorted removed columns; max_count
+    cuts that list.
     Every witness is certified by `circulant_isomorphic` on `matrix`: the
     columns' deletion must leave the promised circulant, and a mismatch
     raises CertificateError.
@@ -444,12 +446,11 @@ def enumerate_circulant_minors(
     n = matrix.n
     witnesses = []
     for size in range(1, n - 2):
-        found = []
-        for r in range(1, k - 1):
-            if size * k <= r * n <= size * (k + 1):
-                found.extend((nodes, k - r) for nodes in _rotation_sets(n, k, size, r))
-        found.sort()
-        for nodes, window in found:
+        r = -(-size * k // n)   # the least r with size * k <= r * n
+        if r > k - 2 or r * n > size * (k + 1):
+            continue
+        window = k - r
+        for nodes in _rotation_sets(n, k, size, r):
             if circulant_isomorphic(matrix, nodes) != (n - size, window):
                 raise CertificateError(
                     f"deleting columns {list(nodes)} does not leave the circulant "

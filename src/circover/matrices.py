@@ -235,11 +235,11 @@ def neighborhood_rows(neighborhoods: Sequence[Iterable[int]]) -> list[tuple[int,
 
 
 def neighborhood_matrix(neighborhoods: Sequence[Iterable[int]]) -> CircularMatrix:
-    """The closed-neighborhood matrix of a circular interval layout: row v
-    is `neighborhood_rows`' row v, so covering it with multiplicities
-    solves domination problems on the underlying graph."""
+    """The closed-neighborhood matrix of a circular interval layout: one row
+    per distinct `neighborhood_rows` row, in first-occurrence order (twin
+    vertices share one), so covering it solves domination problems."""
     rows = neighborhood_rows(neighborhoods)
-    return circular_matrix(len(rows), rows)
+    return circular_matrix(len(rows), list(dict.fromkeys(rows)))
 
 
 def web_neighborhoods(n: int, radius: int) -> list[list[int]]:

@@ -190,9 +190,6 @@ def hull_facets(matrix: CircularMatrix, demands, budget: int | None = None) -> H
         weights = (1, *[c for c in cover if c])
         vals = ([sum(read(r)) for r in rays] if max(cover) == 1
                 else [sum(map(mul, weights, read(r))) for r in rays])
-        if all(v >= 0 for v in vals):
-            masks = [m | ((v == 0) << t) for m, v in zip(masks, vals)]
-            continue
         keep_rays, keep_masks, pos, neg = [], [], [], []
         for r, v, m in zip(rays, vals, masks):
             if v > 0:

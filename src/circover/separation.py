@@ -113,7 +113,8 @@ def negative_circuit(digraph: AuxDigraph, costs: CostAssignment) -> ClosedPath |
     cycle, _ = bellman_ford(digraph.n, digraph.tails, digraph.heads, forward + reverse)
     if cycle is None:
         return None
-    return ClosedPath([digraph._arc(k) for k in cycle], digraph.n).canonical()
+    first = min(range(len(cycle)), key=lambda t: digraph.tails[cycle[t]])
+    return ClosedPath([digraph._arc(k) for k in cycle[first:] + cycle[:first]], digraph.n)
 
 
 @dataclass(frozen=True)

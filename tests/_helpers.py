@@ -594,6 +594,29 @@ def lexicographic_rotation_sets(n, k, m, r):
     return sets
 
 
+def sorted_circulant_minors(parent, max_count=None):
+    """Reference of the order of `inequalities.enumerate_circulant_minors`
+    on a circulant: for each size, the rotation sets of every r with
+    m*k <= r*n <= m*(k+1) merged and sorted. The witnesses are not
+    certified here; the enumerator certifies each one it lists."""
+    from circover import MinorEnumeration, MinorWitness
+    from circover.inequalities import _rotation_sets
+
+    n, k = parent.n, parent.circulant_window()
+    witnesses = []
+    for size in range(1, n - 2):
+        found = []
+        for r in range(1, k - 1):
+            if size * k <= r * n <= size * (k + 1):
+                found.extend((nodes, k - r) for nodes in _rotation_sets(n, k, size, r))
+        found.sort()
+        for nodes, window in found:
+            witnesses.append(MinorWitness(nodes, n - size, window, (), True))
+            if max_count is not None and len(witnesses) >= max_count:
+                return MinorEnumeration(tuple(witnesses), False)
+    return MinorEnumeration(tuple(witnesses), True)
+
+
 def _certified_witness(parent, nodes, window):
     """The exact MinorWitness for deleting `nodes`, after checking with the
     reference contraction that the minor is the circulant promised."""

@@ -8,9 +8,12 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from _helpers import find_arc
 
 import circover
 from circover import (
+    FORWARD_ROW,
+    REVERSE_SHORT,
     BadParameters,
     CircoverError,
     ClosedPath,
@@ -45,6 +48,8 @@ from circover import (
     solve_lp,
 )
 from circover.linalg import exact_rank
+from circover.matrices import neighborhood_rows
+from circover.rationals import parse_rational
 
 PENTAGON = circulant_matrix(5, 2)
 # a circuit of winding 2 through the pentagon's five rows
@@ -245,6 +250,55 @@ def test_helpers_reject_a_malformed_argument(call, name):
     argument, and never a float or bool taken for an int."""
     with pytest.raises(BadParameters, match=f"^{name} must be"):
         call()
+
+
+def _winding_zero_path():
+    """Row arc 1 of the unit circulant (8,3), 8 -> 3, back by the reverse
+    shorts 3, 2 and 1: a closed path of winding 0."""
+    digraph = build_digraph(circulant_matrix(8, 3))
+    arcs = [find_arc(digraph, FORWARD_ROW, 1),
+            *[find_arc(digraph, REVERSE_SHORT, j) for j in (3, 2, 1)]]
+    return ClosedPath(arcs, 8)
+
+
+LONG_DENOMINATOR = "1/" + "1" * 5000
+
+# input checks with their whole messages
+EXACT_MESSAGES = {
+    "block_decomposition winding 0": (
+        lambda: block_decomposition(circulant_matrix(8, 3), _winding_zero_path()),
+        "winding 0 < 1"),
+    "neighborhood_rows two nodes": (
+        lambda: neighborhood_rows([[1, 2], [2, 1]]), "need at least 3 nodes, got 2"),
+    "check_facet negative coefficient": (
+        lambda: check_facet(make_inequality([1, -1, 1, 1, 1], 2, "x"), COVERS),
+        "negative coefficient in (1, -1, 1, 1, 1)"),
+    # more digits than int() reads: rejected as Fraction(str) rejects it
+    "parse_rational long denominator": (
+        lambda: parse_rational(LONG_DENOMINATOR), f"not a rational: {LONG_DENOMINATOR!r}"),
+}
+
+
+@pytest.mark.parametrize("call,message", EXACT_MESSAGES.values(), ids=EXACT_MESSAGES)
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(BadParameters) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_parse_rational_reads_int_and_fraction_subclasses():
+    """A subclass of int or Fraction (a bool aside) is read by value."""
+
+    class Count(int):
+        pass
+
+    class Ratio(F):
+        pass
+
+    got = parse_rational(Count(7))
+    assert got == 7 and type(got) is F
+    ratio = Ratio(7, 2)
+    assert parse_rational(ratio) is ratio
 
 
 def test_a_circuit_of_another_order_is_bad_input():

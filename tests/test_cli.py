@@ -300,6 +300,12 @@ def test_caps_below_one_rejected(pentagon_file, tmp_path, capsys):
         assert err == f"error: {args[2]} must be at least 1, got {args[3]}\n", args
 
 
+def test_negative_alpha_rejected(pentagon_file, capsys):
+    for verb in ("facets", "verify"):
+        code, out, err = run(capsys, [verb, pentagon_file, "--alpha", "-1"])
+        assert (code, out, err) == (1, "", "error: --alpha must be non-negative\n"), verb
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "PENTAGON", "--bogus"],
     ["facets", "PENTAGON", "--alpha", "x"],

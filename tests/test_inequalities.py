@@ -19,6 +19,7 @@ from _helpers import (
     reraise_unless,
     row_family_inequality,
     scanned_circulant_minors,
+    sorted_circulant_minors,
     two_valued_inequality,
     unfiltered_circulant_minors,
     walk_circulant_isomorphic,
@@ -767,6 +768,24 @@ def test_translated_rotation_sets_equal_the_search_from_every_least_node():
                         assert inequalities._rotation_sets(n, k, m, r) == want, (n, k, m, r)
                         cases += 1
     assert cases == 555
+
+
+def test_circulant_minors_are_listed_as_generated():
+    """One r per size, certified in `_rotation_sets` order: the same
+    witnesses in the same order as merging the rotation sets of every
+    qualifying r and sorting them per size, for every circulant with
+    n <= 18, uncapped and cut off by max_count 1, 7 and 50."""
+    found = 0
+    for n in range(3, 19):
+        for k in range(2, n):
+            circ = circulant_matrix(n, k)
+            full = sorted_circulant_minors(circ)
+            assert enumerate_circulant_minors(circ) == full, (n, k)
+            found += len(full.witnesses)
+            for cap in (1, 7, 50):
+                want = sorted_circulant_minors(circ, max_count=cap)
+                assert enumerate_circulant_minors(circ, max_count=cap) == want, (n, k, cap)
+    assert found == 563058, found
 
 
 def _wrong_match(matrix, removed):

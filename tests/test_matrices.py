@@ -16,9 +16,11 @@ from circover import (
     circulant_matrix,
     circular_matrix,
     cover_number,
+    domination_solve,
     interval_row,
     neighborhood_matrix,
     norm_col,
+    optimize,
     web_neighborhoods,
 )
 
@@ -352,6 +354,18 @@ def test_neighborhood_matrix_and_web():
     with pytest.raises(BadParameters, match="^the set must contain 1$"):
         # vertex 1 missing from its own closed neighborhood
         neighborhood_matrix([[2, 3], [1, 2, 3], [2, 3, 4], [3, 4, 1]])
+
+
+def test_neighborhood_matrix_gives_twins_one_row():
+    """Vertices 1 and 2 have the same closed neighborhood: the matrix has
+    one row for both, in first-occurrence order, and its cover number is
+    the domination number `domination_solve` finds."""
+    nbh = [[6, 1, 2, 3], [6, 1, 2, 3], [1, 2, 3, 4], [3, 4, 5], [4, 5, 6], [5, 6, 1, 2]]
+    m = neighborhood_matrix(nbh)
+    assert m.n == 6
+    assert m.rows == ((6, 4), (1, 4), (3, 3), (4, 3), (5, 4))
+    assert optimize(m, [1] * 5, [1] * 6).value == 2
+    assert domination_solve(nbh).value == 2
 
 
 def test_instance_validation():

@@ -402,6 +402,24 @@ def test_separate_builds_no_arc_objects_for_a_member(monkeypatch):
     assert all(a in built[1].arcs for a in res.circuit.arcs)
 
 
+def test_a_violated_point_builds_one_closed_path(monkeypatch):
+    """`negative_circuit` rotates the cycle's arc indices to the least tail
+    before it builds the circuit, so a violated point of the unit circulant
+    (8,3) builds one ClosedPath, which starts at its smallest node."""
+    built = []
+    init = ClosedPath.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClosedPath, "__init__", counting)
+    res = separate(circulant_matrix(8, 3), [1] * 8, [F(1, 3)] * 8)
+    assert res.verdict == "violated"
+    assert len(built) == 1 and built[0] is res.circuit
+    assert res.circuit.arcs[0].tail == min(res.circuit.nodes)
+
+
 def _zero_cost_circuit(digraph, costs):
     """The (5,2) circuit forward-row 2, forward-row 4, forward-short 1: at
     HALF5 its cost and its inequality's slack are both 0."""
