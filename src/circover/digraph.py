@@ -189,18 +189,9 @@ class ClosedPath:
     def nodes(self) -> frozenset[int]:
         return frozenset([a.tail for a in self.arcs])
 
-    @property
-    def is_simple(self) -> bool:
-        return len(self.nodes) == len(self.arcs)
-
     def row_indices(self, *, forward: bool) -> tuple[int, ...]:
         kind = FORWARD_ROW if forward else REVERSE_ROW
         return tuple([a.index for a in self.arcs if a.kind == kind])
-
-    def canonical(self) -> "ClosedPath":
-        """Rotate so the smallest tail node comes first (simple paths only)."""
-        k = min(range(len(self.arcs)), key=lambda t: self.arcs[t].tail)
-        return ClosedPath(self.arcs[k:] + self.arcs[:k], self.n)
 
     def descriptor(self) -> list[dict]:
         return [a.descriptor() for a in self.arcs]

@@ -321,23 +321,43 @@ class MinorWitness:
     exact: bool             # True when the contraction is the minor on the nose
 
 
+def _removed_columns(path: ClosedPath, n: int) -> tuple[int, ...]:
+    """The columns that are not essential plain nodes of a circuit, read off
+    its arcs: those it does not visit, its circles (forward shorts) and its
+    crosses (reverse shorts). The complement of `classify_nodes`' essential
+    set."""
+    visited = shorts = 0
+    for a in path.arcs:
+        visited |= 1 << (a.tail - 1)
+        if a.kind == FORWARD_SHORT or a.kind == REVERSE_SHORT:
+            shorts |= a.jump_mask
+    gone = ~visited | shorts
+    return tuple([j for j in range(1, n + 1) if gone >> (j - 1) & 1])
+
+
 def extract_minor(matrix: CircularMatrix, path: ClosedPath) -> MinorWitness:
     """Read the circulant minor certified by a circuit (winding >= 2).
 
     The circuit's s rows restricted to its s essential plain nodes always
     form the circulant (s, p), one row per window; the witness is exact when
     no bad row exists, and then the minor of the whole matrix is that
-    circulant too. Either match failing raises CertificateError.
+    circulant too. Either match failing raises CertificateError. The
+    removed columns, the complement of the essential plain nodes, come from
+    `_removed_columns`.
+
+    Lemma: the circuit is exact exactly when deleting its removed columns
+    leaves the circulant (s, p) of its own winding p. (=>) is the second
+    check here. (<=) A bad row meets the s kept columns in p - 1 < p
+    places, so the least restricted row is shorter than p and the minor is
+    not (s, p).
     """
     blocks = block_decomposition(matrix, path)
     p = blocks.winding
     if p < 2:
         raise BadParameters(f"winding {p} < 2 certifies no proper circulant minor")
-    ess = blocks.essential
-    ess_set = set(ess)
-    s = len(ess)
+    s = len(blocks.essential)
     rows = tuple(sorted(path.row_indices(forward=True)))
-    removed = tuple([j for j in range(1, matrix.n + 1) if j not in ess_set])
+    removed = _removed_columns(path, matrix.n)
     # the s rows (block_decomposition counts them) hit all s windows: one per window
     if circulant_isomorphic(matrix.row_subset(rows), removed) != (s, p):
         raise CertificateError(
@@ -472,8 +492,19 @@ def _circuit_minors(matrix: CircularMatrix, max_count: int | None) -> MinorEnume
     one way on a simple circuit, so one of these nodes is a bullet.
 
     Each removed set is listed once, by size and then by its columns, with
-    an exact witness when some circuit gives one. max_count caps the
-    circuits, and the enumeration is complete when the cap was not hit.
+    the witness of its first exact circuit, else of its first circuit.
+    Each circuit's removed set is read off its arcs (`_removed_columns`),
+    and `extract_minor` certifies only the first circuit of a set, and a
+    later one when the set's witness is not exact and deleting the set
+    leaves the circulant (s, p) of that circuit's own winding p: by
+    `extract_minor`'s lemma, exactly the exact circuits. Every other
+    circuit is skipped. The deletion is computed once per set, on its
+    second circuit. The winding must be the circuit's own: on the unit
+    circulant (12,6) less row 2, one set's first circuit has winding 3 and
+    is not exact, and a later one of winding 2 is.
+
+    max_count caps the circuits, and the enumeration is complete when the
+    cap was not hit.
     """
     if matrix.dominating_rows():
         raise BadParameters("minors need a matrix without dominating rows")
@@ -481,11 +512,17 @@ def _circuit_minors(matrix: CircularMatrix, max_count: int | None) -> MinorEnume
         build_digraph(matrix, restricted=True), min_winding=2, max_count=max_count
     )
     seen: dict[tuple[int, ...], MinorWitness] = {}
+    minor: dict[tuple[int, ...], tuple[int, int] | None] = {}
     for path in enum.circuits:
-        w = extract_minor(matrix, path)
-        prev = seen.get(w.removed_columns)
-        if prev is None or (w.exact and not prev.exact):
-            seen[w.removed_columns] = w
+        removed = _removed_columns(path, matrix.n)
+        held = seen.get(removed)
+        if held is None:
+            seen[removed] = extract_minor(matrix, path)
+        elif not held.exact:
+            if removed not in minor:
+                minor[removed] = circulant_isomorphic(matrix, removed)
+            if minor[removed] == (held.order, path.winding):
+                seen[removed] = extract_minor(matrix, path)  # exact, by the lemma
     witnesses = sorted(
         seen.values(), key=lambda w: (len(w.removed_columns), w.removed_columns)
     )

@@ -65,6 +65,19 @@ def eager_digraph(matrix, restricted):
     return tuple(arcs), tails, heads
 
 
+def is_simple(path) -> bool:
+    """Does the closed path visit each of its nodes once?"""
+    return len(path.nodes) == len(path.arcs)
+
+
+def canonical(path):
+    """The simple closed path rotated so that its smallest tail node comes first."""
+    from circover import ClosedPath
+
+    k = min(range(len(path.arcs)), key=lambda t: path.arcs[t].tail)
+    return ClosedPath(path.arcs[k:] + path.arcs[:k], path.n)
+
+
 def find_arc(digraph, kind: str, index: int):
     """The arc of the given kind for row or column `index`."""
     return next(a for a in digraph.arcs if a.kind == kind and a.index == index)
@@ -174,7 +187,7 @@ def fraction_negative_circuit(digraph, forward, reverse):
         node = a.tail
     cyc = chain[seen[node]:]
     cyc.reverse()
-    path = ClosedPath(tuple(cyc), n).canonical()
+    path = canonical(ClosedPath(tuple(cyc), n))
     if sum((arc_cost(a) for a in path.arcs), Fraction(0)) >= 0:
         raise AssertionError(f"the predecessor cycle {path.descriptor()} is not negative")
     return path
@@ -688,6 +701,31 @@ def unfiltered_circulant_minors(parent, max_count=None):
             if max_count is not None and len(witnesses) >= max_count:
                 return MinorEnumeration(tuple(witnesses), False)
     return MinorEnumeration(tuple(witnesses), True)
+
+
+def every_circuit_minors(matrix, max_count=None, mixed=None):
+    """Reference of `inequalities._circuit_minors`: `extract_minor` on every
+    restricted circuit of winding >= 2, the first witness of each removed
+    set kept until an exact one replaces it. With a list `mixed`, appends
+    each circuit whose exactness differs from its set's first witness."""
+    from circover import (MinorEnumeration, build_digraph, enumerate_circuits,
+                          extract_minor)
+
+    enum = enumerate_circuits(
+        build_digraph(matrix, restricted=True), min_winding=2, max_count=max_count
+    )
+    first = {}
+    seen = {}
+    for path in enum.circuits:
+        w = extract_minor(matrix, path)
+        head = first.setdefault(w.removed_columns, w)
+        if mixed is not None and w.exact != head.exact:
+            mixed.append(path)
+        prev = seen.get(w.removed_columns)
+        if prev is None or (w.exact and not prev.exact):
+            seen[w.removed_columns] = w
+    witnesses = sorted(seen.values(), key=lambda w: (len(w.removed_columns), w.removed_columns))
+    return MinorEnumeration(tuple(witnesses), enum.complete)
 
 
 def fraction_invert(matrix):

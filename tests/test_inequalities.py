@@ -7,16 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 from _helpers import (
-    NO_ESSENTIAL_NODE,
     NotCirculantMinor,
     check_validity,
     default_family_winding,
+    every_circuit_minors,
     find_arc,
     frozenset_contract,
     jsonable,
     lexicographic_rotation_sets,
     minor_inequalities,
-    reraise_unless,
     row_family_inequality,
     scanned_circulant_minors,
     sorted_circulant_minors,
@@ -584,28 +583,19 @@ def test_restricted_circuits_of_winding_two_have_an_essential_node():
 def test_minors_of_other_matrices_are_those_their_circuits_certify():
     """Off the circulants, each removed set that some restricted circuit of
     winding >= 2 certifies is listed once, in (size, columns) order, exact
-    when any of its circuits is; every exact witness contracts to the
-    circulant it promises by the reference contraction and walk."""
+    when any of its circuits is (`every_circuit_minors`); every exact
+    witness contracts to the circulant it promises by the reference
+    contraction and walk."""
     listed = exact = 0
     for m in _antichain_matrices(1717, 40):
-        certified = {}
-        for path in _minor_circuits(m):
-            try:
-                w = extract_minor(m, path)
-            except BadParameters as exc:
-                reraise_unless(exc, NO_ESSENTIAL_NODE)
-                continue
-            certified[w.removed_columns] = certified.get(w.removed_columns, False) or w.exact
         enum = enumerate_circulant_minors(m)
         assert enum.complete
-        removed = [w.removed_columns for w in enum.witnesses]
-        assert removed == sorted(certified, key=lambda r: (len(r), r)), m
+        assert enum == every_circuit_minors(m), m
         for w in enum.witnesses:
-            assert w.exact == certified[w.removed_columns]
             if w.exact:
                 match = walk_circulant_isomorphic(frozenset_contract(m, w.removed_columns))
                 assert match is not None and (match.order, match.window) == (w.order, w.window)
-        listed += len(removed)
+        listed += len(enum.witnesses)
         exact += sum(w.exact for w in enum.witnesses)
     assert listed >= 500 and exact >= 200, (listed, exact)
 
@@ -623,11 +613,34 @@ def test_minors_of_other_matrices_are_incomplete_exactly_at_the_circuit_cap():
     assert capped >= 30, capped
 
 
+def test_minors_of_other_matrices_equal_every_circuit_certified():
+    """Certifying each removed set once gives the `MinorEnumeration` of
+    certifying every circuit (`every_circuit_minors`), on every unit
+    circulant (n, k) with 8 <= n <= 16 and 2 <= k <= n/2 less row 2 or
+    rows 2-3, and on seeded random antichain matrices, uncapped and at a
+    cap of 3 circuits. The unit family holds 73 circuits whose exactness
+    differs from their set's first witness, in (12,6), (14,7), (15,7) and
+    (16,8), where a rule that settles a set on its first circuit's winding
+    lists a witness as not exact."""
+    matrices = [
+        circular_matrix(n, [(i, k) for i in range(1, n + 1) if i not in drop])
+        for n in range(8, 17) for k in range(2, n // 2 + 1) for drop in ([2], [2, 3])
+    ]
+    mixed = []
+    for m in matrices:
+        assert enumerate_circulant_minors(m) == every_circuit_minors(m, mixed=mixed), m
+    assert len(mixed) >= 60, len(mixed)
+    for m in _antichain_matrices(3636, 150):
+        for cap in (None, 3):
+            assert enumerate_circulant_minors(m, max_count=cap) == every_circuit_minors(m, cap), m
+
+
 def test_minor_circuits_are_built_and_classified_once(monkeypatch):
     """On the unit circulant (16,7) less its row 2, `enumerate_circuits`
-    builds one ClosedPath per circuit it returns, `classify_nodes` runs once
-    per circuit handed to `extract_minor` (`bad_arcs` reads the classes off
-    the blocks), and no row support is built as a set."""
+    builds one ClosedPath per circuit it returns, `extract_minor` runs once
+    per witness, `classify_nodes` once per `extract_minor` call (`bad_arcs`
+    reads the classes off the blocks, and each circuit's removed set is read
+    off its arcs), and no row support is built as a set."""
     from circover.matrices import CircularMatrix
 
     counts = dict.fromkeys(["built", "returned", "extracted", "classified", "supports"], 0)
@@ -649,8 +662,8 @@ def test_minor_circuits_are_built_and_classified_once(monkeypatch):
                         counting("classified", inequalities.classify_nodes))
     monkeypatch.setattr(CircularMatrix, "support", counting("supports", CircularMatrix.support))
     m = circular_matrix(16, [(i, 7) for i in range(1, 17) if i != 2])
-    assert len(enumerate_circulant_minors(m).witnesses) == 724
-    assert counts["built"] == counts["returned"] == counts["extracted"] > 0, counts
+    assert len(enumerate_circulant_minors(m).witnesses) == counts["extracted"] == 724
+    assert counts["built"] == counts["returned"] == 1707, counts
     assert counts["classified"] == counts["extracted"], counts
     assert counts["supports"] == 0, counts
 
@@ -824,17 +837,16 @@ def _order_5_circuit_of_7_3():
 
 
 @pytest.mark.parametrize("fake, call, message", [
-    (lambda: _wrong_from_call(1), extract_minor, "are not the circulant (5, 2)"),
-    (lambda: _wrong_from_call(2), extract_minor, "does not leave the circulant (5, 2)"),
+    (lambda: _wrong_from_call(1), extract_minor, r"are not the circulant \(5, 2\)"),
+    (lambda: _wrong_from_call(2), extract_minor, r"does not leave the circulant \(5, 2\)"),
     (lambda: _wrong_order, lambda m, path: minor_inequalities(m, [1, 4]),
      "2 of 7 columns left a circulant of order 6"),
 ], ids=["essential rows", "full contraction", "minor order"])
 def test_minor_checks_raise(monkeypatch, fake, call, message):
     m, path = _order_5_circuit_of_7_3()
     monkeypatch.setattr(inequalities, "circulant_isomorphic", fake())
-    with pytest.raises(CertificateError) as info:
+    with pytest.raises(CertificateError, match=message):
         call(m, path)
-    assert message in str(info.value)
 
 
 def test_minor_checks_survive_dash_O():

@@ -197,6 +197,26 @@ def test_tampered_slice_certificate_raises(monkeypatch):
                     solve_slice(m, b, w, 3, cold_flow(m, w))
 
 
+@pytest.mark.parametrize("cert, at, delta, message", [
+    (0, 1, -1, r"^negative slice flow \[1, -1, 1, 0, 0, 0, 0, 0, 0, 1, 2, 0\]$"),
+    (0, 0, 1, r"^slice flow \[2, 0, 1, 0, 0, 0, 0, 0, 0, 1, 2, 0\] does not conserve$"),
+    (1, 3, 1, r"^slice flow \[1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 2, 0\] and potential "
+              r"\[0, 0, 1, 2, 2, 3\] differ in cost$"),
+    (1, 0, 1, r"^slice potential \[1, 0, 1, 1, 2, 3\] does not run from 0 to 3$"),
+    (1, 1, 1, r"^slice potential \[0, 1, 1, 1, 2, 3\] violates arc 1 -> 3$"),
+], ids=["negative flow", "conservation", "cost", "ends", "arc"])
+def test_tampered_slice_certificate_names_its_check(monkeypatch, cert, at, delta, message):
+    """One entry of the flow (cert 0) or the potential (cert 1) moved by
+    delta is refused by the check the message names."""
+    module = sys.modules["circover.optimize"]
+    m, b, w = circulant_matrix(5, 2), [1] * 5, [3, 1, 2, 1, 2]
+    tampered = module._slice_flow(module._slice_graph(m, b, 3), w + [0] * 7)
+    tampered[cert][at] += delta
+    monkeypatch.setattr(module, "_slice_flow", lambda *args: tampered)
+    with pytest.raises(CertificateError, match=message):
+        solve_slice(m, b, w, 3, cold_flow(m, w))
+
+
 def test_slice_from_a_start_flow():
     """A probe started from another sum's optimal flow has the cold
     probe's value, and the flow it ends on takes no part in equality."""
