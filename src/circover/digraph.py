@@ -28,8 +28,8 @@ closed path visiting each node at most once. Circuit enumeration is
 deterministic: each circuit is reported exactly once, anchored and starting
 at its smallest node, with DFS branches explored in the fixed global arc
 order (forward rows, forward shorts, reverse rows, reverse shorts, each by
-index); `enumerate_circuits` builds that per-node adjacency from the arc
-list when it runs, so the digraph holds no adjacency map of its own.
+index). `enumerate_circuits` builds that adjacency when it runs and walks it
+in one loop with an explicit stack, so the search runs at any depth.
 
 The package has one integer Bellman-Ford kernel, `bellman_ford`, on flat
 int lists: a node bound n, the tails, the heads and the costs of the arcs.
@@ -305,16 +305,20 @@ def enumerate_circuits(
 ) -> CircuitEnumeration:
     """All simple circuits, canonical, deterministic order.
 
-    The DFS walks a per-node adjacency built here from `digraph.arcs`, in
-    the global arc order, summing the arc lengths along its path. When a
-    walk closes, min_winding filters on that sum, n times the winding, and
-    a `ClosedPath` is built only for a circuit kept; the search itself is
-    not pruned by it. A min_winding that is not None or an int raises
-    BadParameters. forbid_kinds, a collection of arc kinds (a string or an
-    unknown kind is BadParameters), drops whole arc kinds from that
-    adjacency before searching. Hitting max_count stops the search and
-    flags the result incomplete instead of raising; a max_count that is
-    not an int of at least 1 raises BadParameters.
+    One loop walks a stack of arc iterators over a per-node adjacency built
+    here from `digraph.arcs`, in the global arc order. A walk that closes
+    is kept, as a `ClosedPath`, when its length sum reaches n * min_winding.
+    A walk from a path of L arcs and length sum `total` out of `start` into
+    a node h is cut when total + length + (n - start - L) * top falls short
+    of that, top being the longest arc length left, clamped at 0. Proof:
+    the rest of a circuit through h visits only nodes above start and off
+    the path, so it has at most n - start - L arcs, each at most top long;
+    the clamp keeps that sound when every arc is negative, since the rest
+    has an arc. So the output is the unpruned search's. A min_winding that
+    is not None or an int raises BadParameters; forbid_kinds, a collection
+    of arc kinds (a string or an unknown kind is BadParameters), drops whole
+    arc kinds from the adjacency. Hitting max_count returns at once, flagged
+    incomplete; a max_count that is not an int >= 1 raises BadParameters.
     """
     if max_count is not None:
         check_positive_int(max_count, "max_count")
@@ -326,41 +330,37 @@ def enumerate_circuits(
         if k not in ARC_KINDS:
             raise BadParameters(f"unknown arc kind {k!r}")
     found: list[ClosedPath] = []
-    complete = True
     n = digraph.n
     out: list[list[Arc]] = [[] for _ in range(n + 1)]
     for a in digraph.arcs:
         if a.kind not in forbid_kinds:
             out[a.tail].append(a)
-
-    path: list[Arc] = []   # visit pops every arc it pushes
-
-    def visit(start: int, v: int, total: int) -> bool:
-        # total: the arc lengths summed along the path; False aborts (cap hit)
-        for a in out[v]:
-            h = a.head
-            if h != start and (h < start or h in on_path):
-                continue
-            path.append(a)
-            if h == start:
-                if min_winding is None or total + a.length >= n * min_winding:
-                    found.append(ClosedPath(path, n))
-                    if max_count is not None and len(found) >= max_count:
-                        path.pop()
-                        return False
-            else:
-                on_path.add(h)
-                ok = visit(start, h, total + a.length)
-                on_path.discard(h)
-                if not ok:
-                    path.pop()
-                    return False
-            path.pop()
-        return True
-
+    top = max([0] + [a.length for arcs in out for a in arcs])
+    target = float("-inf") if min_winding is None else n * min_winding
+    on_path = [False] * (n + 1)
+    path: list[Arc] = []
+    total = 0
     for start in range(1, n + 1):
-        on_path = {start}
-        if not visit(start, start, 0):
-            complete = False
-            break
-    return CircuitEnumeration(tuple(found), complete)
+        stack = [iter(out[start])]
+        while stack:
+            for a in stack[-1]:
+                h = a.head
+                if h == start:
+                    if total + a.length >= target:
+                        found.append(ClosedPath((*path, a), n))
+                        if max_count is not None and len(found) >= max_count:
+                            return CircuitEnumeration(tuple(found), False)
+                elif (h > start and not on_path[h]
+                      and total + a.length + (n - start - len(path)) * top >= target):
+                    path.append(a)
+                    on_path[h] = True
+                    total += a.length
+                    stack.append(iter(out[h]))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    a = path.pop()
+                    on_path[a.head] = False
+                    total -= a.length
+    return CircuitEnumeration(tuple(found), True)

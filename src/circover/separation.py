@@ -62,9 +62,6 @@ class CostAssignment:
         fwd, rev = self.scaled_forward, self.scaled_reverse
         return sum([fwd[a.slot] if a.is_forward else rev[a.slot] for a in path.arcs])
 
-    def path_cost(self, path: ClosedPath) -> Fraction:
-        return Fraction(self.scaled_cost(path), self.scale * self.scale)
-
 
 def assign_costs(matrix: CircularMatrix, demands, point) -> CostAssignment:
     """Check the point against the fractional constraints and split slacks.
@@ -145,7 +142,7 @@ def separate(matrix: CircularMatrix, demands, point) -> SeparationResult:
     cert, cost = Fraction(slack, d * d), costs.scaled_cost(cyc)
     if slack != cost:
         raise CertificateError(
-            f"inequality slack {cert} differs from the circuit cost {costs.path_cost(cyc)}")
+            f"inequality slack {cert} differs from the circuit cost {Fraction(cost, d * d)}")
     if slack >= 0:
         raise CertificateError(f"circuit inequality is not violated: slack {cert}")
     return SeparationResult("violated", ineq, cyc, cert, costs)

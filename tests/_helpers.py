@@ -65,6 +65,12 @@ def eager_digraph(matrix, restricted):
     return tuple(arcs), tails, heads
 
 
+def path_cost(costs, path) -> Fraction:
+    """The closed path's cost under a `separation.CostAssignment`, as a
+    Fraction: its scaled cost over the squared scale."""
+    return Fraction(costs.scaled_cost(path), costs.scale * costs.scale)
+
+
 def is_simple(path) -> bool:
     """Does the closed path visit each of its nodes once?"""
     return len(path.nodes) == len(path.arcs)

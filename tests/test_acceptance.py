@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 from _helpers import (INFEASIBLE_POINT, NO_ESSENTIAL_NODE, check_validity, frozenset_contract,
-                      membership, reraise_unless, two_valued_inequality,
+                      membership, path_cost, reraise_unless, two_valued_inequality,
                       walk_circulant_isomorphic)
 
 from circover import (
@@ -385,9 +385,9 @@ def test_acceptance_8_structural_invariants(acceptance):
                     break
             if costs.gap == 0:
                 continue
-            min_full = min(costs.path_cost(pp) for pp in full)
+            min_full = min(path_cost(costs, pp) for pp in full)
             min_rest = min(
-                (costs.path_cost(pp) for pp in enumerate_circuits(dig_rest).circuits),
+                (path_cost(costs, pp) for pp in enumerate_circuits(dig_rest).circuits),
             )
             if (min_full < 0) != (min_rest < 0):
                 violations.append(("elimination sign", n, k, tuple(x)))

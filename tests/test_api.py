@@ -13,6 +13,7 @@ from _helpers import find_arc
 import circover
 from circover import (
     FORWARD_ROW,
+    FORWARD_SHORT,
     REVERSE_SHORT,
     BadParameters,
     CircoverError,
@@ -335,24 +336,29 @@ def test_min_winding_none_filters_nothing():
     assert {c.winding for c in everything} == {-2, -1, 0, 1, 2}
     kept = enumerate_circuits(digraph, min_winding=0).circuits
     assert kept == tuple([c for c in everything if c.winding >= 0])
-    # the search filters on its running length sum: on seeded random
-    # matrices and both digraphs, each min_winding keeps exactly the
-    # unfiltered circuits of that winding or more, in order, and a cap cuts
-    # that list, flagged incomplete once it is reached
+    # the search filters on its running length sum and cuts the walks that
+    # cannot reach it: on seeded random matrices and the unit circulants
+    # (n, k) with 5 <= n <= 12, on both digraphs and on the restricted one
+    # without forward shorts (the shape `facets` searches on a circulant,
+    # where the cut is tightest), each min_winding keeps exactly the
+    # circuits of that winding or more of the unfiltered, uncut search, in
+    # order, and a cap cuts that list, flagged incomplete once it is reached
     windings = set()
-    for m in _random_matrices(60, 3311):
-        for restricted in (False, True):
+    circulants = [circulant_matrix(n, k) for n in range(5, 13) for k in range(2, n)]
+    for m in [*_random_matrices(60, 3311), *circulants]:
+        for restricted, forbid in ((False, ()), (True, ()), (True, {FORWARD_SHORT})):
             digraph = build_digraph(m, restricted=restricted)
-            everything = enumerate_circuits(digraph).circuits
+            everything = enumerate_circuits(digraph, forbid_kinds=forbid).circuits
             windings.update(c.winding for c in everything)
             for min_winding in (0, 1, 2, 3):
                 kept = tuple([c for c in everything if c.winding >= min_winding])
-                enum = enumerate_circuits(digraph, min_winding=min_winding)
+                enum = enumerate_circuits(digraph, min_winding=min_winding, forbid_kinds=forbid)
                 assert (enum.circuits, enum.complete) == (kept, True)
                 for cap in {1, 3, len(kept), len(kept) + 1} - {0}:
-                    enum = enumerate_circuits(digraph, min_winding=min_winding, max_count=cap)
+                    enum = enumerate_circuits(digraph, min_winding=min_winding,
+                                              forbid_kinds=forbid, max_count=cap)
                     assert (enum.circuits, enum.complete) == (kept[:cap], len(kept) < cap)
-    assert windings >= {-3, -2, -1, 0, 1, 2, 3}, windings
+    assert windings >= {-3, -2, -1, 0, 1, 2, 3, 4, 5}, windings
 
 
 def test_every_entry_point_accepts_good_input():

@@ -219,6 +219,18 @@ def test_minors_general_matrix(tmp_path, capsys):
     ]
 
 
+def test_minors_of_a_deep_hopeless_search(tmp_path, capsys):
+    # the unit circulant (3000, 2) less row 5 has no restricted circuit of
+    # winding 2, and the walks that could close one run 3,000 nodes deep:
+    # the search cuts them without recursion, so there is no RecursionError
+    path = tmp_path / "near-circulant-3000-2.json"
+    path.write_text(json.dumps({"n": 3000, "rows": [[i, 2] for i in range(1, 3001) if i != 5]}))
+    code, out, _ = run(capsys, ["minors", str(path), "--max-circuits", "1"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["minors"], data["complete"]) == ([], True)
+
+
 def test_minors_rejects_dominating_rows(tmp_path, capsys):
     # circulant (9,4) plus the row {1..5}, which strictly contains row 1
     rows = [[i, 4] for i in range(1, 10)] + [[1, 5]]

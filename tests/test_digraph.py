@@ -217,6 +217,23 @@ def test_forbid_kinds():
         enumerate_circuits(d, forbid_kinds=frozenset({"sideways"}))
 
 
+def test_deep_and_hopeless_searches_finish():
+    # on the restricted digraph of the unit circulant (n, 2) a circuit of
+    # winding 2 needs every one of its n arcs to be a row arc: for odd n the
+    # one row cycle, 2,001 arcs deep here, and for even n none at all. An
+    # uncut search walks past millions of circuits of winding 1 from n = 26
+    # on, and a recursive one overflows the stack on the deep ones
+    deep = enumerate_circuits(build_digraph(circulant_matrix(2001, 2), restricted=True),
+                              min_winding=2)
+    assert deep.complete
+    [cycle] = deep.circuits
+    assert (len(cycle), cycle.winding) == (2001, 2)
+    assert {a.kind for a in cycle.arcs} == {FORWARD_ROW}
+    hopeless = enumerate_circuits(build_digraph(circulant_matrix(2400, 2), restricted=True),
+                                  min_winding=2)
+    assert (hopeless.circuits, hopeless.complete) == ((), True)
+
+
 # the cycle 0 -> 1 -> 2 -> 0 at cost -3 on the nodes 0..3
 TRIANGLE = (3, [0, 1, 2], [1, 2, 0], [-1, -1, -1])
 

@@ -11,7 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from _helpers import (INFEASIBLE_POINT, check_validity, cold_optimize, frozenset_contract,
-                      fraction_solve_lp, membership, reraise_unless, walk_circulant_isomorphic)
+                      fraction_solve_lp, membership, path_cost, reraise_unless,
+                      walk_circulant_isomorphic)
 from test_acceptance import _brute_force_key
 from test_optimize import _assert_slice_matches_the_lp
 from test_oracle import _assert_covers_match_the_product_scan
@@ -132,7 +133,7 @@ def test_separate_agrees_with_the_hull_oracle(query):
         return
     assert (res.verdict == "member") == inside
     if res.verdict == "violated":
-        assert res.certificate == res.costs.path_cost(res.circuit)
+        assert res.certificate == path_cost(res.costs, res.circuit)
         assert res.certificate == res.inequality.evaluate(x) < 0
         assert check_validity(res.inequality, covers)
 

@@ -13,6 +13,7 @@ from _helpers import (
     fraction_negative_circuit,
     fraction_solve_lp,
     membership,
+    path_cost,
     recording,
     reraise_unless,
 )
@@ -65,7 +66,7 @@ def test_negative_circuit_on_the_half_point():
     costs = assign_costs(m, [1] * 5, HALF5)
     cyc = negative_circuit(d, costs)
     assert cyc is not None
-    assert costs.path_cost(cyc) == F(-1, 2)
+    assert path_cost(costs, cyc) == F(-1, 2)
     # pure row circuit winding twice around
     assert all(a.kind == "forward-row" for a in cyc.arcs)
     assert cyc.winding == 2
@@ -80,7 +81,7 @@ def test_separate_half_point():
     assert res.certificate == F(-1, 2)
     # certificate = inequality slack = circuit cost, all three exactly
     assert res.inequality.evaluate(HALF5) == F(-1, 2)
-    assert res.costs.path_cost(res.circuit) == F(-1, 2)
+    assert path_cost(res.costs, res.circuit) == F(-1, 2)
 
 
 def test_separate_third_point_of_7_3():
@@ -531,7 +532,7 @@ def test_int_certificate_equals_the_fraction_slack():
         if res.verdict == "violated":
             violated += 1
             assert res.certificate == res.inequality.evaluate(x) < 0
-            assert res.certificate == res.costs.path_cost(res.circuit)
+            assert res.certificate == path_cost(res.costs, res.circuit)
     assert violated >= 90, violated
 
 
